@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import CaseError, EvalDomainError, EvalPole, UnknownVerdictError
+from .errors import (
+    CaseError,
+    EvalDomainError,
+    EvalPole,
+    UnknownVerdictError,
+    VanishingRecoveryError,
+)
 from .expr import (
     Expr,
     ParamEnv,
@@ -26,11 +32,9 @@ from .expr import (
     to_string,
 )
 from .equations import p34_cuberoot, painleve_ii
-from .invariants import InvariantTower, TowerOptions
+from .invariants import I1_PII, InvariantTower, TowerOptions
 from .ode import OdeCubic, PointTransform
 from .oracle import PASS_RESIDUAL, ResidualReport, verify_transform
-
-_I1_PII = Fraction(18, 5)
 
 
 class CaseTag(Enum):
@@ -176,7 +180,7 @@ def test_pii(
             return EquivalenceResult(
                 Outcome.NOT_EQUIVALENT, failed_condition="Omega = 0"
             )
-        if not t.require("I1 - 18/5", t.i1 - RatFunc.const(_I1_PII)).is_zero:
+        if not t.require("I1 - 18/5", t.i1 - RatFunc.const(I1_PII)).is_zero:
             return EquivalenceResult(
                 Outcome.NOT_EQUIVALENT, failed_condition="I1 = 18/5"
             )
@@ -265,7 +269,6 @@ def _build_pii_transform(
     with w = (2500 sigma I9)^(1/6) on the region where sigma I9 > 0.
     """
     sigma_first = t.i9_sign or 1
-    best = None
     for sigma in (sigma_first, -sigma_first):
         w = rf_pow(t.i9.scale(2500 * sigma), Fraction(1, 6))
         w_inv = w ** (-1)
@@ -284,8 +287,6 @@ def _build_pii_transform(
                     )
                     if report.passed:
                         return transform, report, a_rf
-                    if best is None or report.max_residual < best[1].max_residual:
-                        best = (transform, report, a_rf)
     return None
 
 
@@ -330,6 +331,8 @@ def test_p34(
             return EquivalenceResult(
                 Outcome.NOT_EQUIVALENT, failed_condition="beta^2 constant"
             )
+    except VanishingRecoveryError as exc:
+        return EquivalenceResult(Outcome.NOT_EQUIVALENT, failed_condition=exc.condition)
     except UnknownVerdictError as exc:
         return EquivalenceResult(Outcome.INCONCLUSIVE, detail=str(exc))
     except CaseError as exc:

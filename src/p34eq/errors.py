@@ -33,6 +33,19 @@ class CaseError(P34Error):
     """A pipeline stage was invoked outside the degeneration case it is defined for."""
 
 
+class VanishingRecoveryError(CaseError):
+    """A recovery formula's denominator vanishes identically.
+
+    Each denominator is a rational function of absolute invariants that is
+    nonzero on the P34 normal form, so it cannot vanish identically on an
+    equation equivalent to P34; ``condition`` names the condition that fails.
+    """
+
+    def __init__(self, what: str):
+        super().__init__(f"{what} denominator vanishes identically")
+        self.condition = f"{what} denominator nonzero"
+
+
 class UnknownVerdictError(P34Error):
     """A zero-test came back Unknown where the classification needs a definite answer."""
 

@@ -160,11 +160,7 @@ def rf_to_expr(rf: RatFunc) -> Expr:
     num = _poly_to_expr(rf.num)
     if rf.den.is_const and rf.den.const_value() == 1:
         return num
-    return Mul((num, Pow(_paren_expr(rf.den), Fraction(-1))))
-
-
-def _paren_expr(p: Poly) -> Expr:
-    return _poly_to_expr(p)
+    return Mul((num, Pow(_poly_to_expr(rf.den), Fraction(-1))))
 
 
 def _poly_to_expr(p: Poly) -> Expr:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import CaseError, UnknownVerdictError
+from .errors import CaseError, UnknownVerdictError, VanishingRecoveryError
 from .expr import (
     Expr,
     ParamEnv,
@@ -54,7 +54,8 @@ class TowerOptions:
     check_branch_agreement: bool = True
 
 
-_I1_PII = Fraction(18, 5)
+# I1 is this constant on Painleve II and on every equation equivalent to it.
+I1_PII = Fraction(18, 5)
 
 
 class InvariantTower:
@@ -523,7 +524,7 @@ class InvariantTower:
             * (i1.scale(225) * i1 - i1.scale(5245) + RatFunc.const(27216))
         ).scale(3)
         if den.is_zero:
-            raise CaseError("coordinate recovery denominator vanishes identically")
+            raise VanishingRecoveryError("coordinate recovery")
         return (num / den).scale(Fraction(125, 2))
 
     @cached_property
@@ -539,7 +540,7 @@ class InvariantTower:
         )
         den = rf_pow(yt, Fraction(5, 3)) * (yt.scale(2) - RatFunc.const(35)).scale(2)
         if den.is_zero:
-            raise CaseError("coordinate recovery denominator vanishes identically")
+            raise VanishingRecoveryError("coordinate recovery")
         return num / den
 
     @cached_property
@@ -551,7 +552,7 @@ class InvariantTower:
             (yt.scale(2) - RatFunc.const(5)) ** 3
         )
         if den.is_zero:
-            raise CaseError("parameter recovery denominator vanishes identically")
+            raise VanishingRecoveryError("parameter recovery")
         return (num / den).scale(Fraction(-64, 625))
 
 

@@ -112,6 +112,13 @@ def test_p34_ince_sampled():
     assert abs(res.beta_squared_value - 4) < 1e-9
 
 
+@pytest.mark.parametrize("a", ["a", 3])
+def test_p34_rejects_pii_on_vanishing_recovery_denominator(a):
+    res = pc.test_p34(eqs.painleve_ii(a))
+    assert res.outcome is Outcome.NOT_EQUIVALENT
+    assert res.failed_condition == "coordinate recovery denominator nonzero"
+
+
 def test_p34_piv_fails_on_i7():
     res = pc.test_p34(eqs.painleve_iv(2, 3))
     assert res.outcome is Outcome.NOT_EQUIVALENT

@@ -144,6 +144,13 @@ def test_recovery_round_trip(cuberoot_tower):
     assert (t.recovered_beta2 - rf("b^2")).is_zero
 
 
+def test_recovered_y_is_exactly_y_on_cuberoot_normal_form():
+    # The recovery denominator is nonzero for every beta^2, which is what
+    # lets test_p34 read its vanishing as a failed condition.
+    t = InvariantTower(eqs.p34_cuberoot("b2"))
+    assert rf_to_expr(t.recovered_y) == Sym("y")
+
+
 def test_recover_coordinates_wrapper():
     y_e, x_e, b2_e = recover_coordinates(eqs.p34_cuberoot("b"))
     assert normalize(y_e) == Sym("y")
