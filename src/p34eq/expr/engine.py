@@ -157,17 +157,19 @@ def _opaque_power(rf: RatFunc, p: int, q: int) -> RatFunc:
 
 
 def rf_to_expr(rf: RatFunc) -> Expr:
-    num = _poly_to_expr(rf.num)
-    if rf.den.is_const and rf.den.const_value() == 1:
+    num = _poly_to_expr(rf.num, rf.coeff)
+    if rf.den.is_const:  # a primitive constant denominator is 1
         return num
     return Mul((num, Pow(_poly_to_expr(rf.den), Fraction(-1))))
 
 
-def _poly_to_expr(p: Poly) -> Expr:
+def _poly_to_expr(p: Poly, coeff: Fraction = Fraction(1)) -> Expr:
+    """coeff * p as a sum of terms, each with its rational coefficient."""
     if p.is_zero:
         return ast.ZERO
     terms = []
     for mono, c in p.sorted_terms():
+        c = coeff * c
         factors: list[Expr] = []
         if c != 1 or all(e == 0 for e in mono):
             factors.append(Const(c))

@@ -1,18 +1,33 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over the integers.
 
 Generators are identified by name strings and kept in a canonical sorted
 order inside each polynomial; binary operations align generator tuples on
-the fly.  The module is a plain commutative ring: any algebraic meaning of
-a generator (radical atoms and the like) lives one layer up, in atoms.py.
+the fly.  The module is a plain commutative ring Z[gens]: any algebraic
+meaning of a generator (radical atoms and the like) lives one layer up, in
+atoms.py, and so does any rational content, in RatFunc's coefficient.
 
-Division and GCD are exact.  GCD uses monomial/content fast paths and falls
-back to the subresultant polynomial remainder sequence, recursing on the
-number of variables.
+Coefficients are Python ints.  Constructors accept integer-valued rationals
+and store them as ints; a non-integer coefficient raises ValueError.
+
+Division is exact division in Z[gens].  By a primitive divisor it succeeds
+exactly when the rational quotient exists (Gauss's lemma), and the first
+leading coefficient that the divisor's does not divide proves it inexact.
+
+poly_gcd returns the primitive GCD with a positive leading coefficient.  It
+tries, in order:
+
+- monomial: common monomial factors split off first;
+- divides: one argument divides the other;
+- mod-p screen: univariate images modulo 2^61 - 1 at random points prove
+  coprimality;
+- heuristic: GCDHEU (Char, Geddes and Gonnet 1984), evaluation at a large
+  integer and reconstruction from its digits, checked by exact division;
+- PRS: the subresultant polynomial remainder sequence, recursing on the
+  number of variables.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Iterable, Mapping
 
@@ -20,8 +35,12 @@ from .atoms import gen_sort_key
 
 Monomial = tuple[int, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _int_coeff(c) -> int:
+    """c as an int; c may be an int or an integer-valued rational."""
+    if c.denominator != 1:
+        raise ValueError(f"polynomial coefficient {c} is not an integer")
+    return int(c.numerator)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -29,11 +48,11 @@ class ExactDivisionError(ArithmeticError):
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with int coefficients."""
 
     __slots__ = ("gens", "terms")
 
-    def __init__(self, gens: tuple[str, ...], terms: Mapping[Monomial, Fraction]):
+    def __init__(self, gens: tuple[str, ...], terms: Mapping[Monomial, int]):
         # Constructor trusts its input; use the factory helpers below.
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "terms", dict(terms))
@@ -49,12 +68,12 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
+        c = _int_coeff(c)
         return Poly((), {(): c} if c else {})
 
     @staticmethod
-    def gen(name: str, exp: int = 1, coeff=Fraction(1)) -> "Poly":
-        coeff = Fraction(coeff)
+    def gen(name: str, exp: int = 1, coeff=1) -> "Poly":
+        coeff = _int_coeff(coeff)
         if not coeff:
             return Poly.zero()
         if exp == 0:
@@ -62,13 +81,14 @@ class Poly:
         return Poly((name,), {(exp,): coeff})
 
     @staticmethod
-    def from_terms(gens: Iterable[str], terms: Mapping[Monomial, Fraction]) -> "Poly":
+    def from_terms(gens: Iterable[str], terms: Mapping[Monomial, int]) -> "Poly":
         """Build from possibly unsorted generators and unpruned terms."""
         gens = tuple(gens)
         order = sorted(range(len(gens)), key=lambda i: gen_sort_key(gens[i]))
         sorted_gens = tuple(gens[i] for i in order)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         for mono, c in terms.items():
+            c = _int_coeff(c)
             if not c:
                 continue
             new = tuple(mono[i] for i in order)
@@ -110,9 +130,9 @@ class Poly:
     def is_monomial(self) -> bool:
         return len(self.terms) <= 1
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> int:
         if self.is_zero:
-            return _ZERO
+            return 0
         if not self.is_const:
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
@@ -126,13 +146,13 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in the canonical (descending lexicographic) order."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
-    def leading(self) -> tuple[Monomial, Fraction]:
+    def leading(self) -> tuple[Monomial, int]:
         if self.is_zero:
-            return (), _ZERO
+            return (), 0
         m = max(self.terms)
         return m, self.terms[m]
 
@@ -222,7 +242,7 @@ class Poly:
         a, b = Poly.aligned(self, other)
         if len(a.terms) > len(b.terms):
             a, b = b, a
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, int] = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
                 m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
@@ -235,12 +255,14 @@ class Poly:
         return Poly(a.gens, terms)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _int_coeff(c)
         if not c:
             return Poly.zero()
+        if c == 1:
+            return self
         return Poly(self.gens, {m: c * v for m, v in self.terms.items()})
 
-    def mul_monomial(self, mono: Monomial, coeff=Fraction(1)) -> "Poly":
+    def mul_monomial(self, mono: Monomial, coeff: int = 1) -> "Poly":
         """Multiply by coeff * gens**mono (mono aligned to self.gens)."""
         if not coeff:
             return Poly.zero()
@@ -279,25 +301,25 @@ class Poly:
 
     # ----- content and primitive parts ----------------------------------
 
-    def content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integer coeffs."""
-        if self.is_zero:
-            return _ZERO
-        num = 0
-        den = 1
+    def content(self) -> int:
+        """gcd of the coefficients: positive, and 0 for the zero polynomial."""
+        g = 0
         for c in self.terms.values():
-            num = int_gcd(num, c.numerator)
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        return Fraction(num, den)
+            g = int_gcd(g, c)
+            if g == 1:
+                break
+        return g
 
-    def primitive(self) -> tuple[Fraction, "Poly"]:
+    def primitive(self) -> tuple[int, "Poly"]:
         """Split into (content-with-sign, primitive part with positive lead)."""
         if self.is_zero:
-            return _ZERO, self
+            return 0, self
         c = self.content()
         if self.leading()[1] < 0:
             c = -c
-        return c, self.scale(1 / c)
+        if c == 1:
+            return 1, self
+        return c, Poly(self.gens, {m: v // c for m, v in self.terms.items()})
 
     def monomial_content(self) -> dict[str, int]:
         """Per-generator minimum exponent over all terms."""
@@ -327,10 +349,12 @@ class Poly:
     # ----- division -----------------------------------------------------
 
     def divmod_by(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Division under the term order; stops when the lead is not divisible.
+        """Division in Z[gens] under the term order.
 
-        For exact quotients (the only use in this package) the remainder is
-        zero; otherwise the returned remainder is nonzero.
+        Stops at the first remainder lead that the divisor's lead does not
+        divide, as a monomial or as an integer.  For exact quotients (the
+        only use in this package) the remainder is zero; otherwise the
+        returned remainder is nonzero.
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -339,22 +363,25 @@ class Poly:
         lm, lc = b.leading()
         bterms = b.terms
         rem = dict(a.terms)
-        q_terms: dict[Monomial, Fraction] = {}
+        q_terms: dict[Monomial, int] = {}
         while rem:
             rm = max(rem)
             if any(e1 < e2 for e1, e2 in zip(rm, lm)):
                 break
-            coeff = rem[rm] / lc
+            coeff, r = divmod(rem[rm], lc)
+            if r:
+                break
+            # Leads strictly decrease, so each quotient monomial occurs once.
             diff = tuple(e1 - e2 for e1, e2 in zip(rm, lm))
-            q_terms[diff] = q_terms.get(diff, _ZERO) + coeff
+            q_terms[diff] = coeff
             for m2, c2 in bterms.items():
                 m = tuple(e1 + e2 for e1, e2 in zip(diff, m2))
-                v = rem.get(m, _ZERO) - coeff * c2
+                v = rem.get(m, 0) - coeff * c2
                 if v:
                     rem[m] = v
                 else:
                     rem.pop(m, None)
-        q = Poly(gens, {m: c for m, c in q_terms.items() if c})._compress()
+        q = Poly(gens, q_terms)._compress()
         r = Poly(gens, rem)._compress()
         return q, r
 
@@ -375,24 +402,33 @@ class Poly:
 
     # ----- evaluation ---------------------------------------------------
 
-    def eval(self, values: Mapping[str, float]) -> float:
-        """Numeric evaluation; every generator must be present in values."""
+    def eval(self, values: Mapping[str, float], coeff=1) -> float:
+        """Numeric value of coeff * self; every generator must be in values.
+
+        coeff is an int or a Fraction.  Each term starts from the correctly
+        rounded float of its rational coefficient coeff * c (int true
+        division rounds correctly), so the sum does not depend on how that
+        rational is split between coeff and c.
+        """
+        p, q = coeff.numerator, coeff.denominator
         total = 0.0
         vals = [float(values[g]) for g in self.gens]
         for mono, c in self.terms.items():
-            v = float(c)
+            v = (p * c) / q
             for i, e in enumerate(mono):
                 if e:
                     v *= vals[i] ** e
             total += v
         return total
 
-    def eval_abs(self, values: Mapping[str, float]) -> float:
-        """Sum of |term| values; a magnitude scale for relative tolerances."""
+    def eval_abs(self, values: Mapping[str, float], coeff=1) -> float:
+        """Sum of |term| values of coeff * self; a magnitude scale for
+        relative tolerances, term floats rounded as in eval."""
+        p, q = coeff.numerator, coeff.denominator
         total = 0.0
         vals = [abs(float(values[g])) for g in self.gens]
         for mono, c in self.terms.items():
-            v = abs(float(c))
+            v = abs((p * c) / q)
             for i, e in enumerate(mono):
                 if e:
                     v *= vals[i] ** e
@@ -407,7 +443,7 @@ def _univar(p: Poly, name: str) -> dict[int, Poly]:
     """View p as univariate in ``name`` with Poly coefficients."""
     i = p.gens.index(name)
     rest = p.gens[:i] + p.gens[i + 1 :]
-    coeffs: dict[int, dict[Monomial, Fraction]] = {}
+    coeffs: dict[int, dict[Monomial, int]] = {}
     for mono, c in p.terms.items():
         e = mono[i]
         m = mono[:i] + mono[i + 1 :]
@@ -495,8 +531,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     am, bm = a.monomial_content(), b.monomial_content()
     common = {g: min(e, bm.get(g, 0)) for g, e in am.items() if bm.get(g, 0)}
     common = {g: e for g, e in common.items() if e}
-    a = a.shift_down(am)
-    b = b.shift_down(bm)
+    a = a.shift_down(am).primitive()[1]
+    b = b.shift_down(bm).primitive()[1]
 
     g = _gcd_primitive(a, b)
     for name, e in sorted(common.items()):
@@ -505,21 +541,22 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _gcd_primitive(a: Poly, b: Poly) -> Poly:
+    """GCD of primitive polynomials with positive leading coefficients."""
     if a.is_const or b.is_const:
         return Poly.const(1)
     if a == b:
-        return a.primitive()[1]
+        return a
     shared = [g for g in a.gens if g in b.gens and a.degree(g) > 0 and b.degree(g) > 0]
     if not shared:
         return Poly.const(1)
     # Quick exits: one argument divides the other.
     if a.total_degree() <= b.total_degree() and a.divides(b):
-        return a.primitive()[1]
+        return a
     if b.total_degree() < a.total_degree() and b.divides(a):
-        return b.primitive()[1]
+        return b
     if _probably_coprime(a, b, shared):
         return Poly.const(1)
-    heu = _heuristic_gcd(a.primitive()[1], b.primitive()[1])
+    heu = _heuristic_gcd(a, b)
     if heu is not None:
         return heu
     # Main variable: smallest combined degree keeps the PRS short.
@@ -590,7 +627,7 @@ def _mod_univar(p: Poly, main: str, values: dict[str, int]) -> list[int]:
     deg = p.degree(main)
     out = [0] * (deg + 1)
     for mono, c in p.terms.items():
-        v = (c.numerator * pow(c.denominator, -1, _SCREEN_PRIME)) % _SCREEN_PRIME
+        v = c % _SCREEN_PRIME
         for k, e in enumerate(mono):
             if e and k != i:
                 v = v * pow(values[p.gens[k]], e, _SCREEN_PRIME) % _SCREEN_PRIME
@@ -645,16 +682,16 @@ def _probably_coprime(a: Poly, b: Poly, shared: list[str]) -> bool:
 
 
 def _max_norm(p: Poly) -> int:
-    return max(abs(c.numerator) for c in p.terms.values())
+    return max(abs(c) for c in p.terms.values())
 
 
 def _eval_gen_int(p: Poly, name: str, xi: int) -> Poly:
-    """Substitute the integer xi for one generator (integer coefficients)."""
+    """Substitute the integer xi for one generator."""
     if name not in p.gens:
         return p
     i = p.gens.index(name)
     rest = p.gens[:i] + p.gens[i + 1 :]
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[Monomial, int] = {}
     powers: dict[int, int] = {0: 1}
     for mono, c in p.terms.items():
         e = mono[i]
@@ -679,28 +716,26 @@ def _smod(n: int, xi: int) -> int:
 
 
 def _reconstruct(h: Poly, name: str, xi: int) -> Poly:
-    """Invert _eval_gen_int from balanced base-xi digits of the coefficients."""
-    out = Poly.zero()
-    i = 0
-    while not h.is_zero:
-        digit_terms = {}
-        next_terms = {}
-        for mono, c in h.terms.items():
-            n = int(c)
+    """Invert _eval_gen_int from balanced base-xi digits of the coefficients.
+
+    Digit i of h's coefficient at a monomial is the coefficient of that
+    monomial times name**i.
+    """
+    gens = tuple(sorted(h.gens + (name,), key=gen_sort_key))
+    at = gens.index(name)
+    terms: dict[Monomial, int] = {}
+    for mono, n in h.terms.items():
+        head, tail = mono[:at], mono[at:]
+        i = 0
+        while n:
             d = _smod(n, xi)
             if d:
-                digit_terms[mono] = Fraction(d)
-            rest = (n - d) // xi
-            if rest:
-                next_terms[mono] = Fraction(rest)
-        digit = Poly(h.gens, digit_terms)._compress()
-        if not digit.is_zero:
-            out = out + digit * Poly.gen(name, i) if i else out + digit
-        h = Poly(h.gens, next_terms)._compress()
-        i += 1
-        if i > 2000:
-            raise ArithmeticError("runaway digit expansion in heuristic GCD")
-    return out
+                terms[head + (i,) + tail] = d
+            n = (n - d) // xi
+            i += 1
+            if i > 2000:
+                raise ArithmeticError("runaway digit expansion in heuristic GCD")
+    return Poly(gens, terms)._compress()
 
 
 def _heuristic_gcd(a: Poly, b: Poly, depth: int = 0) -> Poly | None:
@@ -722,14 +757,14 @@ def _heuristic_gcd(a: Poly, b: Poly, depth: int = 0) -> Poly | None:
             xi = xi * 73794 // 27011 + 1
             continue
         if fa.is_const and fb.is_const:
-            h0 = Poly.const(int_gcd(int(fa.const_value()), int(fb.const_value())))
+            h0 = Poly.const(int_gcd(fa.const_value(), fb.const_value()))
         else:
             ca, pa = fa.primitive()
             cb, pb = fb.primitive()
             inner = _heuristic_gcd(pa, pb, depth + 1)
             if inner is None:
                 return None
-            h0 = inner.scale(Fraction(int_gcd(int(abs(ca)), int(abs(cb)))))
+            h0 = inner.scale(int_gcd(ca, cb))
         try:
             h = _reconstruct(h0, name, xi).primitive()[1]
         except ArithmeticError:

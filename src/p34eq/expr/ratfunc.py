@@ -1,7 +1,12 @@
-"""Reduced ratios of multivariate polynomials: the engine's normal form.
+"""Reduced rational functions: the engine's normal form.
 
-A RatFunc is num/den with gcd(num, den) = 1 and den primitive with positive
-leading coefficient, so structurally equal values have identical parts.
+A RatFunc is coeff * num / den: coeff is a Fraction, and num and den are
+integer polynomials, each primitive (content 1) with a positive leading
+coefficient, with gcd(num, den) = 1.  Zero is 0 * 0 / 1.  Structurally equal
+values therefore have identical parts.  Rational constants (parsed numbers,
+scale factors, the 1/q of a root's derivative) live in coeff, so scaling and
+negation touch no polynomial.
+
 Binary operations rebase root atoms of a common base to their lcm
 denominator first (y and y^(1/3) never coexist inside one polynomial), and
 surd exponents are folded back below their root denominator after every
@@ -11,7 +16,7 @@ product, keeping monomials in distinct prime radicals linearly independent.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping
 
 from ..errors import EvalDomainError, EvalPole
@@ -27,6 +32,9 @@ from .atoms import (
 from .poly import Poly, poly_gcd
 
 _POLE_EPS = 1e-12
+_ONE = Poly.const(1)
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def reduce_surds(p: Poly) -> Poly:
@@ -40,13 +48,13 @@ def reduce_surds(p: Poly) -> Poly:
         return p
     if not any(m[i] >= info.q for m, _ in p.terms.items() for i, info in hot):
         return p
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for mono, c in p.terms.items():
         m = list(mono)
         for i, info in hot:
             e = m[i]
             if e >= info.q:
-                c = c * Fraction(int(info.base)) ** (e // info.q)
+                c = c * int(info.base) ** (e // info.q)
                 m[i] = e % info.q
         key = tuple(m)
         acc = terms.get(key)
@@ -82,25 +90,35 @@ def common_root_targets(*polys: Poly) -> dict[str | int, int]:
 
 
 class RatFunc:
-    """Immutable reduced rational function."""
+    """Immutable reduced rational function coeff * num / den."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("coeff", "num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None, *, reduced: bool = False):
+    def __init__(
+        self, num: Poly, den: Poly | None = None, coeff=_F1, *, reduced: bool = False
+    ):
+        """coeff * num / den for integer polynomials num, den.
+
+        With reduced=True the caller guarantees the invariant of the module
+        docstring and that coeff is a Fraction; otherwise the ratio is
+        reduced here.
+        """
         if den is None:
-            den = Poly.const(1)
+            den = _ONE
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = Poly.zero(), Poly.const(1)
+        if num.is_zero or not coeff:
+            num, den, coeff = Poly.zero(), _ONE, _F0
         elif not reduced:
             targets = common_root_targets(num, den)
             num, den = rebase_poly(num, targets), rebase_poly(den, targets)
             g = poly_gcd(num, den)
             if not g.is_const:
                 num, den = num.exact_div(g), den.exact_div(g)
-            c, den = den.primitive()
-            num = num.scale(1 / c)
+            cn, num = num.primitive()
+            cd, den = den.primitive()
+            coeff = Fraction(coeff) * Fraction(cn, cd)
+        object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -111,13 +129,13 @@ class RatFunc:
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(Poly.const(c), reduced=True)
+        return RatFunc(_ONE, _ONE, Fraction(c), reduced=True)
 
     @staticmethod
     def from_gen(name: str, exp: int = 1) -> "RatFunc":
         if exp >= 0:
             return RatFunc(Poly.gen(name, exp), reduced=True)
-        return RatFunc(Poly.const(1), Poly.gen(name, -exp), reduced=True)
+        return RatFunc(_ONE, Poly.gen(name, -exp), reduced=True)
 
     # ----- inspection ---------------------------------------------------
 
@@ -130,7 +148,9 @@ class RatFunc:
         return self.num.is_const and self.den.is_const
 
     def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
+        if not self.is_const:
+            raise ValueError("not a constant rational function")
+        return self.coeff
 
     @property
     def is_monomial(self) -> bool:
@@ -140,7 +160,8 @@ class RatFunc:
         """For a monomial ratio: (coefficient, generator -> signed exponent)."""
         if not self.is_monomial:
             raise ValueError("not a monomial")
-        (nm, nc), (dm, dc) = self.num.leading(), self.den.leading()
+        # Primitive monomials with positive leads have coefficient 1.
+        nm, dm = self.num.leading()[0], self.den.leading()[0]
         exps: dict[str, int] = {}
         for g, e in zip(self.num.gens, nm):
             if e:
@@ -148,7 +169,7 @@ class RatFunc:
         for g, e in zip(self.den.gens, dm):
             if e:
                 exps[g] = exps.get(g, 0) - e
-        return nc / dc, {g: e for g, e in exps.items() if e}
+        return self.coeff, {g: e for g, e in exps.items() if e}
 
     def gens(self) -> tuple[str, ...]:
         seen = dict.fromkeys(self.num.gens)
@@ -172,13 +193,13 @@ class RatFunc:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.coeff == other.coeff and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.coeff, self.num, self.den))
 
     def __repr__(self):
-        return f"RatFunc({self.num!r} / {self.den!r})"
+        return f"RatFunc({self.coeff} * {self.num!r} / {self.den!r})"
 
     # ----- arithmetic ---------------------------------------------------
 
@@ -192,7 +213,7 @@ class RatFunc:
         )
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, reduced=True)
+        return RatFunc(self.num, self.den, -self.coeff, reduced=True)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         if self.is_zero:
@@ -200,6 +221,8 @@ class RatFunc:
         if other.is_zero:
             return self
         an, ad, bn, bd = self._aligned_with(other)
+        c, ka, kb = _common_factor(self.coeff, other.coeff)
+        an, bn = an.scale(ka), bn.scale(kb)
         g = poly_gcd(ad, bd)
         if g.is_const:
             num = reduce_surds(an * bd + bn * ad)
@@ -215,8 +238,7 @@ class RatFunc:
             gg = poly_gcd(num, g)
             if not gg.is_const:
                 num, den = num.exact_div(gg), den.exact_div(gg)
-        c, den = den.primitive()
-        return RatFunc(num.scale(1 / c), den, reduced=True)
+        return _with_contents(c, num, den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -236,8 +258,7 @@ class RatFunc:
         g3 = poly_gcd(num, den)
         if not g3.is_const:
             num, den = num.exact_div(g3), den.exact_div(g3)
-        c, den = den.primitive()
-        return RatFunc(num.scale(1 / c), den, reduced=True)
+        return _with_contents(self.coeff * other.coeff, num, den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inverse()
@@ -245,8 +266,7 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        c, num = self.num.primitive()
-        return RatFunc(self.den.scale(1 / c), num, reduced=True)
+        return RatFunc(self.den, self.num, 1 / self.coeff, reduced=True)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n == 0:
@@ -265,11 +285,10 @@ class RatFunc:
             g = poly_gcd(num, den)
             if not g.is_const:
                 num, den = num.exact_div(g), den.exact_div(g)
-        c, den = den.primitive()
-        return RatFunc(num.scale(1 / c), den, reduced=True)
+        return _with_contents(base.coeff**n, num, den)
 
     def scale(self, c) -> "RatFunc":
-        return RatFunc(self.num.scale(c), self.den, reduced=True)
+        return RatFunc(self.num, self.den, self.coeff * Fraction(c), reduced=True)
 
     # ----- differentiation ----------------------------------------------
 
@@ -280,7 +299,7 @@ class RatFunc:
         dd = _poly_deriv(d, var)
         rf_d = RatFunc(d, reduced=True)
         out = dn * rf_d - RatFunc(n, reduced=True) * dd
-        return out / (rf_d * rf_d)
+        return (out / (rf_d * rf_d)).scale(self.coeff)
 
     # ----- evaluation ---------------------------------------------------
 
@@ -290,7 +309,7 @@ class RatFunc:
         den_scale = self.den.eval_abs(gv)
         if abs(den_val) <= _POLE_EPS * max(den_scale, 1e-300):
             raise EvalPole("denominator vanishes at the sample point")
-        return self.num.eval(gv) / den_val
+        return self.num.eval(gv, self.coeff) / den_val
 
     def eval_with_scale(self, values: Mapping[str, float]) -> tuple[float, float]:
         """(value, magnitude scale) for relative-tolerance zero tests."""
@@ -299,8 +318,30 @@ class RatFunc:
         den_scale = self.den.eval_abs(gv)
         if abs(den_val) <= _POLE_EPS * max(den_scale, 1e-300):
             raise EvalPole("denominator vanishes at the sample point")
-        num_scale = self.num.eval_abs(gv)
-        return self.num.eval(gv) / den_val, max(1.0, num_scale / abs(den_val))
+        num_scale = self.num.eval_abs(gv, self.coeff)
+        return self.num.eval(gv, self.coeff) / den_val, max(1.0, num_scale / abs(den_val))
+
+
+def _common_factor(a: Fraction, b: Fraction) -> tuple[Fraction, int, int]:
+    """(c, ka, kb) with a = c * ka and b = c * kb for coprime integers ka, kb."""
+    n = gcd(a.numerator, b.numerator)
+    d = lcm(a.denominator, b.denominator)
+    return (
+        Fraction(n, d),
+        a.numerator // n * (d // a.denominator),
+        b.numerator // n * (d // b.denominator),
+    )
+
+
+def _with_contents(coeff: Fraction, num: Poly, den: Poly) -> RatFunc:
+    """coeff * num / den for coprime integer num, den: contents move to coeff."""
+    if num.is_zero:
+        return RatFunc.const(0)
+    cn, num = num.primitive()
+    cd, den = den.primitive()
+    if cn != 1 or cd != 1:
+        coeff = coeff * Fraction(cn, cd)
+    return RatFunc(num, den, coeff, reduced=True)
 
 
 def _chain(gen: str, var: str) -> RatFunc:
@@ -312,9 +353,7 @@ def _chain(gen: str, var: str) -> RatFunc:
         if info.q == 1:
             return RatFunc.const(1)
         # d(v^(1/q))/dv = (1/q) g^(1-q)
-        return RatFunc(
-            Poly.const(Fraction(1, info.q)), Poly.gen(gen, info.q - 1), reduced=True
-        )
+        return RatFunc(_ONE, Poly.gen(gen, info.q - 1), Fraction(1, info.q), reduced=True)
     if info.kind == KIND_SURD:
         return RatFunc.const(0)
     base = lookup_opaque(str(info.base))
@@ -334,7 +373,7 @@ def _poly_deriv(p: Poly, var: str) -> RatFunc:
         chain = _chain(g, var)
         if chain.is_zero:
             continue
-        out = out + RatFunc(partial, reduced=True) * chain
+        out = out + _with_contents(_F1, partial, _ONE) * chain
     return out
 
 

@@ -164,7 +164,7 @@ def _coeffs_in_symbol(rf: RatFunc, symbol: str, max_degree: int) -> list[RatFunc
         buckets = [Poly(rest_gens, t)._compress() for t in acc]
     else:
         buckets[0] = num
-    return [RatFunc(b, den) for b in buckets]
+    return [RatFunc(b, den, rf.coeff) for b in buckets]
 
 
 def from_rhs(rhs: Expr, env: ParamEnv | None = None, label: str = "",
@@ -373,7 +373,9 @@ def split_by_variable(rf: RatFunc, var: str) -> dict[Fraction, RatFunc] | None:
         for mono, c in num.terms.items():
             acc.setdefault(Fraction(mono[i], q), {})[mono[:i] + mono[i + 1 :]] = c
         groups = {k: Poly(rest, t)._compress() for k, t in acc.items()}
-    return {k - den_exp: RatFunc(p, den) for k, p in groups.items() if not p.is_zero}
+    return {
+        k - den_exp: RatFunc(p, den, rf.coeff) for k, p in groups.items() if not p.is_zero
+    }
 
 
 def _power_form(rf: RatFunc) -> tuple[str, RatFunc, Fraction, RatFunc] | None:

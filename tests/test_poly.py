@@ -11,6 +11,7 @@ from p34eq.expr.poly import (
     poly_gcd,
     poly_lcm,
 )
+from p34eq.expr.ratfunc import RatFunc
 
 
 def rand_poly(rng, gens, deg, nterms):
@@ -39,11 +40,14 @@ def test_exact_division():
 
 
 def test_content_primitive():
+    # Poly holds integers only; rational content lives in RatFunc's coefficient.
     x = Poly.gen("x")
-    p = x.scale(F(4, 3)) + Poly.const(F(2, 3))
-    c, pp = p.primitive()
-    assert c == F(2, 3)
-    assert pp == x.scale(2) + Poly.const(1)
+    with pytest.raises(ValueError):
+        Poly.const(F(2, 3))
+    rf = RatFunc(x.scale(4) + Poly.const(2), coeff=F(1, 3))
+    assert rf.coeff == F(2, 3)
+    assert rf.num == x.scale(2) + Poly.const(1)
+    assert (x.scale(-4) + Poly.const(2)).primitive() == (-2, x.scale(2) - Poly.const(1))
 
 
 @pytest.mark.parametrize("gens", [("x", "y"), ("x", "y", "b")])
