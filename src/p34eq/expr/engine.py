@@ -169,7 +169,8 @@ def _poly_to_expr(p: Poly, coeff: Fraction = Fraction(1)) -> Expr:
         return ast.ZERO
     terms = []
     for mono, c in p.sorted_terms():
-        c = coeff * c
+        if coeff != 1:
+            c = coeff * c
         factors: list[Expr] = []
         if c != 1 or all(e == 0 for e in mono):
             factors.append(Const(c))

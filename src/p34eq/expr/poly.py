@@ -29,6 +29,7 @@ tries, in order:
 from __future__ import annotations
 
 from math import gcd as int_gcd
+from operator import add, lt, sub
 from typing import Iterable, Mapping
 
 from .atoms import gen_sort_key
@@ -245,7 +246,7 @@ class Poly:
         terms: dict[Monomial, int] = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 acc = terms.get(m)
                 s = c1 * c2 if acc is None else acc + c1 * c2
                 if s:
@@ -366,16 +367,16 @@ class Poly:
         q_terms: dict[Monomial, int] = {}
         while rem:
             rm = max(rem)
-            if any(e1 < e2 for e1, e2 in zip(rm, lm)):
+            if any(map(lt, rm, lm)):
                 break
             coeff, r = divmod(rem[rm], lc)
             if r:
                 break
             # Leads strictly decrease, so each quotient monomial occurs once.
-            diff = tuple(e1 - e2 for e1, e2 in zip(rm, lm))
+            diff = tuple(map(sub, rm, lm))
             q_terms[diff] = coeff
             for m2, c2 in bterms.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(diff, m2))
+                m = tuple(map(add, diff, m2))
                 v = rem.get(m, 0) - coeff * c2
                 if v:
                     rem[m] = v
