@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from ..errors import EvalDomainError, EvalPole, UndeclaredSymbolError
@@ -181,6 +182,15 @@ def _poly_to_expr(p: Poly, coeff: Fraction = Fraction(1)) -> Expr:
     return ast.add(terms)
 
 
+@lru_cache(maxsize=None)
+def _opaque_expr(tag: str) -> Expr:
+    """The rendered radicand of a registered compound base.
+
+    Registered bases never change, so every occurrence shares one tree.
+    """
+    return rf_to_expr(lookup_opaque(tag))  # type: ignore[arg-type]
+
+
 def _gen_to_expr(gen: str, e: int) -> Expr:
     info = parse_gen(gen)
     exp = Fraction(e, info.q)
@@ -189,7 +199,7 @@ def _gen_to_expr(gen: str, e: int) -> Expr:
     elif info.kind == KIND_SURD:
         base = Const(Fraction(int(info.base)))
     else:
-        base = rf_to_expr(lookup_opaque(str(info.base)))  # type: ignore[arg-type]
+        base = _opaque_expr(str(info.base))
     if exp == 1:
         return base
     return Pow(base, exp)
