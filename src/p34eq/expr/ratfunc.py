@@ -253,11 +253,15 @@ class RatFunc:
         g2 = poly_gcd(bn, ad)
         if not g2.is_const:
             bn, ad = bn.exact_div(g2), ad.exact_div(g2)
-        num = reduce_surds(an * bn)
-        den = reduce_surds(ad * bd)
-        g3 = poly_gcd(num, den)
-        if not g3.is_const:
-            num, den = num.exact_div(g3), den.exact_div(g3)
+        num = an * bn
+        den = ad * bd
+        # Products of coprime parts are coprime, unless folding radical
+        # exponents merges monomials; only then reduce again.
+        if _has_surds(num, den):
+            num, den = reduce_surds(num), reduce_surds(den)
+            g3 = poly_gcd(num, den)
+            if not g3.is_const:
+                num, den = num.exact_div(g3), den.exact_div(g3)
         return _with_contents(self.coeff * other.coeff, num, den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
@@ -273,12 +277,9 @@ class RatFunc:
             return RatFunc.const(1)
         base = self if n > 0 else self.inverse()
         n = abs(n)
-        has_surds = any(
-            parse_gen(g).kind == KIND_SURD for g in base.num.gens + base.den.gens
-        )
         num = base.num**n
         den = base.den**n
-        if has_surds:
+        if _has_surds(num, den):
             # Folding radical exponents can merge monomials, so coprimality
             # of the power is no longer automatic; reduce again.
             num, den = reduce_surds(num), reduce_surds(den)
@@ -320,6 +321,10 @@ class RatFunc:
             raise EvalPole("denominator vanishes at the sample point")
         num_scale = self.num.eval_abs(gv, self.coeff)
         return self.num.eval(gv, self.coeff) / den_val, max(1.0, num_scale / abs(den_val))
+
+
+def _has_surds(*polys: Poly) -> bool:
+    return any(parse_gen(g).kind == KIND_SURD for p in polys for g in p.gens)
 
 
 def _common_factor(a: Fraction, b: Fraction) -> tuple[Fraction, int, int]:
