@@ -69,6 +69,30 @@ CASES = {
             "0",
         )
     ),
+    # B-branch inputs: the x <-> y swap (x -> y, y -> x) maps A to -B, so
+    # these run the B side of the tower; y*p + x*y has Omega != 0
+    "p34_rational_3_swap": RunConfig(coeffs=("0", "-1/6/x", "0", "(2*x^3 + x^2*y + 9/2)/x")),
+    "painleve_ii_3_swap": RunConfig(coeffs=("0", "0", "0", "-2*x^3 - x*y - 3")),
+    "yp_xy_swap": RunConfig(coeffs=("0", "0", "-1/3*x", "-1*x*y")),
+    # p34_rational(1) under a linear map with A != 0 and B != 0, so both
+    # branches run and must agree
+    "p34_rational_1_mixed": RunConfig(
+        coeffs=(
+            "((144/625)*x^3 - (216/625)*x^2*y - (2592/625)*x*y^2 + (5832/625)*y^3 + 8/5)"
+            "/(x - 3*y)",
+            "(-(72/625)*x^3 + (108/625)*x^2*y + (1296/625)*x*y^2 - (2916/625)*y^3 - 7/15)"
+            "/(x - 3*y)",
+            "((36/625)*x^3 - (54/625)*x^2*y - (648/625)*x*y^2 + (1458/625)*y^3 - 7/20)"
+            "/(x - 3*y)",
+            "(-(18/625)*x^3 + (27/625)*x^2*y + (324/625)*x*y^2 - (729/625)*y^3 + 27/40)"
+            "/(x - 3*y)",
+        )
+    ),
+    # the degeneration cases short of the first: maximal (A = B = 0),
+    # general (F != 0) and second (M = 0)
+    "maximal_zero": RunConfig(rhs="0"),
+    "general_y2_p3x2": RunConfig(rhs="y^2 + p^3*x^2"),
+    "second_y2": RunConfig(rhs="y^2"),
 }
 
 
