@@ -32,16 +32,9 @@ from .expr import (
     to_string,
 )
 from .equations import p34_cuberoot, painleve_ii
-from .invariants import I1_PII, InvariantTower, TowerOptions
+from .invariants import I1_PII, CaseTag, InvariantTower
 from .ode import OdeCubic, PointTransform
-from .oracle import PASS_RESIDUAL, ResidualReport, verify_transform
-
-
-class CaseTag(Enum):
-    MAXIMAL_DEGENERATION = "maximal degeneration"
-    GENERAL_CASE = "general case (F != 0)"
-    SECOND_CASE = "second case of intermediate degeneration (M = 0)"
-    FIRST_CASE = "first case of intermediate degeneration (M != 0)"
+from .oracle import ResidualReport, verify_transform
 
 
 @dataclass
@@ -99,22 +92,13 @@ class EquivalenceResult:
 def classify(
     ode: OdeCubic,
     policy: SamplePolicy | None = None,
-    options: TowerOptions | None = None,
     tower: InvariantTower | None = None,
 ) -> Classification:
     """Walk the degeneration decision tree; raises UnknownVerdictError when
     a predicate cannot be decided at the configured sampling effort."""
-    t = tower or InvariantTower(ode, policy, options)
-    va = t.require("A", t.A)
-    vb = t.require("B", t.B)
-    if va.is_zero and vb.is_zero:
-        return Classification(CaseTag.MAXIMAL_DEGENERATION, verdicts=t.verdicts)
-    vf = t.require("F5", t.F5)
-    if vf.is_nonzero:
-        return Classification(CaseTag.GENERAL_CASE, verdicts=t.verdicts)
-    vm = t.require("M", t.m_pseudo)
-    if vm.is_zero:
-        return Classification(CaseTag.SECOND_CASE, verdicts=t.verdicts)
+    t = tower or InvariantTower(ode, policy)
+    if t.case is not CaseTag.FIRST_CASE:
+        return Classification(t.case, verdicts=t.verdicts)
     flags = {
         "omega_zero": t.require("Omega", t.omega).is_zero,
         "i2_zero": t.require("I2", t.i2).is_zero,
@@ -142,36 +126,28 @@ def functional_independence(
 def _case_gate(t: InvariantTower) -> EquivalenceResult | None:
     """Common conditions 1 and 2 of both theorems; None when they hold."""
     try:
-        va = t.require("A", t.A)
-        vb = t.require("B", t.B)
-        if va.is_zero and vb.is_zero:
-            return EquivalenceResult(
-                Outcome.OUT_OF_SCOPE, detail=CaseTag.MAXIMAL_DEGENERATION.value
-            )
-        if not t.require("F5", t.F5).is_zero:
-            return EquivalenceResult(
-                Outcome.NOT_EQUIVALENT,
-                failed_condition="intermediate degeneration (F = 0)",
-                detail=CaseTag.GENERAL_CASE.value,
-            )
-        if not t.require("M", t.m_pseudo).is_nonzero:
-            return EquivalenceResult(
-                Outcome.OUT_OF_SCOPE, detail=CaseTag.SECOND_CASE.value
-            )
+        case = t.case
     except UnknownVerdictError as exc:
         return EquivalenceResult(Outcome.INCONCLUSIVE, detail=str(exc))
+    if case is CaseTag.GENERAL_CASE:
+        return EquivalenceResult(
+            Outcome.NOT_EQUIVALENT,
+            failed_condition="intermediate degeneration (F = 0)",
+            detail=case.value,
+        )
+    if case is not CaseTag.FIRST_CASE:
+        return EquivalenceResult(Outcome.OUT_OF_SCOPE, detail=case.value)
     return None
 
 
 def test_pii(
     ode: OdeCubic,
     policy: SamplePolicy | None = None,
-    options: TowerOptions | None = None,
     tower: InvariantTower | None = None,
     oracle_samples: int = 24,
 ) -> EquivalenceResult:
     """Equivalence test against y'' = 2y^3 + xy + a (parameter a = +-J)."""
-    t = tower or InvariantTower(ode, policy, options)
+    t = tower or InvariantTower(ode, policy)
     gate = _case_gate(t)
     if gate is not None:
         return gate
@@ -293,12 +269,11 @@ def _build_pii_transform(
 def test_p34(
     ode: OdeCubic,
     policy: SamplePolicy | None = None,
-    options: TowerOptions | None = None,
     tower: InvariantTower | None = None,
     oracle_samples: int = 24,
 ) -> EquivalenceResult:
     """Equivalence test against the cube-root normal form with beta != 0."""
-    t = tower or InvariantTower(ode, policy, options)
+    t = tower or InvariantTower(ode, policy)
     gate = _case_gate(t)
     if gate is not None:
         return gate

@@ -1,23 +1,36 @@
 """The tower of pseudoinvariants and invariants for cubic-in-derivative ODEs.
 
-Everything is computed exactly on reduced rational functions.  Both branch
-formulas (pivoting on A or on B) are provided; the B-branch variants that
-circulate with an inconsistent coupling term or sign are available behind
-switches, with the default fixed by the x(t) <-> y(t) swap symmetry of the
-field equations (the swap maps A to -B and the branch formulas onto each
-other, which pins every sign).
+Everything is computed exactly on reduced rational functions.  Each formula
+is written once, pivoting on A.  The x(t) <-> y(t) swap of the field
+equations maps the A-pivot formulas onto the B-pivot ones, so the B side is
+the same formula read in the B frame, where
+
+    P, Q, R, S -> -S, -R, -Q, -P    A, B -> -B, -A    H, G -> G, H
+    N -> N    M -> M    Omega -> -Omega    K_{i.j} -> K_{j.i}
+
+for every derivative order (i, j).  Hence B is -A and G is H read in the
+B frame, and the B-pivot Omega, N, M and gamma are -Omega, N, M and
+(-gamma2, -gamma1) read there.  When A and B are both nonzero, Omega, N
+and M are computed on both pivots and must agree exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
-from .errors import CaseError, UnknownVerdictError, VanishingRecoveryError
+from .errors import (
+    CaseError,
+    EvalDomainError,
+    EvalPole,
+    UnknownVerdictError,
+    VanishingRecoveryError,
+)
 from .expr import (
     Expr,
-    ParamEnv,
     RatFunc,
     SamplePolicy,
     ZeroVerdict,
@@ -26,71 +39,162 @@ from .expr import (
     rf_to_expr,
     sample_points,
 )
-from .errors import EvalDomainError, EvalPole
 from .ode import OdeCubic
 
 
-@dataclass(frozen=True)
-class PseudoField:
-    """Scalar or two-component field with its transformation weight."""
-
-    components: tuple[Expr, ...]
-    weight: int
-
-
-@dataclass(frozen=True)
-class TowerOptions:
-    """Switches for the circulating B-branch formula variants.
-
-    gamma_b_coupling: "AS" couples through A*S - B_y (swap-symmetric, the
-    default); "AN" uses A*N - B_y instead.  B-branch results under "AN" do
-    not satisfy the weight law and are flagged unverified.
-
-    omega_b_term2_sign: +1 is swap-symmetric; -1 negates the second term.
-    """
-
-    gamma_b_coupling: str = "AS"
-    omega_b_term2_sign: int = 1
-    check_branch_agreement: bool = True
+class CaseTag(Enum):
+    MAXIMAL_DEGENERATION = "maximal degeneration"
+    GENERAL_CASE = "general case (F != 0)"
+    SECOND_CASE = "second case of intermediate degeneration (M = 0)"
+    FIRST_CASE = "first case of intermediate degeneration (M != 0)"
 
 
 # I1 is this constant on Painleve II and on every equation equivalent to it.
 I1_PII = Fraction(18, 5)
 
+# The B frame: name -> (sign, name read in its place).
+_SWAP = {
+    "P": (-1, "S"), "Q": (-1, "R"), "R": (-1, "Q"), "S": (-1, "P"),
+    "A": (-1, "B"), "B": (-1, "A"), "H": (1, "G"), "G": (1, "H"),
+    "N": (1, "N"), "M": (1, "M"), "Omega": (-1, "Omega"),
+}
+
+# The tower stage that computes each derived quantity the derivative cache holds.
+_STAGE = {"A": "A", "B": "B", "G": "G", "H": "H", "N": "n_pseudo", "Omega": "omega"}
+
+# d(name, i, j) in one frame: name differentiated i times in x and j times in y.
+_Deriv = Callable[..., RatFunc]
+
+
+# ----- the formulas, pivoting on A ---------------------------------------------
+
+
+def _a(d: _Deriv) -> RatFunc:
+    P, Q, R, S = d("P"), d("Q"), d("R"), d("S")
+    return (
+        d("P", 0, 2)
+        - d("Q", 1, 1).scale(2)
+        + d("R", 2, 0)
+        + (P * d("S", 1, 0)).scale(2)
+        + S * d("P", 1, 0)
+        - (P * d("R", 0, 1)).scale(3)
+        - (R * d("P", 0, 1)).scale(3)
+        - (Q * d("R", 1, 0)).scale(3)
+        + (Q * d("Q", 0, 1)).scale(6)
+    )
+
+
+def _h(d: _Deriv) -> RatFunc:
+    P, Q, R = d("P"), d("Q"), d("R")
+    A, B = d("A"), d("B")
+    return (
+        -(A * d("A", 0, 1))
+        - (B * d("A", 1, 0)).scale(3)
+        + (A * d("B", 1, 0)).scale(4)
+        - (P * B * B).scale(3)
+        + (Q * A * B).scale(6)
+        - (R * A * A).scale(3)
+    )
+
+
+def _omega(d: _Deriv) -> RatFunc:
+    P, Q = d("P"), d("Q")
+    A, B = d("A"), d("B")
+    A10, B10 = d("A", 1, 0), d("B", 1, 0)
+    return (
+        (B * A10 * (B * P + A10)).scale(2) / (A**3)
+        - ((B10.scale(2) + (B * Q).scale(3)) * A10) / (A**2)
+        + ((d("A", 0, 1) - B10.scale(2)) * B * P) / (A**2)
+        - (B * d("A", 2, 0) + B * B * d("P", 1, 0)) / (A**2)
+        + d("B", 2, 0) / A
+        + (
+            (B10 * Q).scale(3)
+            + (B * d("Q", 1, 0)).scale(3)
+            - d("B", 0, 1) * P
+            - B * d("P", 0, 1)
+        )
+        / A
+        + d("Q", 0, 1)
+        - d("R", 1, 0).scale(2)
+    )
+
+
+def _n(d: _Deriv) -> RatFunc:
+    return -d("H") / d("A").scale(3)
+
+
+def _m(d: _Deriv) -> RatFunc:
+    P, Q, R = d("P"), d("Q"), d("R")
+    A, B, N = d("A"), d("B"), d("N")
+    return (
+        -(B * N * (B * P + d("A", 1, 0))).scale(Fraction(12, 5)) / A
+        + (B * N * Q).scale(Fraction(24, 5))
+        + (N * d("B", 1, 0)).scale(Fraction(6, 5))
+        + (N * d("A", 0, 1)).scale(Fraction(6, 5))
+        - A * d("N", 0, 1)
+        + B * d("N", 1, 0)
+        - (A * N * R).scale(Fraction(12, 5))
+    )
+
+
+def _gamma(d: _Deriv) -> tuple[RatFunc, RatFunc]:
+    P, Q, R = d("P"), d("Q"), d("R")
+    A, B, N, Om = d("A"), d("B"), d("N"), d("Omega")
+    core = B * P + d("A", 1, 0)
+    g1 = (
+        -(B * N * core).scale(Fraction(6, 5)) / (A**2)
+        + (N * B * Q).scale(Fraction(18, 5)) / A
+        + (N * (d("B", 1, 0) + d("A", 0, 1))).scale(Fraction(6, 5)) / A
+        - d("N", 0, 1)
+        - (N * R).scale(Fraction(12, 5))
+        - (Om * B).scale(2)
+    )
+    g2 = (
+        -(N * core).scale(Fraction(6, 5)) / A
+        + d("N", 1, 0)
+        + (N * Q).scale(Fraction(6, 5))
+        + (Om * A).scale(2)
+    )
+    return g1, g2
+
+
+_ON_BRANCH = {"Omega": _omega, "N": _n, "M": _m, "gamma": _gamma}
+
 
 class InvariantTower:
     """Lazily computed invariants of one equation, shared across stages."""
 
-    def __init__(
-        self,
-        ode: OdeCubic,
-        policy: SamplePolicy | None = None,
-        options: TowerOptions | None = None,
-    ):
+    def __init__(self, ode: OdeCubic, policy: SamplePolicy | None = None):
         self.ode = ode
         self.env = ode.env
         self.policy = policy or SamplePolicy()
-        self.options = options or TowerOptions()
-        self._derivs: dict[tuple[int, int, int], RatFunc] = {}
         self._verdicts: dict[str, ZeroVerdict] = {}
-        p, q, r, s = ode.coeff_rfs()
-        self._base = [p, q, r, s]
+        self._derivs: dict[tuple[str, int, int], RatFunc] = {
+            (name, 0, 0): rf for name, rf in zip("PQRS", ode.coeff_rfs())
+        }
 
     # ----- derivative cache ----------------------------------------------
 
-    def d(self, which: int, i: int, j: int) -> RatFunc:
-        """K_{i.j} of the base coefficient (0=P, 1=Q, 2=R, 3=S)."""
-        key = (which, i, j)
-        if key in self._derivs:
-            return self._derivs[key]
-        if i == 0 and j == 0:
-            out = self._base[which]
-        elif i > 0:
-            out = self.d(which, i - 1, j).deriv("x")
-        else:
-            out = self.d(which, i, j - 1).deriv("y")
-        self._derivs[key] = out
+    def d(self, name: str, i: int = 0, j: int = 0) -> RatFunc:
+        """K_{i.j}: a coefficient P, Q, R, S or a quantity A, B, G, H, N,
+        Omega differentiated i times in x and j times in y."""
+        key = (name, i, j)
+        out = self._derivs.get(key)
+        if out is None:
+            if i > 0:
+                out = self.d(name, i - 1, j).deriv("x")
+            elif j > 0:
+                out = self.d(name, i, j - 1).deriv("y")
+            else:
+                out = getattr(self, _STAGE[name])
+            self._derivs[key] = out
         return out
+
+    def _d_swapped(self, name: str, i: int = 0, j: int = 0) -> RatFunc:
+        """d as the B frame reads it."""
+        sign, other = _SWAP[name]
+        out = self.d(other, j, i)
+        return out if sign > 0 else -out
 
     def verdict(self, name: str, rf: RatFunc) -> ZeroVerdict:
         if name not in self._verdicts:
@@ -111,83 +215,26 @@ class InvariantTower:
 
     @cached_property
     def A(self) -> RatFunc:
-        P, Q, R, S = self._base
-        d = self.d
-        return (
-            d(0, 0, 2)
-            - d(1, 1, 1).scale(2)
-            + d(2, 2, 0)
-            + (P * d(3, 1, 0)).scale(2)
-            + S * d(0, 1, 0)
-            - (P * d(2, 0, 1)).scale(3)
-            - (R * d(0, 0, 1)).scale(3)
-            - (Q * d(2, 1, 0)).scale(3)
-            + (Q * d(1, 0, 1)).scale(6)
-        )
+        return _a(self.d)
 
     @cached_property
     def B(self) -> RatFunc:
-        P, Q, R, S = self._base
-        d = self.d
-        return (
-            d(3, 2, 0)
-            - d(2, 1, 1).scale(2)
-            + d(1, 0, 2)
-            - (S * d(0, 0, 1)).scale(2)
-            - P * d(3, 0, 1)
-            + (S * d(1, 1, 0)).scale(3)
-            + (Q * d(3, 1, 0)).scale(3)
-            + (R * d(1, 0, 1)).scale(3)
-            - (R * d(2, 1, 0)).scale(6)
-        )
-
-    def _dAB(self, rf_name: str, i: int, j: int) -> RatFunc:
-        key = (10 if rf_name == "A" else 11, i, j)
-        if key in self._derivs:
-            return self._derivs[key]
-        if i == 0 and j == 0:
-            out = self.A if rf_name == "A" else self.B
-        elif i > 0:
-            out = self._dAB(rf_name, i - 1, j).deriv("x")
-        else:
-            out = self._dAB(rf_name, i, j - 1).deriv("y")
-        self._derivs[key] = out
-        return out
-
-    @cached_property
-    def G(self) -> RatFunc:
-        P, Q, R, S = self._base
-        A, B = self.A, self.B
-        dA, dB = self._dAB, self._dAB
-        return (
-            -(B * dB("B", 1, 0))
-            - (A * dB("B", 0, 1)).scale(3)
-            + (B * dA("A", 0, 1)).scale(4)
-            + (S * A * A).scale(3)
-            - (R * B * A).scale(6)
-            + (Q * B * B).scale(3)
-        )
+        return -_a(self._d_swapped)
 
     @cached_property
     def H(self) -> RatFunc:
-        P, Q, R, S = self._base
-        A, B = self.A, self.B
-        d = self._dAB
-        return (
-            -(A * d("A", 0, 1))
-            - (B * d("A", 1, 0)).scale(3)
-            + (A * d("B", 1, 0)).scale(4)
-            - (P * B * B).scale(3)
-            + (Q * A * B).scale(6)
-            - (R * A * A).scale(3)
-        )
+        return _h(self.d)
+
+    @cached_property
+    def G(self) -> RatFunc:
+        return _h(self._d_swapped)
 
     @cached_property
     def F5(self) -> RatFunc:
         """The fifth power of the pseudoinvariant F: 3F^5 = AG + BH."""
         return (self.A * self.G + self.B * self.H).scale(Fraction(1, 3))
 
-    # ----- branch selection ------------------------------------------------
+    # ----- branch and degeneration case -------------------------------------
 
     @cached_property
     def branch(self) -> str:
@@ -199,183 +246,66 @@ class InvariantTower:
             return "B"
         raise CaseError("A and B both vanish: maximal degeneration, no branch applies")
 
-    def _both_branches(self) -> bool:
-        if not self.options.check_branch_agreement:
-            return False
-        va = self.verdict("A", self.A)
-        vb = self.verdict("B", self.B)
-        return va.is_nonzero and vb.is_nonzero
+    @cached_property
+    def case(self) -> CaseTag:
+        """The degeneration case, decided in the theorems' order: A and B, F, M.
 
-    def _assert_branch_agreement(self, name: str, a_val: RatFunc, b_val: RatFunc) -> None:
-        diff = a_val - b_val
-        v = is_zero(diff, self.env, self.policy)
-        if not v.is_zero:
-            raise CaseError(
-                f"branch formulas for {name} disagree "
-                f"(difference verdict {v.status.value}); "
-                "this indicates an inconsistent input or a formula variant switch"
-            )
+        Raises UnknownVerdictError naming the first predicate that sampling
+        cannot decide.
+        """
+        va = self.require("A", self.A)
+        vb = self.require("B", self.B)
+        if va.is_zero and vb.is_zero:
+            return CaseTag.MAXIMAL_DEGENERATION
+        if self.require("F5", self.F5).is_nonzero:
+            return CaseTag.GENERAL_CASE
+        if self.require("M", self.m_pseudo).is_zero:
+            return CaseTag.SECOND_CASE
+        return CaseTag.FIRST_CASE
+
+    def on_branch(self, name: str, branch: str):
+        """Omega, N, M or gamma by the formula pivoting on ``branch``."""
+        if branch == "A":
+            return _ON_BRANCH[name](self.d)
+        value = _ON_BRANCH[name](self._d_swapped)
+        if name == "gamma":
+            return -value[1], -value[0]
+        return value if _SWAP[name][0] > 0 else -value
+
+    def _agreed(self, name: str) -> RatFunc:
+        """``name`` on the branch; with A and B both nonzero, both pivots must agree."""
+        out = self.on_branch(name, self.branch)
+        if self.verdict("A", self.A).is_nonzero and self.verdict("B", self.B).is_nonzero:
+            other = self.on_branch(name, "B" if self.branch == "A" else "A")
+            v = is_zero(out - other, self.env, self.policy)
+            if not v.is_zero:
+                raise CaseError(
+                    f"branch formulas for {name} disagree "
+                    f"(difference verdict {v.status.value}); "
+                    "this indicates an inconsistent input"
+                )
+        return out
 
     # ----- step 3: Omega, N, M ---------------------------------------------
 
-    def omega_branch(self, branch: str) -> RatFunc:
-        P, Q, R, S = self._base
-        A, B = self.A, self.B
-        d = self._dAB
-        if branch == "A":
-            A10 = d("A", 1, 0)
-            return (
-                (B * A10 * (B * P + A10)).scale(2) / (A**3)
-                - ((d("B", 1, 0).scale(2) + (B * Q).scale(3)) * A10) / (A**2)
-                + ((d("A", 0, 1) - d("B", 1, 0).scale(2)) * B * P) / (A**2)
-                - (B * d("A", 2, 0) + B * B * self.d(0, 1, 0)) / (A**2)
-                + d("B", 2, 0) / A
-                + (
-                    (d("B", 1, 0) * Q).scale(3)
-                    + (B * self.d(1, 1, 0)).scale(3)
-                    - d("B", 0, 1) * P
-                    - B * self.d(0, 0, 1)
-                )
-                / A
-                + self.d(1, 0, 1)
-                - self.d(2, 1, 0).scale(2)
-            )
-        B01 = d("B", 0, 1)
-        sign = self.options.omega_b_term2_sign
-        return (
-            (A * B01 * (A * S - B01)).scale(2) / (B**3)
-            + ((d("A", 0, 1).scale(2) - (A * R).scale(3)) * B01).scale(sign) / (B**2)
-            + ((d("B", 1, 0) - d("A", 0, 1).scale(2)) * A * S) / (B**2)
-            + (A * d("B", 0, 2) - A * A * self.d(3, 0, 1)) / (B**2)
-            - d("A", 0, 2) / B
-            + (
-                (d("A", 0, 1) * R).scale(3)
-                + (A * self.d(2, 0, 1)).scale(3)
-                - d("A", 1, 0) * S
-                - A * self.d(3, 1, 0)
-            )
-            / B
-            + self.d(2, 1, 0)
-            - self.d(1, 0, 1).scale(2)
-        )
-
     @cached_property
     def omega(self) -> RatFunc:
-        out = self.omega_branch(self.branch)
-        if self._both_branches():
-            other = self.omega_branch("B" if self.branch == "A" else "A")
-            self._assert_branch_agreement("Omega", out, other)
-        return out
-
-    def n_branch(self, branch: str) -> RatFunc:
-        if branch == "A":
-            return -self.H / self.A.scale(3)
-        return self.G / self.B.scale(3)
+        return self._agreed("Omega")
 
     @cached_property
     def n_pseudo(self) -> RatFunc:
-        out = self.n_branch(self.branch)
-        if self._both_branches():
-            other = self.n_branch("B" if self.branch == "A" else "A")
-            self._assert_branch_agreement("N", out, other)
-        return out
-
-    def _dN(self, i: int, j: int) -> RatFunc:
-        key = (12, i, j)
-        if key in self._derivs:
-            return self._derivs[key]
-        if i == 0 and j == 0:
-            out = self.n_pseudo
-        elif i > 0:
-            out = self._dN(i - 1, j).deriv("x")
-        else:
-            out = self._dN(i, j - 1).deriv("y")
-        self._derivs[key] = out
-        return out
-
-    def m_branch(self, branch: str) -> RatFunc:
-        P, Q, R, S = self._base
-        A, B = self.A, self.B
-        N = self.n_pseudo
-        d = self._dAB
-        N01, N10 = self._dN(0, 1), self._dN(1, 0)
-        if branch == "A":
-            return (
-                -(B * N * (B * P + d("A", 1, 0))).scale(Fraction(12, 5)) / A
-                + (B * N * Q).scale(Fraction(24, 5))
-                + (N * d("B", 1, 0)).scale(Fraction(6, 5))
-                + (N * d("A", 0, 1)).scale(Fraction(6, 5))
-                - A * N01
-                + B * N10
-                - (A * N * R).scale(Fraction(12, 5))
-            )
-        return (
-            -(A * N * (A * S - d("B", 0, 1))).scale(Fraction(12, 5)) / B
-            + (A * N * R).scale(Fraction(24, 5))
-            - (N * d("A", 0, 1)).scale(Fraction(6, 5))
-            - (N * d("B", 1, 0)).scale(Fraction(6, 5))
-            + B * N10
-            - A * N01
-            - (B * N * Q).scale(Fraction(12, 5))
-        )
+        return self._agreed("N")
 
     @cached_property
     def m_pseudo(self) -> RatFunc:
-        out = self.m_branch(self.branch)
-        if self._both_branches():
-            other = self.m_branch("B" if self.branch == "A" else "A")
-            self._assert_branch_agreement("M", out, other)
-        return out
+        return self._agreed("M")
 
     # ----- step 4: gamma and the invariants ---------------------------------
-
-    def gamma_branch(self, branch: str) -> tuple[RatFunc, RatFunc]:
-        P, Q, R, S = self._base
-        A, B = self.A, self.B
-        N, Om = self.n_pseudo, self.omega
-        d = self._dAB
-        N01, N10 = self._dN(0, 1), self._dN(1, 0)
-        if branch == "A":
-            core = B * P + d("A", 1, 0)
-            g1 = (
-                -(B * N * core).scale(Fraction(6, 5)) / (A**2)
-                + (N * B * Q).scale(Fraction(18, 5)) / A
-                + (N * (d("B", 1, 0) + d("A", 0, 1))).scale(Fraction(6, 5)) / A
-                - N01
-                - (N * R).scale(Fraction(12, 5))
-                - (Om * B).scale(2)
-            )
-            g2 = (
-                -(N * core).scale(Fraction(6, 5)) / A
-                + N10
-                + (N * Q).scale(Fraction(6, 5))
-                + (Om * A).scale(2)
-            )
-            return g1, g2
-        if self.options.gamma_b_coupling == "AS":
-            core = A * S - d("B", 0, 1)
-        else:  # the "AN" variant; fails the weight law, kept for comparison
-            core = A * N - d("B", 0, 1)
-        g1 = (
-            -(N * core).scale(Fraction(6, 5)) / B
-            - N01
-            + (N * R).scale(Fraction(6, 5))
-            - (Om * B).scale(2)
-        )
-        g2 = (
-            -(A * N * core).scale(Fraction(6, 5)) / (B**2)
-            + (N * A * R).scale(Fraction(18, 5)) / B
-            - (N * (d("A", 0, 1) + d("B", 1, 0))).scale(Fraction(6, 5)) / B
-            + N10
-            - (N * Q).scale(Fraction(12, 5))
-            + (Om * A).scale(2)
-        )
-        return g1, g2
 
     @cached_property
     def gamma(self) -> tuple[RatFunc, RatFunc]:
         self.require_first_case()
-        return self.gamma_branch(self.branch)
+        return self.on_branch("gamma", self.branch)
 
     def require_first_case(self) -> None:
         if not self.require("M", self.m_pseudo).is_nonzero:
@@ -386,7 +316,7 @@ class InvariantTower:
     @cached_property
     def gamma_hat(self) -> RatFunc:
         """The contracted connection component entering I3."""
-        P, Q, R, S = self._base
+        P, Q, R, S = self.d("P"), self.d("Q"), self.d("R"), self.d("S")
         g1, g2 = self.gamma
         M = self.m_pseudo
         g1x, g1y = g1.deriv("x"), g1.deriv("y")
@@ -565,40 +495,35 @@ class InvariantReport:
 
     label: str
     branch: str | None
-    fields: dict[str, PseudoField] = field(default_factory=dict)
     invariants: dict[str, Expr | None] = field(default_factory=dict)
     verdicts: dict[str, ZeroVerdict] = field(default_factory=dict)
     i9_sign: int | None = None
     notes: list[str] = field(default_factory=list)
 
 
-_WEIGHTS = {"A": 2, "B": 2, "F5": 5, "Omega": 1, "N": 2, "M": 4, "gamma": 3}
+# Where the tower stops in the cases short of the intermediate degeneration.
+_STOPS_AT = {CaseTag.MAXIMAL_DEGENERATION: "alpha", CaseTag.GENERAL_CASE: "F"}
 
 
 def compute_invariants(
     ode: OdeCubic,
     policy: SamplePolicy | None = None,
-    options: TowerOptions | None = None,
     tower: InvariantTower | None = None,
 ) -> InvariantReport:
     """Run the tower as far as the degeneration case allows."""
-    t = tower or InvariantTower(ode, policy, options)
+    t = tower or InvariantTower(ode, policy)
     report = InvariantReport(label=ode.label, branch=None)
-    report.fields["alpha"] = PseudoField(
-        (rf_to_expr(t.B), rf_to_expr(-t.A)), _WEIGHTS["A"]
-    )
     report.invariants["A"] = rf_to_expr(t.A)
     report.invariants["B"] = rf_to_expr(t.B)
     report.invariants["F5"] = rf_to_expr(t.F5)
-    va = t.verdict("A", t.A)
-    vb = t.verdict("B", t.B)
-    if va.is_zero and vb.is_zero:
-        report.notes.append("maximal degeneration: tower stops at alpha")
+    try:
+        case = t.case
+    except UnknownVerdictError as exc:
+        report.notes.append(f"{exc}: degeneration case undecided, tower stops")
         report.verdicts = t.verdicts
         return report
-    vf = t.verdict("F5", t.F5)
-    if not vf.is_zero:
-        report.notes.append("general case (F != 0): tower stops at F")
+    if case in _STOPS_AT:
+        report.notes.append(f"{case.value}: tower stops at {_STOPS_AT[case]}")
         report.verdicts = t.verdicts
         return report
     try:
@@ -607,10 +532,6 @@ def compute_invariants(
         report.invariants["N"] = rf_to_expr(t.n_pseudo)
         report.invariants["M"] = rf_to_expr(t.m_pseudo)
         t.require_first_case()
-        g1, g2 = t.gamma
-        report.fields["gamma"] = PseudoField(
-            (rf_to_expr(g1), rf_to_expr(g2)), _WEIGHTS["gamma"]
-        )
         for name, rf in (
             ("I1", t.i1),
             ("I2", t.i2),
@@ -632,73 +553,7 @@ def compute_invariants(
         else:
             report.invariants["J"] = None
             report.notes.append("I9 not certified nonzero: J omitted")
-        if t.branch == "B" and t.options.gamma_b_coupling != "AS":
-            report.notes.append("gamma computed with the 'AN' B-branch variant: unverified")
-    except CaseError as exc:
+    except (CaseError, UnknownVerdictError) as exc:
         report.notes.append(str(exc))
     report.verdicts = t.verdicts
     return report
-
-
-# ----- spec-facing operation wrappers -----------------------------------------
-
-
-def alpha(ode: OdeCubic, policy: SamplePolicy | None = None) -> PseudoField:
-    t = InvariantTower(ode, policy)
-    return PseudoField((rf_to_expr(t.B), rf_to_expr(-t.A)), 2)
-
-
-def f5(ode: OdeCubic, policy: SamplePolicy | None = None) -> Expr:
-    return rf_to_expr(InvariantTower(ode, policy).F5)
-
-
-def omega(ode: OdeCubic, policy: SamplePolicy | None = None, branch: str | None = None) -> Expr:
-    t = InvariantTower(ode, policy)
-    return rf_to_expr(t.omega_branch(branch) if branch else t.omega)
-
-
-def n_pseudo(ode: OdeCubic, policy: SamplePolicy | None = None, branch: str | None = None) -> Expr:
-    t = InvariantTower(ode, policy)
-    return rf_to_expr(t.n_branch(branch) if branch else t.n_pseudo)
-
-
-def m_pseudo(ode: OdeCubic, policy: SamplePolicy | None = None, branch: str | None = None) -> Expr:
-    t = InvariantTower(ode, policy)
-    return rf_to_expr(t.m_branch(branch) if branch else t.m_pseudo)
-
-
-def gamma(ode: OdeCubic, policy: SamplePolicy | None = None) -> PseudoField:
-    t = InvariantTower(ode, policy)
-    g1, g2 = t.gamma
-    return PseudoField((rf_to_expr(g1), rf_to_expr(g2)), 3)
-
-
-def basic_invariants(ode: OdeCubic, policy: SamplePolicy | None = None) -> tuple[Expr, Expr, Expr]:
-    t = InvariantTower(ode, policy)
-    return rf_to_expr(t.i1), rf_to_expr(t.i2), rf_to_expr(t.i3)
-
-
-def derived_invariants(
-    ode: OdeCubic, policy: SamplePolicy | None = None
-) -> tuple[Expr, Expr, Expr, Expr]:
-    t = InvariantTower(ode, policy)
-    return rf_to_expr(t.i4), rf_to_expr(t.i6), rf_to_expr(t.i7), rf_to_expr(t.i9)
-
-
-def j_invariant(ode: OdeCubic, policy: SamplePolicy | None = None) -> Expr | None:
-    return InvariantTower(ode, policy).j_expr()
-
-
-def k_invariant(ode: OdeCubic, policy: SamplePolicy | None = None) -> Expr:
-    return rf_to_expr(InvariantTower(ode, policy).k_invariant)
-
-
-def recover_coordinates(
-    ode: OdeCubic, policy: SamplePolicy | None = None
-) -> tuple[Expr, Expr, Expr]:
-    t = InvariantTower(ode, policy)
-    return (
-        rf_to_expr(t.recovered_y),
-        rf_to_expr(t.recovered_x),
-        rf_to_expr(t.recovered_beta2),
-    )

@@ -36,6 +36,18 @@ def test_input_error_exit_three(capsys):
     assert main(["--rhs", "p^2 + c*y"]) == 3  # undeclared parameter
 
 
+def test_inconclusive_case_predicate_exits_two(capsys):
+    # sqrt(-y) has no real sample for y > 0, so the zero test of A is
+    # inconclusive: a valid input whose degeneration case is undecided
+    code = main(["--rhs", "(-y)^(1/2)", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["classification"] == {"tag": "inconclusive", "predicate": "A"}
+    assert report["pii"]["outcome"] == report["p34"]["outcome"] == "inconclusive"
+    code, _, text = run(RunConfig(rhs="(-y)^(1/2)"))
+    assert "note: inconclusive zero-test for predicate 'A'" in text
+
+
 def test_param_declarations():
     code, report, _ = run(RunConfig(rhs="k*y + p^2", params=["k!=0"]))
     assert report["params"] == {"k": "nonzero"}
