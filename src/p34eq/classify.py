@@ -11,13 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import (
-    CaseError,
-    EvalDomainError,
-    EvalPole,
-    UnknownVerdictError,
-    VanishingRecoveryError,
-)
+from .errors import CaseError, UnknownVerdictError, VanishingRecoveryError
 from .expr import (
     Expr,
     ParamEnv,
@@ -27,7 +21,7 @@ from .expr import (
     is_zero,
     rf_pow,
     rf_to_expr,
-    sample_points,
+    sample,
     to_ratfunc,
     to_string,
 )
@@ -35,6 +29,9 @@ from .equations import p34_cuberoot, painleve_ii
 from .invariants import I1_PII, CaseTag, InvariantTower
 from .ode import OdeCubic, PointTransform
 from .oracle import ResidualReport, verify_transform
+
+# Points the oracle checks a candidate transform at.
+ORACLE_SAMPLES = 24
 
 
 @dataclass
@@ -144,7 +141,6 @@ def test_pii(
     ode: OdeCubic,
     policy: SamplePolicy | None = None,
     tower: InvariantTower | None = None,
-    oracle_samples: int = 24,
 ) -> EquivalenceResult:
     """Equivalence test against y'' = 2y^3 + xy + a (parameter a = +-J)."""
     t = tower or InvariantTower(ode, policy)
@@ -187,7 +183,7 @@ def test_pii(
     a_exprs = tuple(rf_to_expr(c) for c in candidates)
     a_values = tuple(_sample_value(c, ode.env, t.policy) for c in candidates)
 
-    result = _build_pii_transform(ode, t, candidates, oracle_samples)
+    result = _build_pii_transform(ode, t, candidates)
     if result is None:
         return EquivalenceResult(
             Outcome.INCONCLUSIVE,
@@ -224,20 +220,14 @@ def _independent_pair(t: InvariantTower) -> tuple[str, str] | None:
 
 
 def _sample_value(rf: RatFunc, env: ParamEnv, policy: SamplePolicy) -> float:
-    symbols = sorted(rf.free_symbols() | {"x", "y"})
-    for a in sample_points(symbols, env, policy, n=policy.n_samples + policy.max_redraws):
-        try:
-            return rf.eval(a)
-        except (EvalPole, EvalDomainError, OverflowError):
-            continue
-    return float("nan")
+    values, _ = sample(rf.eval, rf.free_symbols(), env, policy, 1)
+    return values[0] if values else float("nan")
 
 
 def _build_pii_transform(
     ode: OdeCubic,
     t: InvariantTower,
     a_candidates: tuple[RatFunc, ...],
-    oracle_samples: int,
 ):
     """Try the invariant transform over root-branch choices; oracle gates.
 
@@ -258,8 +248,7 @@ def _build_pii_transform(
                     transform = PointTransform(rf_to_expr(x_new), rf_to_expr(y_new))
                     target = painleve_ii(rf_to_expr(a_rf))
                     report = verify_transform(
-                        ode, target, transform, n=oracle_samples, policy=t.policy,
-                        env=ode.env.merged(target.env),
+                        ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy
                     )
                     if report.passed:
                         return transform, report, a_rf
@@ -270,7 +259,6 @@ def test_p34(
     ode: OdeCubic,
     policy: SamplePolicy | None = None,
     tower: InvariantTower | None = None,
-    oracle_samples: int = 24,
 ) -> EquivalenceResult:
     """Equivalence test against the cube-root normal form with beta != 0."""
     t = tower or InvariantTower(ode, policy)
@@ -316,10 +304,7 @@ def test_p34(
     transform = PointTransform(rf_to_expr(x_rf), rf_to_expr(y_rf))
     b2_expr = rf_to_expr(b2)
     target = p34_cuberoot(b2_expr)
-    report = verify_transform(
-        ode, target, transform, n=oracle_samples, policy=t.policy,
-        env=ode.env.merged(target.env),
-    )
+    report = verify_transform(ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy)
     if not report.passed:
         return EquivalenceResult(
             Outcome.INCONCLUSIVE,

@@ -206,18 +206,12 @@ def _verification_block(ode, pii, p34, policy) -> dict:
 
     if pii.equivalent and pii.transform is not None and pii.a_candidates:
         target = painleve_ii(parse(to_string(pii.a_candidates[0])))
-        rep = verify_transform(
-            ode, target, pii.transform, n=40, policy=policy,
-            env=ode.env.merged(target.env),
-        )
+        rep = verify_transform(ode, target, pii.transform, n=40, policy=policy)
         out["pii"] = {"max_residual": rep.max_residual, "samples": rep.samples_used,
                       "passed": rep.passed}
     if p34.equivalent and p34.transform is not None and p34.beta_squared is not None:
         target = p34_cuberoot(p34.beta_squared)
-        rep = verify_transform(
-            ode, target, p34.transform, n=40, policy=policy,
-            env=ode.env.merged(target.env),
-        )
+        rep = verify_transform(ode, target, p34.transform, n=40, policy=policy)
         out["p34"] = {"max_residual": rep.max_residual, "samples": rep.samples_used,
                       "passed": rep.passed}
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from ..errors import EvalDomainError, EvalPole, UndeclaredSymbolError
 from . import ast
@@ -32,6 +32,8 @@ from .atoms import (
 from .poly import Poly
 from .ratfunc import RatFunc, _real_root
 
+T = TypeVar("T")
+
 __all__ = [
     "normalize",
     "diff",
@@ -46,7 +48,8 @@ __all__ = [
     "SamplePolicy",
     "ZeroStatus",
     "ZeroVerdict",
-    "sample_points",
+    "QUADRANTS",
+    "sample",
 ]
 
 
@@ -291,31 +294,25 @@ class SamplePolicy:
     seed: int = 2034
     n_samples: int = 16
     abs_tol: float = 1e-9
-    nz_tol: float = 1e-6
-    lo: float = 0.5
-    hi: float = 3.0
-    max_redraws: int = 100
 
-    def with_seed(self, seed: int) -> "SamplePolicy":
-        return SamplePolicy(
-            seed, self.n_samples, self.abs_tol, self.nz_tol, self.lo, self.hi, self.max_redraws
-        )
+
+# Sampled magnitudes of x, y and every parameter are uniform on this box.
+BOX = (0.5, 3.0)
+# A residual above this is evidence of a nonzero value.
+NZ_TOL = 1e-6
+# Extra draws allowed for points where the sampled function is undefined.
+REDRAWS = 100
+# (x, y) sign quadrants, in the order they are tried.
+QUADRANTS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
 
 
 class ParamEnv:
-    """Declared parameters with constraints and optional pinned values."""
+    """Declared parameters with their sign constraints."""
 
-    def __init__(
-        self,
-        constraints: Mapping[str, Constraint | str] | None = None,
-        values: Mapping[str, Fraction] | None = None,
-    ):
-        self.constraints: dict[str, Constraint] = {}
-        for name, c in (constraints or {}).items():
-            self.constraints[name] = Constraint(c) if not isinstance(c, Constraint) else c
-        self.values: dict[str, Fraction] = {k: Fraction(v) for k, v in (values or {}).items()}
-        for name in self.values:
-            self.constraints.setdefault(name, Constraint.FREE)
+    def __init__(self, constraints: Mapping[str, Constraint | str] | None = None):
+        self.constraints: dict[str, Constraint] = {
+            name: Constraint(c) for name, c in (constraints or {}).items()
+        }
 
     def declared(self) -> set[str]:
         return set(self.constraints)
@@ -328,56 +325,55 @@ class ParamEnv:
             )
 
     def merged(self, other: "ParamEnv") -> "ParamEnv":
-        c = dict(self.constraints)
-        c.update(other.constraints)
-        v = dict(self.values)
-        v.update(other.values)
-        return ParamEnv(c, v)
+        return ParamEnv({**self.constraints, **other.constraints})
 
-    def draw(self, name: str, rng: random.Random, lo: float, hi: float) -> float:
-        pinned = self.values.get(name)
-        if pinned is not None:
-            return float(pinned)
-        magnitude = rng.uniform(lo, hi)
-        constraint = self.constraints.get(name, Constraint.FREE)
-        if constraint is Constraint.POSITIVE:
+    def draw(self, name: str, rng: random.Random) -> float:
+        magnitude = rng.uniform(*BOX)
+        if self.constraints.get(name) is Constraint.POSITIVE:
             return magnitude
         return magnitude if rng.random() < 0.5 else -magnitude
 
     def __repr__(self):
-        parts = []
-        for name in sorted(self.constraints):
-            c = self.constraints[name]
-            v = self.values.get(name)
-            parts.append(f"{name}:{c.value}" + (f"={v}" if v is not None else ""))
+        parts = (f"{name}:{self.constraints[name].value}" for name in sorted(self.constraints))
         return f"ParamEnv({', '.join(parts)})"
 
 
-def sample_points(
-    symbols: Sequence[str],
+def sample(
+    f: Callable[[dict[str, float]], T],
+    symbols: Iterable[str],
     env: ParamEnv,
     policy: SamplePolicy,
-    n: int | None = None,
-    signs: tuple[int, int] = (1, 1),
-) -> list[dict[str, float]]:
-    """Draw assignments for x, y, and parameters; deterministic in the seed.
+    n: int,
+    quadrant: tuple[int, int] = (1, 1),
+    redraws: int = REDRAWS,
+) -> tuple[list[T], int]:
+    """f at up to n random points where it is defined, and the number of
+    points skipped; the only place that draws sample points.
 
-    ``signs`` selects the quadrant for (x, y); parameter signs follow their
-    constraints.  The caller redraws pole-hitting points itself by asking
-    for more points than it needs.
+    Each point gives x and y magnitudes uniform on BOX with the signs of
+    ``quadrant``, then each parameter in sorted order a magnitude on BOX and,
+    unless it is declared positive, a random sign.  The stream is fixed by
+    the seed, the quadrant and the symbols.  A point where f raises EvalPole,
+    EvalDomainError or OverflowError is skipped; at most n + ``redraws``
+    points are drawn (zero tests use REDRAWS, the jet oracle four times as
+    many per quadrant).
     """
-    rng = random.Random((policy.seed, signs, tuple(sorted(symbols))).__repr__())
-    out = []
-    for _ in range(n if n is not None else policy.n_samples):
-        a: dict[str, float] = {
-            "x": signs[0] * rng.uniform(policy.lo, policy.hi),
-            "y": signs[1] * rng.uniform(policy.lo, policy.hi),
-        }
-        for s in symbols:
-            if s not in ("x", "y"):
-                a[s] = env.draw(s, rng, policy.lo, policy.hi)
-        out.append(a)
-    return out
+    names = tuple(sorted(set(symbols) | {"x", "y"}))
+    params = [s for s in names if s not in ("x", "y")]
+    rng = random.Random(repr((policy.seed, quadrant, names)))
+    values: list[T] = []
+    skipped = 0
+    for _ in range(n + redraws):
+        if len(values) >= n:
+            break
+        a = {"x": quadrant[0] * rng.uniform(*BOX), "y": quadrant[1] * rng.uniform(*BOX)}
+        for s in params:
+            a[s] = env.draw(s, rng)
+        try:
+            values.append(f(a))
+        except (EvalPole, EvalDomainError, OverflowError):
+            skipped += 1
+    return values, skipped
 
 
 # ----- zero verdicts --------------------------------------------------------
@@ -431,17 +427,7 @@ def is_zero(
         return ZeroVerdict(ZeroStatus.ZERO, normal_form="0")
 
     exact = rf.is_exact()
-    symbols = sorted(rf.free_symbols() | {"x", "y"})
-    points = sample_points(symbols, env, policy, n=policy.n_samples + policy.max_redraws)
-    residuals: list[float] = []
-    for a in points:
-        if len(residuals) >= policy.n_samples:
-            break
-        try:
-            value, scale = rf.eval_with_scale(a)
-        except (EvalPole, EvalDomainError):
-            continue
-        residuals.append(value / scale)
+    residuals, _ = sample(_scaled_value(rf), rf.free_symbols(), env, policy, policy.n_samples)
     if len(residuals) < max(4, policy.n_samples // 2):
         return ZeroVerdict(
             ZeroStatus.UNKNOWN,
@@ -449,7 +435,7 @@ def is_zero(
             detail="insufficient pole-free samples",
         )
     top = max(abs(r) for r in residuals)
-    if top > policy.nz_tol:
+    if top > NZ_TOL:
         return ZeroVerdict(ZeroStatus.NONZERO, residuals=tuple(residuals))
     if top < policy.abs_tol:
         if exact:
@@ -464,3 +450,13 @@ def is_zero(
     return ZeroVerdict(
         ZeroStatus.UNKNOWN, residuals=tuple(residuals), detail="samples in the gray zone"
     )
+
+
+def _scaled_value(rf: RatFunc) -> Callable[[dict[str, float]], float]:
+    """rf's value at a point divided by the size of its terms there."""
+
+    def value(a: dict[str, float]) -> float:
+        v, scale = rf.eval_with_scale(a)
+        return v / scale
+
+    return value

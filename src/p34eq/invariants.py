@@ -22,13 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .errors import (
-    CaseError,
-    EvalDomainError,
-    EvalPole,
-    UnknownVerdictError,
-    VanishingRecoveryError,
-)
+from .errors import CaseError, UnknownVerdictError, VanishingRecoveryError
 from .expr import (
     Expr,
     RatFunc,
@@ -37,7 +31,7 @@ from .expr import (
     is_zero,
     rf_pow,
     rf_to_expr,
-    sample_points,
+    sample,
 )
 from .ode import OdeCubic
 
@@ -392,25 +386,10 @@ class InvariantTower:
     @cached_property
     def i9_sign(self) -> int | None:
         """Sign of I9 on the sampling domain; None when mixed or undecided."""
-        symbols = sorted(self.i9.free_symbols() | {"x", "y"})
-        pts = sample_points(symbols, self.env, self.policy, n=self.policy.n_samples + 20)
-        signs = set()
-        kept = 0
-        for a in pts:
-            if kept >= self.policy.n_samples:
-                break
-            try:
-                v = self.i9.eval(a)
-            except (EvalPole, EvalDomainError):
-                continue
-            kept += 1
-            if v > 0:
-                signs.add(1)
-            elif v < 0:
-                signs.add(-1)
-        if len(signs) == 1:
-            return signs.pop()
-        return None
+        values, _ = sample(self.i9.eval, self.i9.free_symbols(), self.env, self.policy,
+                           self.policy.n_samples)
+        signs = {(v > 0) - (v < 0) for v in values} - {0}
+        return signs.pop() if len(signs) == 1 else None
 
     def j_expr(self) -> Expr | None:
         """J in closed form when representable over the reals; else None.

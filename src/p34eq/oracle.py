@@ -8,30 +8,29 @@ from the symbolic chain-rule transformer, so the two validate each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalDomainError, EvalPole
-from .expr import ParamEnv, RatFunc, SamplePolicy, sample_points, to_ratfunc
+from .errors import EvalPole
+from .expr import QUADRANTS, ParamEnv, RatFunc, SamplePolicy, sample, to_ratfunc
 from .ode import OdeCubic, PointTransform
 
 PASS_RESIDUAL = 1e-7
 WARN_RESIDUAL = 1e-4
 MIN_SAMPLES = 10
-
-_QUADRANTS = ((1, 1), (-1, 1), (1, -1), (-1, -1))
+# Extra draws per quadrant for points where the jets are undefined.
+ORACLE_REDRAWS = 400
 _SEEDS = (-1.3, -0.45, 0.6, 1.7)
 
 
 @dataclass
 class ResidualReport:
-    """Per-sample coefficient residuals of a transform check."""
+    """Coefficient residuals of a transform check."""
 
     samples_used: int = 0
     poles_skipped: int = 0
     max_residual: float = float("inf")
-    per_sample: list[tuple[float, float, float, float]] = field(default_factory=list)
     quadrant: tuple[int, int] = (1, 1)
     insufficient: bool = True
 
@@ -119,56 +118,43 @@ def verify_transform(
     t: PointTransform,
     n: int = 20,
     policy: SamplePolicy | None = None,
-    env: ParamEnv | None = None,
 ) -> ResidualReport:
     """Check that t maps solutions of src onto solutions of dst.
 
     Sampling tries the four sign quadrants of the (x, y) box in turn, since
     transforms with radicals are often real on only some of them; the first
     quadrant that yields a passing report wins, otherwise the best report
-    (most samples, then smallest residual) is returned.
+    (most samples, then smallest residual) is returned.  A point where the
+    jets degenerate counts as a pole.
     """
     policy = policy or SamplePolicy()
-    env = env or src.env.merged(dst.env)
     parts = _transform_parts(t)
     src_rfs = src.coeff_rfs()
     dst_rfs = dst.coeff_rfs()
-    symbols = sorted(
+    symbols = (
         src.free_symbols()
         | dst.free_symbols()
         | set().union(*(p.free_symbols() for p in parts.values()))
-        | {"x", "y"}
     )
 
+    def residual(a: dict[str, float]) -> float:
+        pv = {k: rf.eval(a) for k, rf in parts.items()}
+        sv = tuple(rf.eval(a) for rf in src_rfs)
+        image = dict(a)
+        image["x"], image["y"] = pv["u"], pv["v"]
+        dv = tuple(rf.eval(image) for rf in dst_rfs)
+        eff = _jet_coefficients((sv[0], 3 * sv[1], 3 * sv[2], sv[3]), pv)
+        if eff is None:
+            raise EvalPole("degenerate jets at the sample point")
+        dst_vals = (dv[0], 3 * dv[1], 3 * dv[2], dv[3])
+        return max(abs(e - d) / max(1.0, abs(e), abs(d)) for e, d in zip(eff, dst_vals))
+
     best: ResidualReport | None = None
-    for quadrant in _QUADRANTS:
-        report = ResidualReport(quadrant=quadrant)
-        points = sample_points(symbols, env, policy, n=n + 4 * policy.max_redraws, signs=quadrant)
-        residuals: list[float] = []
-        for a in points:
-            if report.samples_used >= n:
-                break
-            try:
-                pv = {k: rf.eval(a) for k, rf in parts.items()}
-                sv = tuple(rf.eval(a) for rf in src_rfs)
-                src_vals = (sv[0], 3 * sv[1], 3 * sv[2], sv[3])
-                image = dict(a)
-                image["x"], image["y"] = pv["u"], pv["v"]
-                dv = tuple(rf.eval(image) for rf in dst_rfs)
-                dst_vals = (dv[0], 3 * dv[1], 3 * dv[2], dv[3])
-            except (EvalPole, EvalDomainError, OverflowError):
-                report.poles_skipped += 1
-                continue
-            eff = _jet_coefficients(src_vals, pv)
-            if eff is None:
-                report.poles_skipped += 1
-                continue
-            row = tuple(
-                abs(e - d) / max(1.0, abs(e), abs(d)) for e, d in zip(eff, dst_vals)
-            )
-            report.per_sample.append(row)  # type: ignore[arg-type]
-            residuals.append(max(row))
-            report.samples_used += 1
+    for quadrant in QUADRANTS:
+        residuals, skipped = sample(
+            residual, symbols, src.env.merged(dst.env), policy, n, quadrant, ORACLE_REDRAWS
+        )
+        report = ResidualReport(len(residuals), skipped, quadrant=quadrant)
         if report.samples_used >= MIN_SAMPLES:
             report.insufficient = False
             report.max_residual = max(residuals)
@@ -197,6 +183,7 @@ def verify_weight_law(
     For scalars: f_src = det(Jf)^m * f_dst(image).  For two-component
     fields with an upper index: f_src = det(Jf)^m * Jf^(-1) f_dst(image),
     where Jf is the forward Jacobian matrix of t at the source point.
+    Points where Jf is singular are skipped.
     Returns (law holds within tol at >= MIN_SAMPLES points, max deviation).
     """
     policy = policy or SamplePolicy()
@@ -204,37 +191,29 @@ def verify_weight_law(
     parts = _transform_parts(t)
     src_rfs = [to_ratfunc(c) if not isinstance(c, RatFunc) else c for c in src_components]
     dst_rfs = [to_ratfunc(c) if not isinstance(c, RatFunc) else c for c in dst_components]
-    symbols = sorted(
-        set().union(*(c.free_symbols() for c in src_rfs + dst_rfs))
-        | set().union(*(p.free_symbols() for p in parts.values()))
-        | {"x", "y"}
-    )
-    kept = 0
-    worst = 0.0
-    for a in sample_points(symbols, env, policy, n=n + policy.max_redraws):
-        if kept >= n:
-            break
-        try:
-            jf = np.array(
-                [
-                    [parts["ux"].eval(a), parts["uy"].eval(a)],
-                    [parts["vx"].eval(a), parts["vy"].eval(a)],
-                ]
-            )
-            det = float(np.linalg.det(jf))
-            if abs(det) < 1e-9:
-                continue
-            image = dict(a)
-            image["x"], image["y"] = parts["u"].eval(a), parts["v"].eval(a)
-            src_vals = np.array([c.eval(a) for c in src_rfs])
-            dst_vals = np.array([c.eval(image) for c in dst_rfs])
-        except (EvalPole, EvalDomainError, OverflowError):
-            continue
+    symbols = set().union(*(c.free_symbols() for c in src_rfs + dst_rfs + list(parts.values())))
+
+    def deviation(a: dict[str, float]) -> float:
+        jf = np.array(
+            [
+                [parts["ux"].eval(a), parts["uy"].eval(a)],
+                [parts["vx"].eval(a), parts["vy"].eval(a)],
+            ]
+        )
+        det = float(np.linalg.det(jf))
+        if abs(det) < 1e-9:
+            raise EvalPole("singular Jacobian at the sample point")
+        image = dict(a)
+        image["x"], image["y"] = parts["u"].eval(a), parts["v"].eval(a)
+        src_vals = np.array([c.eval(a) for c in src_rfs])
+        dst_vals = np.array([c.eval(image) for c in dst_rfs])
         if len(src_rfs) == 1:
             predicted = det**weight * dst_vals
         else:
             predicted = det**weight * (np.linalg.inv(jf) @ dst_vals)
         scale = max(1.0, float(np.max(np.abs(src_vals))), float(np.max(np.abs(predicted))))
-        worst = max(worst, float(np.max(np.abs(src_vals - predicted))) / scale)
-        kept += 1
-    return kept >= MIN_SAMPLES and worst < tol, worst
+        return float(np.max(np.abs(src_vals - predicted))) / scale
+
+    deviations, _ = sample(deviation, symbols, env, policy, n, redraws=ORACLE_REDRAWS)
+    worst = max((0.0, *deviations))
+    return len(deviations) >= MIN_SAMPLES and worst < tol, worst
