@@ -21,7 +21,7 @@ from .expr import (
     is_zero,
     rf_pow,
     rf_to_expr,
-    sample,
+    sample_any_quadrant,
     to_ratfunc,
     to_string,
 )
@@ -220,7 +220,7 @@ def _independent_pair(t: InvariantTower) -> tuple[str, str] | None:
 
 
 def _sample_value(rf: RatFunc, env: ParamEnv, policy: SamplePolicy) -> float:
-    values, _ = sample(rf.eval, rf.free_symbols(), env, policy, 1)
+    values, _ = sample_any_quadrant(rf.eval, rf.free_symbols(), env, policy, 1, need=1)
     return values[0] if values else float("nan")
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "ZeroVerdict",
     "QUADRANTS",
     "sample",
+    "sample_any_quadrant",
 ]
 
 
@@ -376,6 +377,28 @@ def sample(
     return values, skipped
 
 
+def sample_any_quadrant(
+    f: Callable[[dict[str, float]], T],
+    symbols: Iterable[str],
+    env: ParamEnv,
+    policy: SamplePolicy,
+    n: int,
+    need: int | None = None,
+) -> tuple[list[T], int]:
+    """sample() in each of QUADRANTS in turn, for functions real on only
+    part of the plane: the first quadrant's result with at least ``need``
+    values (by default what a zero test needs, max(4, n // 2)), else the
+    (1, 1) result."""
+    need = max(4, n // 2) if need is None else need
+    first = None
+    for quadrant in QUADRANTS:
+        values, skipped = sample(f, symbols, env, policy, n, quadrant)
+        if len(values) >= need:
+            return values, skipped
+        first = first or (values, skipped)
+    return first
+
+
 # ----- zero verdicts --------------------------------------------------------
 
 
@@ -427,7 +450,9 @@ def is_zero(
         return ZeroVerdict(ZeroStatus.ZERO, normal_form="0")
 
     exact = rf.is_exact()
-    residuals, _ = sample(_scaled_value(rf), rf.free_symbols(), env, policy, policy.n_samples)
+    residuals, _ = sample_any_quadrant(
+        _scaled_value(rf), rf.free_symbols(), env, policy, policy.n_samples
+    )
     if len(residuals) < max(4, policy.n_samples // 2):
         return ZeroVerdict(
             ZeroStatus.UNKNOWN,

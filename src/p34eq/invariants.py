@@ -31,7 +31,7 @@ from .expr import (
     is_zero,
     rf_pow,
     rf_to_expr,
-    sample,
+    sample_any_quadrant,
 )
 from .ode import OdeCubic
 
@@ -386,8 +386,9 @@ class InvariantTower:
     @cached_property
     def i9_sign(self) -> int | None:
         """Sign of I9 on the sampling domain; None when mixed or undecided."""
-        values, _ = sample(self.i9.eval, self.i9.free_symbols(), self.env, self.policy,
-                           self.policy.n_samples)
+        values, _ = sample_any_quadrant(
+            self.i9.eval, self.i9.free_symbols(), self.env, self.policy, self.policy.n_samples
+        )
         signs = {(v > 0) - (v < 0) for v in values} - {0}
         return signs.pop() if len(signs) == 1 else None
 

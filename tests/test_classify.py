@@ -3,7 +3,16 @@ import pytest
 from p34eq import classify as pc
 from p34eq import equations as eqs
 from p34eq.classify import CaseTag, Outcome
-from p34eq.expr import Const, ParamEnv, SamplePolicy, is_zero, normalize, parse, to_string
+from p34eq.expr import (
+    Const,
+    ParamEnv,
+    SamplePolicy,
+    Sym,
+    is_zero,
+    normalize,
+    parse,
+    to_string,
+)
 from p34eq.invariants import InvariantTower
 from p34eq.ode import PointTransform, apply_transform, from_rhs
 
@@ -86,6 +95,15 @@ def test_pii_on_pii_itself_recovers_parameter():
     assert res.outcome is Outcome.EQUIVALENT_PII
     assert res.a_values is not None
     assert sorted(res.a_values) == [-0.5, 0.5]
+
+
+def test_pii_parameter_sampled_where_real():
+    # painleve_ii(3) under y -> -y^2 is real only for y < 0, so the value of
+    # a is sampled there
+    t = PointTransform(Sym("x"), normalize(parse("-y^2")), (Sym("x"), parse("(-y)^(1/2)")))
+    res = pc.test_pii(apply_transform(eqs.painleve_ii(3), t))
+    assert res.outcome is Outcome.EQUIVALENT_PII
+    assert res.a_values == (3.0, -3.0)
 
 
 def test_pii_out_of_scope_cases():

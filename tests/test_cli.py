@@ -37,15 +37,22 @@ def test_input_error_exit_three(capsys):
 
 
 def test_inconclusive_case_predicate_exits_two(capsys):
-    # sqrt(-y) has no real sample for y > 0, so the zero test of A is
-    # inconclusive: a valid input whose degeneration case is undecided
-    code = main(["--rhs", "(-y)^(1/2)", "--json"])
+    # sqrt(-y^2 - 1) has no real sample in any quadrant, so the zero test
+    # of A is inconclusive: a valid input whose degeneration case is undecided
+    code = main(["--rhs", "(-y^2 - 1)^(1/2)", "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["classification"] == {"tag": "inconclusive", "predicate": "A"}
     assert report["pii"]["outcome"] == report["p34"]["outcome"] == "inconclusive"
-    code, _, text = run(RunConfig(rhs="(-y)^(1/2)"))
+    code, _, text = run(RunConfig(rhs="(-y^2 - 1)^(1/2)"))
     assert "note: inconclusive zero-test for predicate 'A'" in text
+
+
+def test_equation_real_only_for_negative_y_is_decided():
+    # sqrt(-y) is real only for y < 0; the zero tests sample there
+    code, report, _ = run(RunConfig(rhs="(-y)^(1/2)"))
+    assert code == 1
+    assert report["pii"]["outcome"] == report["p34"]["outcome"] == "not-equivalent"
 
 
 def test_param_declarations():
