@@ -55,6 +55,12 @@ def test_equation_real_only_for_negative_y_is_decided():
     assert report["pii"]["outcome"] == report["p34"]["outcome"] == "not-equivalent"
 
 
+def test_overflowing_input_gets_a_report():
+    code, report, _ = run(RunConfig(rhs="x^800*y^3"))
+    assert code == 1
+    assert report["classification"]["tag"].startswith("first case")
+
+
 def test_param_declarations():
     code, report, _ = run(RunConfig(rhs="k*y + p^2", params=["k!=0"]))
     assert report["params"] == {"k": "nonzero"}

@@ -224,6 +224,11 @@ def test_is_zero_nonzero_has_sample_evidence(env_b):
     assert any(abs(r) > 1e-6 for r in v.residuals)
 
 
+def test_is_zero_skips_overflowing_points():
+    # x^800 overflows a float for x above about 2.43 but not below
+    assert is_zero(parse("x^800")).is_nonzero
+
+
 def test_is_zero_undeclared_symbol_rejected():
     with pytest.raises(UndeclaredSymbolError):
         is_zero(parse("q + x"), ParamEnv())

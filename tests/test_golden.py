@@ -11,6 +11,7 @@ After a deliberate change of output, rewrite the files with
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,23 @@ def render(cfg: RunConfig) -> str:
 def test_cli_json_matches_golden(name):
     expected = (GOLDEN / f"{name}.json").read_text()
     assert render(CASES[name]) == expected
+
+
+def verdicts(report: dict) -> tuple:
+    return (
+        report["pii"]["outcome"],
+        report["pii"]["a_candidates"],
+        report["p34"]["outcome"],
+        report["p34"]["beta_squared"],
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verdicts_invariant_across_seeds(name, seed):
+    # the golden files hold the default seed's report
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert verdicts(run(replace(CASES[name], seed=seed))[1]) == verdicts(expected)
 
 
 if __name__ == "__main__":
