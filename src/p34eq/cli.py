@@ -144,6 +144,7 @@ def run(cfg: RunConfig) -> tuple[int, dict, str]:
             name: ode.env.constraints[name].value for name in sorted(ode.env.constraints)
         },
         "invariants": invariants,
+        "notes": inv_report.notes,
         "classification": cls_dict,
         "pii": _equivalence_dict(pii, "pii"),
         "p34": _equivalence_dict(p34, "p34"),

@@ -44,8 +44,10 @@ def test_inconclusive_case_predicate_exits_two(capsys):
     assert code == 2
     assert report["classification"] == {"tag": "inconclusive", "predicate": "A"}
     assert report["pii"]["outcome"] == report["p34"]["outcome"] == "inconclusive"
+    note = "inconclusive zero-test for predicate 'A': degeneration case undecided, tower stops"
+    assert report["notes"] == [note]
     code, _, text = run(RunConfig(rhs="(-y^2 - 1)^(1/2)"))
-    assert "note: inconclusive zero-test for predicate 'A'" in text
+    assert f"note: {note}" in text
 
 
 def test_equation_real_only_for_negative_y_is_decided():
@@ -72,7 +74,10 @@ def test_json_schema_keys():
     code, report, _ = run(RunConfig(rhs=P34_RHS, params=["b!=0"]))
     assert code == 0
     assert list(report) == [
-        "input", "params", "invariants", "classification", "pii", "p34", "seed",
+        "input", "params", "invariants", "notes", "classification", "pii", "p34", "seed",
+    ]
+    assert report["notes"] == [
+        "I9 changes sign on the sampling domain: no real closed form for J"
     ]
     assert list(report["invariants"]) == [
         "A", "B", "F5", "Omega", "N", "M",
