@@ -383,19 +383,18 @@ def sample_any_quadrant(
     env: ParamEnv,
     policy: SamplePolicy,
     n: int,
-    need: int | None = None,
+    need: int,
 ) -> tuple[list[T], int]:
     """sample() in each of QUADRANTS in turn, for functions real on only
     part of the plane: the first quadrant's result with at least ``need``
-    values (by default what a zero test needs, max(4, n // 2)), else the
-    (1, 1) result."""
-    need = max(4, n // 2) if need is None else need
+    values, else the (1, 1) result."""
     first = None
     for quadrant in QUADRANTS:
         values, skipped = sample(f, symbols, env, policy, n, quadrant)
         if len(values) >= need:
             return values, skipped
-        first = first or (values, skipped)
+        if first is None:
+            first = values, skipped
     return first
 
 
@@ -450,10 +449,11 @@ def is_zero(
         return ZeroVerdict(ZeroStatus.ZERO, normal_form="0")
 
     exact = rf.is_exact()
+    need = max(4, policy.n_samples // 2)
     residuals, _ = sample_any_quadrant(
-        _scaled_value(rf), rf.free_symbols(), env, policy, policy.n_samples
+        _scaled_value(rf), rf.free_symbols(), env, policy, policy.n_samples, need
     )
-    if len(residuals) < max(4, policy.n_samples // 2):
+    if len(residuals) < need:
         return ZeroVerdict(
             ZeroStatus.UNKNOWN,
             residuals=tuple(residuals),

@@ -31,7 +31,6 @@ from .expr import (
     is_zero,
     rf_pow,
     rf_to_expr,
-    sample_any_quadrant,
 )
 from .ode import OdeCubic
 
@@ -383,13 +382,11 @@ class InvariantTower:
             raise CaseError("I9 vanishes: J is undefined")
         return self.j_numerator**2 / self.i9.scale(2500)
 
-    @cached_property
+    @property
     def i9_sign(self) -> int | None:
-        """Sign of I9 on the sampling domain; None when mixed or undecided."""
-        values, _ = sample_any_quadrant(
-            self.i9.eval, self.i9.free_symbols(), self.env, self.policy, self.policy.n_samples
-        )
-        signs = {(v > 0) - (v < 0) for v in values} - {0}
+        """Sign of I9 at the samples of its zero test; None when mixed or
+        undecided."""
+        signs = {(r > 0) - (r < 0) for r in self.verdict("I9", self.i9).residuals} - {0}
         return signs.pop() if len(signs) == 1 else None
 
     def j_expr(self) -> Expr | None:
