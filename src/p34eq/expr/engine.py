@@ -451,7 +451,7 @@ def is_zero(
     exact = rf.is_exact()
     need = max(4, policy.n_samples // 2)
     residuals, _ = sample_any_quadrant(
-        _scaled_value(rf), rf.free_symbols(), env, policy, policy.n_samples, need
+        rf.eval_relative, rf.free_symbols(), env, policy, policy.n_samples, need
     )
     if len(residuals) < need:
         return ZeroVerdict(
@@ -475,13 +475,3 @@ def is_zero(
     return ZeroVerdict(
         ZeroStatus.UNKNOWN, residuals=tuple(residuals), detail="samples in the gray zone"
     )
-
-
-def _scaled_value(rf: RatFunc) -> Callable[[dict[str, float]], float]:
-    """rf's value at a point divided by the size of its terms there."""
-
-    def value(a: dict[str, float]) -> float:
-        v, scale = rf.eval_with_scale(a)
-        return v / scale
-
-    return value

@@ -312,15 +312,15 @@ class RatFunc:
             raise EvalPole("denominator vanishes at the sample point")
         return self.num.eval(gv, self.coeff) / den_val
 
-    def eval_with_scale(self, values: Mapping[str, float]) -> tuple[float, float]:
-        """(value, magnitude scale) for relative-tolerance zero tests."""
+    def eval_relative(self, values: Mapping[str, float]) -> float:
+        """The value over its magnitude scale, for relative-tolerance zero tests."""
         gv = {g: _gen_value(g, values) for g in self.gens()}
         den_val = self.den.eval(gv)
         den_scale = self.den.eval_abs(gv)
         if abs(den_val) <= _POLE_EPS * max(den_scale, 1e-300):
             raise EvalPole("denominator vanishes at the sample point")
         num_scale = self.num.eval_abs(gv, self.coeff)
-        return self.num.eval(gv, self.coeff) / den_val, max(1.0, num_scale / abs(den_val))
+        return (self.num.eval(gv, self.coeff) / den_val) / max(1.0, num_scale / abs(den_val))
 
 
 def _has_surds(*polys: Poly) -> bool:
