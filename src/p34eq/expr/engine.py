@@ -351,13 +351,15 @@ def sample(
     """f at up to n random points where it is defined, and the number of
     points skipped; the only place that draws sample points.
 
-    Each point gives x and y magnitudes uniform on BOX with the signs of
-    ``quadrant``, then each parameter in sorted order a magnitude on BOX and,
-    unless it is declared positive, a random sign.  The stream is fixed by
-    the seed, the quadrant and the symbols.  A point where f raises EvalPole,
-    EvalDomainError or OverflowError is skipped; at most n + ``redraws``
-    points are drawn (zero tests use REDRAWS, the jet oracle four times as
-    many per quadrant).
+    Each point gives x and y magnitudes uniform on BOX = [0.5, 3] with the
+    signs of ``quadrant``, then each parameter in sorted order a magnitude
+    on BOX and, unless it is declared positive, a random sign.  The stream
+    is fixed by the seed, the quadrant and the symbols.  A point where f
+    raises EvalPole, EvalDomainError or OverflowError is skipped, and at
+    most n + ``redraws`` points are drawn: n + 100 for zero tests and
+    sampled values, n + 400 per quadrant for the jet oracle.  Callers that
+    walk quadrants take QUADRANTS in order: (1, 1), (-1, 1), (1, -1),
+    (-1, -1).
     """
     names = tuple(sorted(set(symbols) | {"x", "y"}))
     params = [s for s in names if s not in ("x", "y")]
