@@ -154,7 +154,9 @@ def verify_transform(
         residuals, skipped = sample(
             residual, symbols, src.env.merged(dst.env), policy, n, quadrant, ORACLE_REDRAWS
         )
-        report = ResidualReport(len(residuals), skipped, quadrant=quadrant)
+        report = ResidualReport(
+            samples_used=len(residuals), poles_skipped=skipped, quadrant=quadrant
+        )
         if report.samples_used >= MIN_SAMPLES:
             report.insufficient = False
             report.max_residual = max(residuals)

@@ -3,16 +3,7 @@ import pytest
 from p34eq import classify as pc
 from p34eq import equations as eqs
 from p34eq.classify import CaseTag, Outcome
-from p34eq.expr import (
-    Const,
-    ParamEnv,
-    SamplePolicy,
-    Sym,
-    is_zero,
-    normalize,
-    parse,
-    to_string,
-)
+from p34eq.expr import Const, ParamEnv, SamplePolicy, Sym, is_zero, normalize, parse, to_string
 from p34eq.invariants import InvariantTower
 from p34eq.ode import PointTransform, apply_transform, from_rhs
 
