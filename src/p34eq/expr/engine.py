@@ -32,8 +32,6 @@ from .atoms import (
 from .poly import Poly
 from .ratfunc import RatFunc, _real_root
 
-T = TypeVar("T")
-
 __all__ = [
     "normalize",
     "diff",
@@ -337,6 +335,9 @@ class ParamEnv:
     def __repr__(self):
         parts = (f"{name}:{self.constraints[name].value}" for name in sorted(self.constraints))
         return f"ParamEnv({', '.join(parts)})"
+
+
+T = TypeVar("T")
 
 
 def sample(
