@@ -17,19 +17,21 @@ poly_gcd returns the primitive GCD with a positive leading coefficient.  It
 tries, in order:
 
 - monomial: common monomial factors split off first;
+- constants: a constant argument, or no shared generator, gives 1;
 - divides: one argument divides the other;
-- mod-p screen: univariate images modulo 2^61 - 1 at random points prove
-  coprimality;
-- heuristic: GCDHEU (Char, Geddes and Gonnet 1984), evaluation at a large
-  integer and reconstruction from its digits, checked by exact division;
-- PRS: the subresultant polynomial remainder sequence, recursing on the
-  number of variables.
+- modular: Brown's dense modular GCD (1971), images modulo primes just
+  below 2^62 combined by Chinese remaindering and certified by exact
+  division.  A constant first image proves the inputs coprime.
 """
 
 from __future__ import annotations
 
+import random
+from functools import cache
+from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd as int_gcd
-from operator import add, lt, sub
+from operator import add, lt, mul, sub
 from typing import Iterable, Mapping
 
 from .atoms import gen_sort_key
@@ -440,75 +442,6 @@ class Poly:
 # ----- GCD ---------------------------------------------------------------
 
 
-def _univar(p: Poly, name: str) -> dict[int, Poly]:
-    """View p as univariate in ``name`` with Poly coefficients."""
-    i = p.gens.index(name)
-    rest = p.gens[:i] + p.gens[i + 1 :]
-    coeffs: dict[int, dict[Monomial, int]] = {}
-    for mono, c in p.terms.items():
-        e = mono[i]
-        m = mono[:i] + mono[i + 1 :]
-        coeffs.setdefault(e, {})[m] = c
-    return {e: Poly(rest, t)._compress() for e, t in coeffs.items()}
-
-
-def _from_univar(coeffs: dict[int, Poly], name: str) -> Poly:
-    out = Poly.zero()
-    for e, c in coeffs.items():
-        out = out + c * Poly.gen(name, e)
-    return out
-
-
-def _uni_degree(c: dict[int, Poly]) -> int:
-    return max(c, default=-1)
-
-
-def _uni_lc(c: dict[int, Poly]) -> Poly:
-    return c[_uni_degree(c)]
-
-
-def _uni_prem(f: dict[int, Poly], g: dict[int, Poly]) -> dict[int, Poly]:
-    """Pseudo-remainder: lc(g)**(deg f - deg g + 1) * f  mod  g."""
-    df, dg = _uni_degree(f), _uni_degree(g)
-    lg = _uni_lc(g)
-    n = df - dg + 1
-    r = dict(f)
-    while True:
-        dr = _uni_degree(r)
-        if dr < dg:
-            break
-        lr = r[dr]
-        n -= 1
-        new: dict[int, Poly] = {}
-        for e, p in r.items():
-            if e != dr:
-                new[e] = p * lg
-        for e, p in g.items():
-            if e != dg:
-                k = e + (dr - dg)
-                prod = p * lr
-                acc = new.get(k)
-                v = -prod if acc is None else acc - prod
-                if v.is_zero:
-                    new.pop(k, None)
-                else:
-                    new[k] = v
-        r = new
-    if n > 0 and r:
-        scale = lg**n
-        r = {e: p * scale for e, p in r.items()}
-    return r
-
-
-def _uni_content(f: dict[int, Poly]) -> Poly:
-    c = Poly.zero()
-    for p in f.values():
-        c = poly_gcd(c, p)
-        if c.is_const and not c.is_zero:
-            break
-    return c
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """GCD normalized to content 1 and positive leading coefficient.
 
@@ -528,7 +461,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.gens == b.gens and a.terms == b.terms:
         return a.primitive()[1]
 
-    # Monomial factors split off cheaply and keep the PRS small.
+    # Monomial factors split off cheaply and lower every degree below.
     am, bm = a.monomial_content(), b.monomial_content()
     common = {g: min(e, bm.get(g, 0)) for g, e in am.items() if bm.get(g, 0)}
     common = {g: e for g, e in common.items() if e}
@@ -555,51 +488,7 @@ def _gcd_primitive(a: Poly, b: Poly) -> Poly:
         return a
     if b.total_degree() < a.total_degree() and b.divides(a):
         return b
-    if _probably_coprime(a, b, shared):
-        return Poly.const(1)
-    heu = _heuristic_gcd(a, b)
-    if heu is not None:
-        return heu
-    # Main variable: smallest combined degree keeps the PRS short.
-    main = min(shared, key=lambda g: (min(a.degree(g), b.degree(g)), gen_sort_key(g)))
-    fu, gu = _univar(a, main), _univar(b, main)
-    if _uni_degree(fu) < _uni_degree(gu):
-        fu, gu = gu, fu
-    cf, cg = _uni_content(fu), _uni_content(gu)
-    fu = {e: p.exact_div(cf) for e, p in fu.items()}
-    gu = {e: p.exact_div(cg) for e, p in gu.items()}
-    cont = poly_gcd(cf, cg) if not (cf.is_const and cg.is_const) else Poly.const(1)
-
-    prs = _subresultant_prs(fu, gu)
-    if _uni_degree(prs) == 0:
-        pp = Poly.const(1)
-    else:
-        c = _uni_content(prs)
-        pp = _from_univar({e: p.exact_div(c) for e, p in prs.items()}, main)
-    result = (pp * cont).primitive()[1]
-    # Subresultant theory guarantees this; the check guards implementation bugs.
-    if not (result.divides(a) and result.divides(b)):
-        raise ArithmeticError("internal GCD verification failed")
-    return result
-
-
-def _subresultant_prs(f: dict[int, Poly], g: dict[int, Poly]) -> dict[int, Poly]:
-    """Last nonzero element of the subresultant PRS of f, g (deg f >= deg g)."""
-    one = Poly.const(1)
-    h = one
-    gc = one
-    while True:
-        d = _uni_degree(f) - _uni_degree(g)
-        r = _uni_prem(f, g)
-        if not r:
-            return g
-        divisor = gc * (h**d) if d else gc
-        f, g = g, {e: p.exact_div(divisor) for e, p in r.items()}
-        gc = _uni_lc(f)
-        if d == 1:
-            h = gc
-        elif d > 1:
-            h = (gc**d).exact_div(h ** (d - 1))
+    return _modular_gcd(*Poly.aligned(a, b))
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -608,169 +497,252 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return (a * b).exact_div(poly_gcd(a, b))
 
 
-# ----- modular coprimality screen ------------------------------------------
+# ----- modular GCD (Brown 1971) ---------------------------------------------
 #
-# Before running an expensive GCD, reduce both polynomials to univariate
-# images modulo a large prime at fixed pseudo-random points.  If for every
-# shared variable the univariate gcd is constant, the true gcd is constant.
-# An unlucky evaluation can only make the image gcd LARGER (degree drop of
-# the cofactors), never smaller, except when the true gcd's leading
-# coefficient vanishes at the sample; with a 61-bit prime that event is
-# negligible, and its only consequence would be a missed reduction, never a
-# wrong value.
-
-_SCREEN_PRIME = (1 << 61) - 1
+# Modulo p, the last generator is evaluated at random points and the image
+# GCDs, scaled to a known leading coefficient, are interpolated back.  A prime
+# or point is unlucky when its image is a proper multiple of the true image;
+# that shows as a higher leading monomial, never a lower one, so the lowest
+# seen wins.  Exact division certifies the result: a wrong guess costs time.
 
 
-def _mod_univar(p: Poly, main: str, values: dict[str, int]) -> list[int]:
-    """Dense coefficient list of p mod the screen prime, main var symbolic."""
-    i = p.gens.index(main)
-    deg = p.degree(main)
-    out = [0] * (deg + 1)
-    for mono, c in p.terms.items():
-        v = c % _SCREEN_PRIME
-        for k, e in enumerate(mono):
-            if e and k != i:
-                v = v * pow(values[p.gens[k]], e, _SCREEN_PRIME) % _SCREEN_PRIME
-        out[mono[i]] = (out[mono[i]] + v) % _SCREEN_PRIME
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _mod_gcd_degree(fa: list[int], fb: list[int]) -> int:
-    """Degree of gcd of two dense polynomials over the screen prime field."""
-    a, b = fa[:], fb[:]
-    while b:
-        inv = pow(b[-1], -1, _SCREEN_PRIME)
-        db = len(b) - 1
-        while len(a) - 1 >= db and a:
-            if a[-1] == 0:
-                a.pop()
-                continue
-            shift = len(a) - 1 - db
-            factor = a[-1] * inv % _SCREEN_PRIME
-            for k in range(len(b)):
-                a[shift + k] = (a[shift + k] - factor * b[k]) % _SCREEN_PRIME
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1 if a else -1
-
-
-def _probably_coprime(a: Poly, b: Poly, shared: list[str]) -> bool:
-    import random as _random
-
-    rng = _random.Random("coprimality-screen")
-    union = sorted(set(a.gens) | set(b.gens), key=gen_sort_key)
-    for main in shared:
-        values = {g: rng.randrange(2, _SCREEN_PRIME - 1) for g in union}
-        fa = _mod_univar(a, main, values)
-        fb = _mod_univar(b, main, values)
-        if not fa or not fb:
-            return False  # unlucky vanishing; let the exact path decide
-        if _mod_gcd_degree(fa, fb) != 0:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases up to 37: deterministic below 3.1e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for q in bases:
+        x = pow(q, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
     return True
 
 
-# ----- heuristic GCD -------------------------------------------------------
-#
-# Evaluate at a large integer, take the gcd there, and rebuild coefficients
-# from balanced base-xi digits, verifying by exact division.  Usually far
-# faster than the PRS on several variables; on failure the caller falls
-# back to the subresultant path.
+@cache
+def _prime(i: int) -> int:
+    """The i-th prime below 2^62, counting down from 0."""
+    n = (1 << 62) - 1 if i == 0 else _prime(i - 1) - 2
+    while not _is_prime(n):
+        n -= 2
+    return n
 
 
-def _max_norm(p: Poly) -> int:
-    return max(abs(c) for c in p.terms.values())
-
-
-def _eval_gen_int(p: Poly, name: str, xi: int) -> Poly:
-    """Substitute the integer xi for one generator."""
-    if name not in p.gens:
-        return p
-    i = p.gens.index(name)
-    rest = p.gens[:i] + p.gens[i + 1 :]
-    terms: dict[Monomial, int] = {}
-    powers: dict[int, int] = {0: 1}
-    for mono, c in p.terms.items():
-        e = mono[i]
-        if e not in powers:
-            powers[e] = xi**e
-        key = mono[:i] + mono[i + 1 :]
-        v = c * powers[e]
-        acc = terms.get(key)
-        s = v if acc is None else acc + v
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-    return Poly(rest, terms)._compress()
-
-
-def _smod(n: int, xi: int) -> int:
-    r = n % xi
-    if 2 * r > xi:
-        r -= xi
-    return r
-
-
-def _reconstruct(h: Poly, name: str, xi: int) -> Poly:
-    """Invert _eval_gen_int from balanced base-xi digits of the coefficients.
-
-    Digit i of h's coefficient at a monomial is the coefficient of that
-    monomial times name**i.
-    """
-    gens = tuple(sorted(h.gens + (name,), key=gen_sort_key))
-    at = gens.index(name)
-    terms: dict[Monomial, int] = {}
-    for mono, n in h.terms.items():
-        head, tail = mono[:at], mono[at:]
-        i = 0
-        while n:
-            d = _smod(n, xi)
-            if d:
-                terms[head + (i,) + tail] = d
-            n = (n - d) // xi
-            i += 1
-            if i > 2000:
-                raise ArithmeticError("runaway digit expansion in heuristic GCD")
-    return Poly(gens, terms)._compress()
-
-
-def _heuristic_gcd(a: Poly, b: Poly, depth: int = 0) -> Poly | None:
-    """Char-Geddes-Gonnet heuristic GCD of integer-primitive polynomials."""
-    if depth > 8:
-        return None
-    if a.is_const or b.is_const:
-        return Poly.const(1)
-    shared = [g for g in a.gens if g in b.gens]
-    if not shared:
-        return Poly.const(1)
-    name = max(shared, key=lambda g: min(a.degree(g), b.degree(g)))
-    xi = 2 * min(_max_norm(a), _max_norm(b)) + 29
-    xi = max(xi, 101)
-    for _ in range(6):
-        fa = _eval_gen_int(a, name, xi)
-        fb = _eval_gen_int(b, name, xi)
-        if fa.is_zero or fb.is_zero:
-            xi = xi * 73794 // 27011 + 1
+def _modular_gcd(a: Poly, b: Poly) -> Poly:
+    """GCD of primitive polynomials over the same generators."""
+    da, db = ([max(col) for col in zip(*x.terms)] for x in (a, b))
+    # The generator of largest degree is the one Euclid's algorithm handles;
+    # generators of one operand go last, where one evaluation point does.
+    order = sorted(range(len(da)), reverse=True,
+                   key=lambda i: (min(da[i], db[i]) > 0, max(da[i], db[i])))
+    back = sorted(range(len(order)), key=order.__getitem__)
+    A = {tuple(m[i] for i in order): c for m, c in a.terms.items()}
+    B = {tuple(m[i] for i in order): c for m, c in b.terms.items()}
+    lc_a, lc_b = A[max(A)], B[max(B)]
+    # The GCD's leading coefficient divides gamma, so gamma times the monic
+    # image is the image of one integer polynomial for every lucky prime.
+    gamma = int_gcd(lc_a, lc_b)
+    lifted, modulus, lead = {}, 1, None
+    for i in count():
+        p = _prime(i)
+        if lc_a % p == 0 or lc_b % p == 0:
             continue
-        if fa.is_const and fb.is_const:
-            h0 = Poly.const(int_gcd(fa.const_value(), fb.const_value()))
-        else:
-            ca, pa = fa.primitive()
-            cb, pb = fb.primitive()
-            inner = _heuristic_gcd(pa, pb, depth + 1)
-            if inner is None:
-                return None
-            h0 = inner.scale(int_gcd(ca, cb))
-        try:
-            h = _reconstruct(h0, name, xi).primitive()[1]
-        except ArithmeticError:
-            return None
-        if not h.is_zero and h.divides(a) and h.divides(b):
-            return h
-        xi = xi * 73794 // 27011 + 1
-    return None
+        ap, bp = ({m: c % p for m, c in X.items() if c % p} for X in (A, B))
+        image = _gcd_mod(ap, bp, p, random.Random(p))
+        m = max(image)
+        if not any(m):
+            return Poly.const(1)
+        if lead is not None and m > lead:
+            continue
+        if lead is None or m < lead:
+            lifted, modulus, lead = {}, 1, m
+        s = gamma % p
+        combined = _crt(lifted, modulus, {k: v * s % p for k, v in image.items()}, p)
+        modulus *= p
+        # The lift has settled when it stops changing, or when every
+        # coefficient lies far below the modulus, where a wrapped residue
+        # would be improbable; exact division decides either way.
+        settled = combined == lifted or max(map(abs, combined.values())) ** 2 < modulus
+        lifted = combined
+        if settled:
+            g = Poly(a.gens, {tuple(k[j] for j in back): c for k, c in lifted.items()})
+            g = g._compress().primitive()[1]
+            if g.divides(a) and g.divides(b):
+                return g
+
+
+def _crt(h: dict, modulus: int, image: dict, p: int) -> dict:
+    """Symmetric residues mod modulus * p: h mod modulus, image mod p."""
+    inv = pow(modulus % p, -1, p)
+    total = modulus * p
+    out = {}
+    for k in h.keys() | image.keys():
+        v = h.get(k, 0)
+        v += modulus * ((image.get(k, 0) - v) * inv % p)
+        if v > total >> 1:
+            v -= total
+        if v:
+            out[k] = v
+    return out
+
+
+def _gcd_mod(a: dict, b: dict, p: int, rng: random.Random) -> dict:
+    """Monic GCD of nonzero a, b in Z_p[x_1..x_n] (n-tuple keys, lex order).
+
+    Unlucky points can only make the result a proper multiple of the GCD.
+    """
+    # View a, b as polynomials in x_1..x_{n-1} over Z_p[x_n], dense in x_n.
+    A, B = _split(a), _split(b)
+    if len(next(iter(a))) == 1:
+        return {(e,): c for e, c in enumerate(_ugcd(A[()], B[()], p)) if c}
+    ca, cb = _ucontent(A, p), _ucontent(B, p)
+    content = _ugcd(ca, cb, p)
+    A = {m: _uquo(u, ca, p) for m, u in A.items()}
+    B = {m: _uquo(u, cb, p) for m, u in B.items()}
+    lc_a, lc_b = A[max(A)], B[max(B)]
+    gamma = _ugcd(lc_a, lc_b, p)
+    # The interpolant is gamma / lc(g) * g, g the GCD of the primitive parts.
+    # Its degree in x_n is deg gamma + deg g - deg lc(g), and lc(g) = lc(a) /
+    # lc(a / g) gives deg lc(g) >= deg lc(a) - deg a + deg g.
+    da, db = max(map(len, A.values())), max(map(len, B.values()))
+    bound = min(da - len(lc_a), db - len(lc_b))
+    if bound:
+        bound = min(bound, _last_degree_bound(A, B, da, db, p, rng))
+    bound += len(gamma) - 1
+    h: dict[Monomial, list[int]] = {}
+    q, lead = [], None
+    while len(q) - 1 <= bound:
+        r = rng.randrange(p)
+        pw = [1]
+        for _ in range(max(da, db, bound + 1)):
+            pw.append(pw[-1] * r % p)
+        s = sum(map(mul, gamma, pw)) % p
+        if not s or (q and not sum(map(mul, q, pw)) % p):
+            continue
+        image = _gcd_mod(_eval_last(A, pw, p), _eval_last(B, pw, p), p, rng)
+        m = max(image)
+        if not any(m):
+            return {m + (e,): c for e, c in enumerate(content) if c}
+        if lead is not None and m > lead:
+            continue
+        if lead is None or m < lead:
+            h = {k: [v * s % p] for k, v in image.items()}
+            q, lead = [-r % p, 1], m
+            continue
+        # Newton step: h += q * (s * image - h(r)) / q(r), then q *= x_n - r.
+        inv = pow(sum(map(mul, q, pw)) % p, -1, p)
+        for k in h.keys() | image.keys():
+            u = h.get(k, [])
+            d = (image.get(k, 0) * s - sum(map(mul, u, pw))) * inv % p
+            if d:
+                w = [c * d for c in q]
+                for j, c in enumerate(u):
+                    w[j] += c
+                h[k] = [c % p for c in w]
+        q = [(x - r * y) % p for x, y in zip([0] + q, q + [0])]
+    c = _ucontent(h, p)
+    h = {m: _umul(_uquo(u, c, p), content, p) for m, u in h.items()}
+    inv = pow(h[max(h)][-1], -1, p)
+    return {m + (e,): v * inv % p for m, u in h.items() for e, v in enumerate(u) if v}
+
+
+def _split(a: dict) -> dict[Monomial, list[int]]:
+    """Group the terms of a by all but the last exponent, dense in the last."""
+    out: dict[Monomial, list[int]] = {}
+    for m, c in a.items():
+        u = out.setdefault(m[:-1], [])
+        if len(u) <= m[-1]:
+            u.extend([0] * (m[-1] + 1 - len(u)))
+        u[m[-1]] = c
+    return out
+
+
+def _eval_last(A: dict[Monomial, list[int]], pw: list[int], p: int) -> dict[Monomial, int]:
+    """A at x_n = r, given the powers pw of r."""
+    return {m: v for m, u in A.items() if (v := sum(map(mul, u, pw)) % p)}
+
+
+def _last_degree_bound(A: dict, B: dict, da: int, db: int, p: int, rng: random.Random) -> int:
+    """An upper bound on deg_{x_n} gcd(A, B), for A, B split by _split into
+    da and db coefficients: at a point where a leading coefficient in x_n
+    stays nonzero, the GCD keeps its degree and divides the images' GCD."""
+    while True:
+        pt = [rng.randrange(1, p) for _ in next(iter(A))]
+        fa, fb = _collapse(A, pt, da, p), _collapse(B, pt, db, p)
+        if len(fa) == da or len(fb) == db:
+            return min(len(_ugcd(fa, fb, p)), da, db) - 1
+
+
+def _collapse(A: dict, pt: list[int], width: int, p: int) -> list[int]:
+    """A at x_1..x_{n-1} = pt, as a univariate polynomial in x_n."""
+    out = [0] * width
+    for m, u in A.items():
+        w = 1
+        for x, e in zip(pt, m):
+            w = w * pow(x, e, p) % p
+        for i, c in enumerate(u):
+            out[i] += w * c
+    return _trim([c % p for c in out])
+
+
+# Univariate polynomials mod p are coefficient lists, constant term first,
+# with no trailing zeros; [] is zero.
+
+
+def _trim(u: list[int]) -> list[int]:
+    while u and not u[-1]:
+        u.pop()
+    return u
+
+
+def _umul(u: list[int], w: list[int], p: int) -> list[int]:
+    out = [0] * (len(u) + len(w) - 1)
+    for i, c in enumerate(u):
+        for j, d in enumerate(w):
+            out[i + j] += c * d
+    return [c % p for c in out]
+
+
+def _uquo(u: list[int], w: list[int], p: int) -> list[int]:
+    """The quotient u / w, for monic w dividing u."""
+    u = u[:]
+    dw = len(w) - 1
+    q = [0] * (len(u) - dw)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = u[k + dw] % p
+        for i in range(dw):
+            u[k + i] -= c * w[i]
+    return q
+
+
+def _ugcd(u: list[int], w: list[int], p: int) -> list[int]:
+    """Monic GCD; gcd(0, 0) is 0.  Remainders stay unreduced within a step."""
+    while w:
+        inv = pow(w[-1], -1, p)
+        dw = len(w) - 1
+        low = w[:-1]
+        u = u[:]
+        while len(u) > dw:
+            c = u.pop() * inv % p
+            if c:
+                k = len(u) - dw
+                u[k:] = [x - c * y for x, y in zip(u[k:], low)]
+        u, w = w, _trim([x % p for x in u])
+    inv = pow(u[-1], -1, p) if u else 0
+    return [c * inv % p for c in u]
+
+
+def _ucontent(A: dict[Monomial, list[int]], p: int) -> list[int]:
+    """Monic GCD of the coefficients of A."""
+    g: list[int] = []
+    for u in sorted(A.values(), key=len):
+        if len(g := _ugcd(g, u, p)) == 1:
+            break
+    return g

@@ -3,22 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from p34eq.expr.poly import (
-    ExactDivisionError,
-    Poly,
-    _gcd_primitive,
-    _heuristic_gcd,
-    poly_gcd,
-    poly_lcm,
-)
+from p34eq.expr.poly import ExactDivisionError, Poly, _prime, poly_gcd, poly_lcm
 from p34eq.expr.ratfunc import RatFunc
 
 
-def rand_poly(rng, gens, deg, nterms):
+def rand_poly(rng, gens, deg, nterms, bound=6):
     terms = {}
     for _ in range(nterms):
         mono = tuple(rng.randint(0, deg) for _ in gens)
-        terms[mono] = F(rng.randint(-6, 6))
+        terms[mono] = F(rng.randint(-bound, bound))
     return Poly.from_terms(gens, terms)
 
 
@@ -80,22 +73,34 @@ def test_gcd_zero_and_const_conventions():
     assert poly_gcd(Poly.zero(), Poly.zero()).is_zero
 
 
-def test_heuristic_matches_subresultant():
+def test_gcd_recovers_constructed_factor():
+    # Linear cofactors in two different generators are coprime, so the GCD
+    # is the constructed factor itself; 10^30 coefficients take several primes.
     rng = random.Random(7321)
-    done = 0
-    while done < 12:
-        g = rand_poly(rng, ("x", "y"), 2, 3)
-        a = rand_poly(rng, ("x", "y"), 2, 2)
-        b = rand_poly(rng, ("x", "y"), 2, 2)
-        if g.is_zero or a.is_zero or b.is_zero:
-            continue
-        f1, f2 = (g * a).primitive()[1], (g * b).primitive()[1]
-        heu = _heuristic_gcd(f1, f2)
-        prs = _gcd_primitive(f1, f2)
-        if heu is None:
-            continue
-        assert heu == prs
-        done += 1
+    for gens in (("x", "y"), ("x", "y", "b"), ("x", "y", "a", "b")):
+        for bound in (6, 10**30):
+            done = 0
+            while done < 6:
+                g = rand_poly(rng, gens, 3, 4, bound)
+                if g.is_const:
+                    continue
+                u, v = rng.sample(gens, 2)
+                a = Poly.gen(u, 1, rng.randint(1, 9)) + Poly.const(rng.randint(-9, 9))
+                b = Poly.gen(v, 1, rng.randint(1, 9)) + Poly.const(rng.randint(-9, 9))
+                assert poly_gcd(g * a, g * b) == g.primitive()[1]
+                done += 1
+
+
+def test_gcd_skips_unlucky_prime():
+    # Modulo the first prime p, x + p + 1 is x + 1, so that image GCD is
+    # (x + 1) * g, a proper multiple of the GCD g.
+    x, y = Poly.gen("x"), Poly.gen("y")
+    p = Poly.const(_prime(0))
+    g = x * y.scale(3) + y * y - Poly.const(2)
+    one = Poly.const(1)
+    assert poly_gcd((x + p + one) * g, (x + one) * g) == g
+    # A prime that divides a leading coefficient is skipped.
+    assert poly_gcd((x * p + one) * g, (x + one) * g) == g
 
 
 def test_lcm():

@@ -66,16 +66,42 @@ def assert_primitive_positive(p: Poly):
     assert p.leading()[1] > 0
 
 
-@SETTINGS
-@given(polys(), polys(), polys())
-def test_gcd_matches_sympy_up_to_sign(g, f1, f2):
-    a, b = g * f1, g * f2
+def assert_gcd_matches_sympy(a: Poly, b: Poly):
     ours = poly_gcd(a, b)
     assert_primitive_positive(ours)
     theirs = sp.Poly(sp.gcd(to_sympy(a), to_sympy(b)), *SYMS.values()).primitive()[1]
     theirs = theirs.as_expr()
     got = to_sympy(ours)
     assert same_poly(got, theirs) or same_poly(got, -theirs)
+
+
+@SETTINGS
+@given(polys(), polys(), polys())
+def test_gcd_matches_sympy_up_to_sign(g, f1, f2):
+    assert_gcd_matches_sympy(g * f1, g * f2)
+
+
+@st.composite
+def piv_shaped(draw):
+    """Operands shaped like Painleve IV's, a and b standing for alpha and
+    beta: generators x, y, a, b, degree up to 6, a shared factor whose
+    leading coefficient in x involves a, and b in one operand only."""
+    coeffs = st.integers(-BIG, BIG).filter(bool)
+
+    def poly(n, deg):
+        monos = st.tuples(*[st.integers(0, deg)] * n)
+        terms = draw(st.dictionaries(monos, coeffs, min_size=1, max_size=4))
+        return Poly.from_terms(GENS[:n], terms)
+
+    ax = Poly.from_terms(("x", "a"), {(1, 1): draw(coeffs), (0, 0): draw(coeffs)})
+    shared = poly(3, 2) * ax
+    return shared * poly(4, 3), shared * poly(3, 3)
+
+
+@SETTINGS
+@given(piv_shaped())
+def test_gcd_matches_sympy_on_four_generators(operands):
+    assert_gcd_matches_sympy(*operands)
 
 
 @SETTINGS
