@@ -31,7 +31,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd as int_gcd
-from operator import add, lt, mul, sub
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .atoms import gen_sort_key
@@ -355,37 +355,69 @@ class Poly:
         """Division in Z[gens] under the term order.
 
         Stops at the first remainder lead that the divisor's lead does not
-        divide, as a monomial or as an integer.  For exact quotients (the
-        only use in this package) the remainder is zero; otherwise the
-        returned remainder is nonzero.
+        divide, as a monomial or as an integer, or whose quotient term
+        exceeds deg(self) - deg(other) in a generator, as no exact quotient
+        does.  For exact quotients (the only use in this package) the
+        remainder is zero; otherwise the returned remainder is nonzero.
+
+        Monomials are ints in base 1 + the dividend's largest exponent, so
+        lex order is int order and products add keys; the quotient bound
+        rules out carries.  A heap yields each remainder lead (Johnson 1974).
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         a, b = Poly.aligned(self, other)
         gens = a.gens
+        deg_a = [max(col) for col in zip(*a.terms)]
+        room = [d - max(col) for d, col in zip(deg_a, zip(*b.terms))]
+        base = max(deg_a, default=0) + 1
+
+        def pack(m: Monomial) -> int:
+            k = 0
+            for e in m:
+                k = k * base + e
+            return k
+
+        def unpack(k: int) -> Monomial:
+            m = [0] * len(gens)
+            for i in range(len(gens) - 1, -1, -1):
+                k, m[i] = divmod(k, base)
+            return tuple(m)
+
         lm, lc = b.leading()
-        bterms = b.terms
-        rem = dict(a.terms)
-        q_terms: dict[Monomial, int] = {}
-        while rem:
-            rm = max(rem)
-            if any(map(lt, rm, lm)):
+        lead = pack(lm)
+        tail = [(pack(m), c) for m, c in b.terms.items() if m != lm]
+        rem = {pack(m): c for m, c in a.terms.items()}
+        heap = [-k for k in rem]
+        heapify(heap)
+        q_terms: dict[int, int] = {}
+        while heap:
+            k = -heappop(heap)
+            c = rem.get(k)
+            if c is None:
+                continue  # cancelled, or a repeated entry
+            if any(e < f or e - f > r for e, f, r in zip(unpack(k), lm, room)):
                 break
-            coeff, r = divmod(rem[rm], lc)
+            coeff, r = divmod(c, lc)
             if r:
                 break
             # Leads strictly decrease, so each quotient monomial occurs once.
-            diff = tuple(map(sub, rm, lm))
-            q_terms[diff] = coeff
-            for m2, c2 in bterms.items():
-                m = tuple(map(add, diff, m2))
-                v = rem.get(m, 0) - coeff * c2
-                if v:
-                    rem[m] = v
+            d = k - lead
+            q_terms[d] = coeff
+            del rem[k]
+            for k2, c2 in tail:
+                k2 += d
+                t = coeff * c2
+                v = rem.get(k2)
+                if v is None:
+                    rem[k2] = -t
+                    heappush(heap, -k2)
+                elif v == t:
+                    del rem[k2]
                 else:
-                    rem.pop(m, None)
-        q = Poly(gens, q_terms)._compress()
-        r = Poly(gens, rem)._compress()
+                    rem[k2] = v - t
+        q = Poly(gens, {unpack(k): c for k, c in q_terms.items()})._compress()
+        r = Poly(gens, {unpack(k): c for k, c in rem.items()})._compress()
         return q, r
 
     def exact_div(self, other: "Poly") -> "Poly":
