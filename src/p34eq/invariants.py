@@ -406,18 +406,14 @@ class InvariantTower:
 
     @cached_property
     def k_invariant(self) -> RatFunc:
-        """The syzygy polynomial in I1, I4 that vanishes for the target family."""
+        """The syzygy polynomial in I1, I4 that vanishes for the target family,
+        in Horner form in I1, which keeps the rational functions summed small."""
         i1, i4 = self.i1, self.i4
-        return (
-            (i1**4).scale(500)
-            - (i1**3).scale(7275)
-            + (i4 * i1**2).scale(500)
-            + (i1**2).scale(32940)
-            - (i4 * i1).scale(5475)
-            - i1.scale(47628)
-            + (i4**2).scale(125)
-            + i4.scale(13230)
-        )
+        c = RatFunc.const
+        k = i1.scale(500) - c(7275)
+        k = k * i1 + i4.scale(500) + c(32940)
+        k = k * i1 - i4.scale(5475) - c(47628)
+        return k * i1 + i4 * (i4.scale(125) + c(13230))
 
     @cached_property
     def recovered_y(self) -> RatFunc:
