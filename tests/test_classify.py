@@ -128,6 +128,16 @@ def test_p34_rejects_pii_on_vanishing_recovery_denominator(a):
     assert res.failed_condition == "coordinate recovery denominator nonzero"
 
 
+def test_p34_electrodiffusion_with_two_symbols():
+    # GCDs over nu1, k1, x and y: the 3-generator operands of symbolic inputs.
+    e = eqs.electrodiffusion_3b("nu1", "k1", 1, 0)
+    tower = InvariantTower(e)
+    res = pc.test_p34(e, tower=tower)
+    assert res.outcome is Outcome.EQUIVALENT_P34
+    assert abs(res.beta_squared_value - 0.25) < 1e-9
+    assert pc.test_pii(e, tower=tower).outcome is Outcome.NOT_EQUIVALENT
+
+
 def test_p34_piv_fails_on_i7():
     res = pc.test_p34(eqs.painleve_iv(2, 3))
     assert res.outcome is Outcome.NOT_EQUIVALENT
