@@ -62,6 +62,11 @@ CASES = {
     "painleve_ii_3_power": RunConfig(
         coeffs=("(x*y^2 + 2*y^6 + 3)/(2*y)", "0", "-1/(3*y)", "0")
     ),
+    # painleve_ii(3) under x -> x, y -> -y^2: the PII oracle passes only at
+    # the fourth sign candidate (tau = -1, eps = -1)
+    "painleve_ii_3_neg_square": RunConfig(
+        coeffs=("(2*y^6 + x*y^2 - 3)/(2*y)", "0", "-1/(3*y)", "0")
+    ),
     "p34_cuberoot_4_affine": RunConfig(
         coeffs=(
             "-96*x*y + 32*x - 96*y*(3*y - 1)^(1/3) - 48*y + 24*(3*y - 1)^(1/3) + 16",
