@@ -53,19 +53,33 @@ class ResidualReport:
         )
 
 
+def _jet_slopes(t_parts: dict[str, float]) -> tuple[list[float], ...]:
+    """du, dv and q = dv/du of the image jet at each seed slope y' = s.
+
+    Reads only first derivatives of the transform, so a point where the jets
+    degenerate (du vanishes or two q collide) raises EvalPole before the rest
+    is evaluated there.
+    """
+    du = [t_parts["ux"] + t_parts["uy"] * s for s in _SEEDS]
+    if any(abs(d) < 1e-9 for d in du):
+        raise EvalPole("degenerate jets at the sample point")
+    dv = [t_parts["vx"] + t_parts["vy"] * s for s in _SEEDS]
+    q = [b / a for a, b in zip(du, dv)]
+    if any(abs(q[i] - q[j]) < 1e-6 for i in range(4) for j in range(i + 1, 4)):
+        raise EvalPole("degenerate jets at the sample point")
+    return du, dv, q
+
+
 def _jet_coefficients(
     src_vals: tuple[float, float, float, float],
     t_parts: dict[str, float],
-) -> tuple[float, float, float, float] | None:
+    jets: tuple[list[float], ...],
+) -> tuple[float, float, float, float]:
     """Effective (P, 3Q, 3R, S) at the image point from four jets."""
     P, Q3, R3, S = src_vals
-    qs, ws = [], []
-    for s in _SEEDS:
+    ws = []
+    for s, du, dv in zip(_SEEDS, jets[0], jets[1]):
         ypp = P + Q3 * s + R3 * s * s + S * s**3
-        du = t_parts["ux"] + t_parts["uy"] * s
-        dv = t_parts["vx"] + t_parts["vy"] * s
-        if abs(du) < 1e-9:
-            return None
         d2u = (
             t_parts["uxx"]
             + 2 * t_parts["uxy"] * s
@@ -78,17 +92,12 @@ def _jet_coefficients(
             + t_parts["vyy"] * s * s
             + t_parts["vy"] * ypp
         )
-        qs.append(dv / du)
         ws.append((d2v * du - dv * d2u) / du**3)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(qs[i] - qs[j]) < 1e-6:
-                return None
-    V = np.vander(np.array(qs), 4, increasing=True)
+    V = np.vander(np.array(jets[2]), 4, increasing=True)
     try:
         c = np.linalg.solve(V, np.array(ws))
     except np.linalg.LinAlgError:
-        return None
+        raise EvalPole("degenerate jets at the sample point") from None
     return float(c[0]), float(c[1]), float(c[2]), float(c[3])
 
 
@@ -138,14 +147,14 @@ def verify_transform(
     )
 
     def residual(a: dict[str, float]) -> float:
-        pv = {k: rf.eval(a) for k, rf in parts.items()}
+        pv = {k: parts[k].eval(a) for k in ("ux", "uy", "vx", "vy")}
+        jets = _jet_slopes(pv)
+        pv.update((k, rf.eval(a)) for k, rf in parts.items() if k not in pv)
         sv = tuple(rf.eval(a) for rf in src_rfs)
         image = dict(a)
         image["x"], image["y"] = pv["u"], pv["v"]
         dv = tuple(rf.eval(image) for rf in dst_rfs)
-        eff = _jet_coefficients((sv[0], 3 * sv[1], 3 * sv[2], sv[3]), pv)
-        if eff is None:
-            raise EvalPole("degenerate jets at the sample point")
+        eff = _jet_coefficients((sv[0], 3 * sv[1], 3 * sv[2], sv[3]), pv, jets)
         dst_vals = (dv[0], 3 * dv[1], 3 * dv[2], dv[3])
         return max(abs(e - d) / max(1.0, abs(e), abs(d)) for e, d in zip(eff, dst_vals))
 

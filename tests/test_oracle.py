@@ -4,10 +4,20 @@ from fractions import Fraction as F
 import pytest
 
 from p34eq import equations as eqs
-from p34eq.expr import Const, ParamEnv, Sym, normalize, parse, rf_to_expr
+from p34eq import oracle
+from p34eq.expr import (
+    QUADRANTS,
+    Const,
+    ParamEnv,
+    Sym,
+    normalize,
+    parse,
+    rf_to_expr,
+    sample,
+)
 from p34eq.invariants import InvariantTower
 from p34eq.ode import PointTransform, apply_transform, from_rhs
-from p34eq.oracle import verify_transform, verify_weight_law
+from p34eq.oracle import ORACLE_REDRAWS, verify_transform, verify_weight_law
 
 
 def identity():
@@ -52,6 +62,24 @@ def test_unreal_transform_reports_insufficient():
     t = PointTransform(normalize(parse("(-1 - x^2)^(1/2)")), Sym("y"))
     report = verify_transform(eqs.p34_rational(1), eqs.p34_rational(1), t, n=12)
     assert report.insufficient
+
+
+def test_zero_jacobian_transform_skips_every_point(monkeypatch):
+    # u = v = x + y: every image slope dv/du is 1, so the jets degenerate
+    runs = []
+
+    def recording_sample(*args, **kwargs):
+        values, skipped = sample(*args, **kwargs)
+        runs.append((len(values), skipped))
+        return values, skipped
+
+    monkeypatch.setattr(oracle, "sample", recording_sample)
+    t = PointTransform(normalize(parse("x + y")), normalize(parse("x + y")))
+    e = eqs.painleve_ii(3)
+    report = verify_transform(e, e, t, n=12)
+    assert report.insufficient
+    assert report.poles_skipped == 12 + ORACLE_REDRAWS
+    assert runs == [(0, 12 + ORACLE_REDRAWS)] * len(QUADRANTS)
 
 
 def test_oracle_agrees_with_symbolic_transformer():
