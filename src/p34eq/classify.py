@@ -23,7 +23,6 @@ from .expr import (
     rf_to_expr,
     sample_any_quadrant,
     to_ratfunc,
-    to_string,
 )
 from .equations import p34_cuberoot, painleve_ii
 from .invariants import I1_PII, CaseTag, InvariantTower
@@ -183,7 +182,7 @@ def test_pii(
     a_exprs = tuple(rf_to_expr(c) for c in candidates)
     a_values = tuple(_sample_value(c, ode.env, t.policy) for c in candidates)
 
-    result = _build_pii_transform(ode, t, candidates)
+    result = _build_pii_transform(ode, t, a_rf)
     if result is None:
         return EquivalenceResult(
             Outcome.INCONCLUSIVE,
@@ -193,7 +192,7 @@ def test_pii(
             a_values=a_values,
             independence_pair=pair,
         )
-    transform, report, verified_a = result
+    transform, report = result
     return EquivalenceResult(
         Outcome.EQUIVALENT_PII,
         a_candidates=a_exprs,
@@ -201,7 +200,7 @@ def test_pii(
         transform=transform,
         residual=report,
         independence_pair=pair,
-        detail=f"verified against parameter a = {to_string(rf_to_expr(verified_a))}",
+        detail=f"verified against parameter a = {a_exprs[0]}",
     )
 
 
@@ -224,34 +223,35 @@ def _sample_value(rf: RatFunc, env: ParamEnv, policy: SamplePolicy) -> float:
     return values[0] if values else float("nan")
 
 
-def _build_pii_transform(
-    ode: OdeCubic,
-    t: InvariantTower,
-    a_candidates: tuple[RatFunc, ...],
-):
-    """Try the invariant transform over root-branch choices; oracle gates.
-
-    The working form is x_new = 5 I6 w^-2 sigma - (3/2) J w,  y_new = w^-1
-    with w = (2500 sigma I9)^(1/6) on the region where sigma I9 > 0.
+def _pii_candidates(t: InvariantTower, a_rf: RatFunc):
+    """((sigma, tau, eps), transform, PII(a_rf)) in search order: x_new =
+    5 sigma I6 w^-2 - (3/2) tau a w, y_new = eps / w, w = (2500 sigma I9)^(1/6).
     """
+    target = painleve_ii(rf_to_expr(a_rf))
     sigma_first = t.i9_sign or 1
     for sigma in (sigma_first, -sigma_first):
         w = rf_pow(t.i9.scale(2500 * sigma), Fraction(1, 6))
         w_inv = w ** (-1)
         base_x = t.i6.scale(5 * sigma) * w_inv * w_inv
-        for a_rf in a_candidates:
-            j_slots: tuple[int, ...] = (1,) if a_rf.is_zero else (1, -1)
-            for tau in j_slots:
-                x_new = base_x - (a_rf * w).scale(Fraction(3, 2) * tau)
-                for eps in (1, -1):
-                    y_new = w_inv.scale(eps)
-                    transform = PointTransform(rf_to_expr(x_new), rf_to_expr(y_new))
-                    target = painleve_ii(rf_to_expr(a_rf))
-                    report = verify_transform(
-                        ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy
-                    )
-                    if report.passed:
-                        return transform, report, a_rf
+        for tau in (1,) if a_rf.is_zero else (1, -1):
+            x_new = rf_to_expr(base_x - (a_rf * w).scale(Fraction(3, 2) * tau))
+            for eps in (1, -1):
+                y_new = rf_to_expr(w_inv.scale(eps))
+                yield (sigma, tau, eps), PointTransform(x_new, y_new), target
+
+
+def _build_pii_transform(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
+    """The first candidate transform to PII(a_rf) that the oracle passes.
+
+    a is known only up to sign, but -a needs no search: y -> -y maps PII(a)
+    onto PII(-a), so candidate (sigma, -a, tau, eps) is (sigma, a, -tau, -eps)
+    with y_new negated, checks the same points to the same residuals, and
+    would come after it.
+    """
+    for _, transform, target in _pii_candidates(t, a_rf):
+        report = verify_transform(ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy)
+        if report.passed:
+            return transform, report
     return None
 
 

@@ -6,6 +6,7 @@ from p34eq.classify import CaseTag, Outcome
 from p34eq.expr import Const, ParamEnv, SamplePolicy, Sym, is_zero, normalize, parse, to_string
 from p34eq.invariants import InvariantTower
 from p34eq.ode import PointTransform, apply_transform, from_rhs
+from p34eq.oracle import verify_transform
 
 
 # ----- classify --------------------------------------------------------------
@@ -95,6 +96,26 @@ def test_pii_parameter_sampled_where_real():
     res = pc.test_pii(apply_transform(eqs.painleve_ii(3), t))
     assert res.outcome is Outcome.EQUIVALENT_PII
     assert res.a_values == (3.0, -3.0)
+
+
+def test_pii_searches_only_the_plus_a_candidates(monkeypatch):
+    # the -a candidates mirror the +a ones (tests/test_oracle.py), so a
+    # failed search makes 8 oracle calls, not 16
+    calls = []
+
+    def counting_verify(*args, **kwargs):
+        calls.append(args)
+        return verify_transform(*args, **kwargs)
+
+    monkeypatch.setattr(pc, "verify_transform", counting_verify)
+    res = pc.test_pii(eqs.painleve_ii(12345))
+    assert len(calls) == 8
+    assert res.outcome is Outcome.INCONCLUSIVE
+    assert res.detail == (
+        "all theorem conditions hold but no candidate transform passed the numeric oracle"
+    )
+    assert [to_string(a) for a in res.a_candidates] == ["12345", "-12345"]
+    assert res.a_values == (12345.0, -12345.0)
 
 
 def test_pii_out_of_scope_cases():

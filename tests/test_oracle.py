@@ -5,6 +5,7 @@ import pytest
 
 from p34eq import equations as eqs
 from p34eq import oracle
+from p34eq.classify import ORACLE_SAMPLES, _pii_candidates
 from p34eq.expr import (
     QUADRANTS,
     Const,
@@ -12,8 +13,11 @@ from p34eq.expr import (
     Sym,
     normalize,
     parse,
+    rf_pow,
     rf_to_expr,
     sample,
+    to_ratfunc,
+    to_string,
 )
 from p34eq.invariants import InvariantTower
 from p34eq.ode import PointTransform, apply_transform, from_rhs
@@ -80,6 +84,33 @@ def test_zero_jacobian_transform_skips_every_point(monkeypatch):
     assert report.insufficient
     assert report.poles_skipped == 12 + ORACLE_REDRAWS
     assert runs == [(0, 12 + ORACLE_REDRAWS)] * len(QUADRANTS)
+
+
+def _report_key(report):
+    return report.samples_used, report.poles_skipped, report.quadrant, report.max_residual
+
+
+@pytest.mark.parametrize("a", [3, 12345, "a"])
+def test_mirrored_pii_candidates_agree(a):
+    # y -> -y maps PII(a) onto PII(-a), so the -a candidate at (sigma, tau,
+    # eps) is the +a candidate (X, Y) at (sigma, -tau, -eps) read as (X, -Y)
+    # against PII(-a), and the oracle must report the same on both
+    ode = eqs.painleve_ii(a)
+    t = InvariantTower(ode)
+    a_rf = rf_pow(t.j_squared, F(1, 2))
+    plus = {key: (tr, target) for key, tr, target in _pii_candidates(t, a_rf)}
+    minus = list(_pii_candidates(t, -a_rf))
+    assert len(plus) == len(minus) == 8
+    for (sigma, tau, eps), tr, target in minus:
+        mirror, mirror_target = plus[sigma, -tau, -eps]
+        assert to_string(tr.x_new) == to_string(mirror.x_new)
+        assert to_string(tr.y_new) == to_string(rf_to_expr(-to_ratfunc(mirror.y_new)))
+        assert to_string(target.rhs()) == to_string(eqs.painleve_ii(rf_to_expr(-a_rf)).rhs())
+        assert _report_key(
+            verify_transform(ode, target, tr, n=ORACLE_SAMPLES, policy=t.policy)
+        ) == _report_key(
+            verify_transform(ode, mirror_target, mirror, n=ORACLE_SAMPLES, policy=t.policy)
+        )
 
 
 def test_oracle_agrees_with_symbolic_transformer():
