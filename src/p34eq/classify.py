@@ -245,8 +245,8 @@ def _build_pii_transform(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
 
     a is known only up to sign, but -a needs no search: y -> -y maps PII(a)
     onto PII(-a), so candidate (sigma, -a, tau, eps) is (sigma, a, -tau, -eps)
-    with y_new negated, checks the same points to the same residuals, and
-    would come after it.
+    with y_new negated and checks the same points to the same residuals, and
+    the walk over both signs reached the +a one first.
     """
     for _, transform, target in _pii_candidates(t, a_rf):
         report = verify_transform(ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy)
