@@ -223,13 +223,28 @@ def _sample_value(rf: RatFunc, env: ParamEnv, policy: SamplePolicy) -> float:
     return values[0] if values else float("nan")
 
 
+def _pii_sigmas(t: InvariantTower) -> tuple[int, ...]:
+    """The signs sigma to search, the sampled sign of I9 first.
+
+    When I9 is a monomial ratio with every exponent even, its sign is that
+    of its coefficient wherever it is real, so for the other sigma w is an
+    even root of a negative value at every point and no candidate can pass.
+    """
+    i9 = t.i9
+    if i9.is_monomial:
+        coeff, exps = i9.monomial_parts()
+        if all(e % 2 == 0 for e in exps.values()):
+            return (1 if coeff > 0 else -1,)
+    sigma_first = t.i9_sign or 1
+    return sigma_first, -sigma_first
+
+
 def _pii_candidates(t: InvariantTower, a_rf: RatFunc):
     """((sigma, tau, eps), transform, PII(a_rf)) in search order: x_new =
     5 sigma I6 w^-2 - (3/2) tau a w, y_new = eps / w, w = (2500 sigma I9)^(1/6).
     """
     target = painleve_ii(rf_to_expr(a_rf))
-    sigma_first = t.i9_sign or 1
-    for sigma in (sigma_first, -sigma_first):
+    for sigma in _pii_sigmas(t):
         w = rf_pow(t.i9.scale(2500 * sigma), Fraction(1, 6))
         w_inv = w ** (-1)
         base_x = t.i6.scale(5 * sigma) * w_inv * w_inv

@@ -30,7 +30,7 @@ from .atoms import (
     register_opaque,
 )
 from .poly import Poly
-from .ratfunc import RatFunc, _real_root
+from .ratfunc import Point, RatFunc, _real_root
 
 __all__ = [
     "normalize",
@@ -350,7 +350,8 @@ def sample(
     redraws: int = REDRAWS,
 ) -> tuple[list[T], int]:
     """f at up to n random points where it is defined, and the number of
-    points skipped; the only place that draws sample points.
+    points skipped; the only place that draws sample points.  f gets each
+    point as a Point, so evaluations at it share generator values.
 
     Each point gives x and y magnitudes uniform on BOX = [0.5, 3] with the
     signs of ``quadrant``, then each parameter in sorted order a magnitude
@@ -370,7 +371,7 @@ def sample(
     for _ in range(n + redraws):
         if len(values) >= n:
             break
-        a = {"x": quadrant[0] * rng.uniform(*BOX), "y": quadrant[1] * rng.uniform(*BOX)}
+        a = Point(x=quadrant[0] * rng.uniform(*BOX), y=quadrant[1] * rng.uniform(*BOX))
         for s in params:
             a[s] = env.draw(s, rng)
         try:

@@ -435,41 +435,6 @@ class Poly:
         except ExactDivisionError:
             return False
 
-    # ----- evaluation ---------------------------------------------------
-
-    def eval(self, values: Mapping[str, float], coeff=1) -> float:
-        """Numeric value of coeff * self; every generator must be in values.
-
-        coeff is an int or a Fraction.  Each term starts from the correctly
-        rounded float of its rational coefficient coeff * c (int true
-        division rounds correctly), so the sum does not depend on how that
-        rational is split between coeff and c.
-        """
-        p, q = coeff.numerator, coeff.denominator
-        total = 0.0
-        vals = [float(values[g]) for g in self.gens]
-        for mono, c in self.terms.items():
-            v = (p * c) / q
-            for i, e in enumerate(mono):
-                if e:
-                    v *= vals[i] ** e
-            total += v
-        return total
-
-    def eval_abs(self, values: Mapping[str, float], coeff=1) -> float:
-        """Sum of |term| values of coeff * self; a magnitude scale for
-        relative tolerances, term floats rounded as in eval."""
-        p, q = coeff.numerator, coeff.denominator
-        total = 0.0
-        vals = [abs(float(values[g])) for g in self.gens]
-        for mono, c in self.terms.items():
-            v = abs((p * c) / q)
-            for i, e in enumerate(mono):
-                if e:
-                    v *= vals[i] ** e
-            total += v
-        return total
-
 
 # ----- GCD ---------------------------------------------------------------
 

@@ -11,13 +11,25 @@ Binary operations rebase root atoms of a common base to their lcm
 denominator first (y and y^(1/3) never coexist inside one polynomial), and
 surd exponents are folded back below their root denominator after every
 product, keeping monomials in distinct prime radicals linearly independent.
+
+Evaluation in floats is straight-line code that each RatFunc generates on
+its first evaluation and keeps.  It does the float operations of a
+term-by-term loop in the same order, so its values are those of that loop
+to the bit: every term starts from the correctly rounded float of its
+rational coefficient, is multiplied by each generator power in monomial
+order, and the terms are summed from 0.0; the denominator is a pole when its
+value is at most _POLE_EPS times the sum of its absolute terms.  The float
+constants are kept apart from the code, which indexes them, so RatFuncs of
+one shape share compiled code.  Generator values (roots of symbols, surds,
+compound radicands) are computed once per Point and shared by every
+evaluation at it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ..errors import EvalDomainError, EvalPole
 from .atoms import (
@@ -89,10 +101,26 @@ def common_root_targets(*polys: Poly) -> dict[str | int, int]:
     return targets
 
 
+class Point(dict):
+    """Symbol values at one sample point.  ``memo`` holds the generator
+    values derived from them, shared by every evaluation at the point;
+    writing a symbol clears it, and a copy, Point(p), starts an empty one."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.memo: dict[str, float] = {}
+
+    def __setitem__(self, key, value):
+        self.memo = {}
+        super().__setitem__(key, value)
+
+
 class RatFunc:
     """Immutable reduced rational function coeff * num / den."""
 
-    __slots__ = ("coeff", "num", "den")
+    __slots__ = ("coeff", "num", "den", "_ev")
 
     def __init__(
         self, num: Poly, den: Poly | None = None, coeff=_F1, *, reduced: bool = False
@@ -121,6 +149,7 @@ class RatFunc:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_ev", None)
 
     def __setattr__(self, *_):
         raise AttributeError("RatFunc is immutable")
@@ -305,22 +334,20 @@ class RatFunc:
     # ----- evaluation ---------------------------------------------------
 
     def eval(self, values: Mapping[str, float]) -> float:
-        gv = {g: _gen_value(g, values) for g in self.gens()}
-        den_val = self.den.eval(gv)
-        den_scale = self.den.eval_abs(gv)
-        if abs(den_val) <= _POLE_EPS * max(den_scale, 1e-300):
-            raise EvalPole("denominator vanishes at the sample point")
-        return self.num.eval(gv, self.coeff) / den_val
+        """The value at a point; raises EvalPole at a pole, EvalDomainError
+        at an even root of a negative value and OverflowError beyond float
+        range."""
+        return self._value(values, _memo(values), False)
 
     def eval_relative(self, values: Mapping[str, float]) -> float:
         """The value over its magnitude scale, for relative-tolerance zero tests."""
-        gv = {g: _gen_value(g, values) for g in self.gens()}
-        den_val = self.den.eval(gv)
-        den_scale = self.den.eval_abs(gv)
-        if abs(den_val) <= _POLE_EPS * max(den_scale, 1e-300):
-            raise EvalPole("denominator vanishes at the sample point")
-        num_scale = self.num.eval_abs(gv, self.coeff)
-        return (self.num.eval(gv, self.coeff) / den_val) / max(1.0, num_scale / abs(den_val))
+        return self._value(values, _memo(values), True)
+
+    def _value(self, values: Mapping[str, float], memo: dict, relative: bool) -> float:
+        if self._ev is None:
+            object.__setattr__(self, "_ev", _compile(self))
+        code, consts, names = self._ev
+        return code(values, memo, consts, names, relative)
 
 
 def _has_surds(*polys: Poly) -> bool:
@@ -382,15 +409,117 @@ def _poly_deriv(p: Poly, var: str) -> RatFunc:
     return out
 
 
-def _gen_value(gen: str, values: Mapping[str, float]) -> float:
-    info = parse_gen(gen)
-    if info.kind == KIND_SYMBOL:
-        base = values[str(info.base)]
-        return _real_root(float(base), info.q)
-    if info.kind == KIND_SURD:
-        return float(info.base) ** (1.0 / info.q)
-    base_rf = lookup_opaque(str(info.base))
-    return _real_root(base_rf.eval(values), info.q)  # type: ignore[attr-defined]
+# ----- evaluation -----------------------------------------------------------
+
+
+def _memo(values: Mapping[str, float]) -> dict:
+    """Generator values known at the point: a Point's own, else a new dict."""
+    return values.memo if isinstance(values, Point) else {}
+
+
+def _gen_value(gen: str, values: Mapping[str, float], memo: dict) -> float:
+    """Value of a generator other than a plain symbol, kept in memo."""
+    v = memo.get(gen)
+    if v is None:
+        info = parse_gen(gen)
+        if info.kind == KIND_SYMBOL:
+            v = _real_root(float(values[str(info.base)]), info.q)
+        elif info.kind == KIND_SURD:
+            v = float(info.base) ** (1.0 / info.q)
+        else:
+            base_rf = lookup_opaque(str(info.base))
+            v = _real_root(base_rf._value(values, memo, False), info.q)  # type: ignore[attr-defined]
+        memo[gen] = v
+    return v
+
+
+# Every generated function is compiled once per source text, into one
+# namespace shared by all of them: the code follows the shape of a RatFunc
+# (its generator kinds and monomials), not its constants.  The compiler
+# takes about 6 KB per statement while it works, so the terms of a
+# polynomial are summed by blocks of at most _BLOCK terms, each a function
+# of its own: compiled whole, a RatFunc of 1234 terms raised the peak
+# memory of a catalog run by 16 MB.
+_BLOCK = 64
+_CODE: dict = {"_gen": _gen_value, "_POLE_EPS": _POLE_EPS, "EvalPole": EvalPole}
+_NAMES: dict[str, str] = {}
+
+
+def _function(params: str, body: list[str]) -> str:
+    """Name in _CODE of the function with these parameters and body lines."""
+    source = f"({params}):\n" + "\n".join(body)
+    name = _NAMES.get(source)
+    if name is None:
+        name = _NAMES[source] = f"_f{len(_NAMES)}"
+        exec(compile(f"def {name}{source}", "<RatFunc evaluator>", "exec"), _CODE)
+    return name
+
+
+def _compile(rf: RatFunc) -> tuple[Callable, tuple, tuple[str, ...]]:
+    """(code, constants, generator names) of rf's evaluator.
+
+    code(values, memo, constants, names, relative) returns the value of rf,
+    or with relative=True the value over max(1, num scale / |den|).
+    """
+    names = rf.gens()
+    slot = {g: i for i, g in enumerate(names)}
+    consts: list[tuple[float, ...]] = []
+    body = []
+    for i, g in enumerate(names):
+        info = parse_gen(g)
+        if info.kind == KIND_SYMBOL and info.q == 1:
+            body.append(f"    g{i} = float(values[N[{i}]])")
+        else:
+            body.append(f"    g{i} = _gen(N[{i}], values, memo)")
+    den_gens = [slot[g] for g in rf.den.gens]
+    body += [f"    a{i} = abs(g{i})" for i in den_gens]
+    body += _sum("d", rf.den, _F1, "g", slot, consts)
+    body += _sum("s", rf.den, _F1, "a", slot, consts)
+    body += [
+        "    if abs(d) <= _POLE_EPS * max(s, 1e-300):",
+        '        raise EvalPole("denominator vanishes at the sample point")',
+    ]
+    body += _sum("n", rf.num, rf.coeff, "g", slot, consts)
+    body += ["    if not relative:", "        return n / d"]
+    body += [f"    a{slot[g]} = abs(g{slot[g]})" for g in rf.num.gens if slot[g] not in den_gens]
+    body += _sum("m", rf.num, rf.coeff, "a", slot, consts)
+    body.append("    return (n / d) / max(1.0, m / abs(d))")
+    code = _CODE[_function("values, memo, K, N, relative", body)]
+    return code, tuple(consts), names
+
+
+def _sum(
+    var: str,
+    p: Poly,
+    coeff: Fraction,
+    prefix: str,
+    slot: dict[str, int],
+    consts: list[tuple[float, ...]],
+) -> list[str]:
+    """Statements summing coeff * p into var term by term from 0.0, block by
+    block; with prefix "a" the terms' absolute values, from the abs'd
+    generator values."""
+    num, den = coeff.numerator, coeff.denominator
+    try:
+        ks = [(num * c) / den for c in p.terms.values()]
+    except OverflowError:
+        return ['    raise OverflowError("coefficient beyond float range")']
+    if prefix == "a":
+        ks = [abs(k) for k in ks]
+    params = "t, k" + "".join(f", v{j}" for j in range(len(p.gens)))
+    args = "".join(f", {prefix}{slot[g]}" for g in p.gens)
+    monos = list(p.terms)
+    lines = [f"    {var} = 0.0"]
+    for start in range(0, len(monos), _BLOCK):
+        block = [
+            f"    t += k[{i}]"
+            + "".join(f" * v{j}" + (f"**{e}" if e != 1 else "") for j, e in enumerate(mono) if e)
+            for i, mono in enumerate(monos[start : start + _BLOCK])
+        ]
+        block.append("    return t")
+        lines.append(f"    {var} = {_function(params, block)}({var}, K[{len(consts)}]{args})")
+        consts.append(tuple(ks[start : start + _BLOCK]))
+    return lines
 
 
 def _real_root(v: float, q: int) -> float:

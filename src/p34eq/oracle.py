@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalPole
-from .expr import QUADRANTS, ParamEnv, RatFunc, SamplePolicy, sample, to_ratfunc
+from .expr import QUADRANTS, ParamEnv, Point, RatFunc, SamplePolicy, sample, to_ratfunc
 from .ode import OdeCubic, PointTransform
 
 PASS_RESIDUAL = 1e-7
@@ -151,7 +151,7 @@ def verify_transform(
         jets = _jet_slopes(pv)
         pv.update((k, rf.eval(a)) for k, rf in parts.items() if k not in pv)
         sv = tuple(rf.eval(a) for rf in src_rfs)
-        image = dict(a)
+        image = Point(a)
         image["x"], image["y"] = pv["u"], pv["v"]
         dv = tuple(rf.eval(image) for rf in dst_rfs)
         eff = _jet_coefficients((sv[0], 3 * sv[1], 3 * sv[2], sv[3]), pv, jets)
@@ -214,7 +214,7 @@ def verify_weight_law(
         det = float(np.linalg.det(jf))
         if abs(det) < 1e-9:
             raise EvalPole("singular Jacobian at the sample point")
-        image = dict(a)
+        image = Point(a)
         image["x"], image["y"] = parts["u"].eval(a), parts["v"].eval(a)
         src_vals = np.array([c.eval(a) for c in src_rfs])
         dst_vals = np.array([c.eval(image) for c in dst_rfs])

@@ -1,12 +1,25 @@
+from fractions import Fraction as F
+
 import pytest
 
 from p34eq import classify as pc
 from p34eq import equations as eqs
-from p34eq.classify import CaseTag, Outcome
-from p34eq.expr import Const, ParamEnv, SamplePolicy, Sym, is_zero, normalize, parse, to_string
+from p34eq.classify import ORACLE_SAMPLES, CaseTag, Outcome
+from p34eq.expr import (
+    Const,
+    ParamEnv,
+    SamplePolicy,
+    Sym,
+    is_zero,
+    normalize,
+    parse,
+    rf_pow,
+    rf_to_expr,
+    to_string,
+)
 from p34eq.invariants import InvariantTower
-from p34eq.ode import PointTransform, apply_transform, from_rhs
-from p34eq.oracle import verify_transform
+from p34eq.ode import OdeCubic, PointTransform, apply_transform, from_rhs
+from p34eq.oracle import ORACLE_REDRAWS, verify_transform
 
 
 # ----- classify --------------------------------------------------------------
@@ -99,8 +112,9 @@ def test_pii_parameter_sampled_where_real():
 
 
 def test_pii_searches_only_the_plus_a_candidates(monkeypatch):
-    # the -a candidates mirror the +a ones (tests/test_oracle.py), so a
-    # failed search makes 8 oracle calls, not 16
+    # the -a candidates mirror the +a ones (tests/test_oracle.py), and I9 =
+    # 1/(2500 y^6) > 0 leaves one sigma, so a failed search makes 4 oracle
+    # calls, not 16
     calls = []
 
     def counting_verify(*args, **kwargs):
@@ -109,13 +123,52 @@ def test_pii_searches_only_the_plus_a_candidates(monkeypatch):
 
     monkeypatch.setattr(pc, "verify_transform", counting_verify)
     res = pc.test_pii(eqs.painleve_ii(12345))
-    assert len(calls) == 8
+    assert len(calls) == 4
     assert res.outcome is Outcome.INCONCLUSIVE
     assert res.detail == (
         "all theorem conditions hold but no candidate transform passed the numeric oracle"
     )
     assert [to_string(a) for a in res.a_candidates] == ["12345", "-12345"]
     assert res.a_values == (12345.0, -12345.0)
+
+
+@pytest.mark.parametrize("a", ["a", 3, 12345])
+def test_pii_skipped_sigma_draws_no_sample(a):
+    # I9 = 1/(2500 y^6) > 0, so for sigma = -1 w = (-I9/y^6)^(1/6) has no real
+    # value: every candidate the search skips skips every draw of all four
+    # quadrants (the report is the quadrant with the most samples)
+    ode = eqs.painleve_ii(a)
+    t = InvariantTower(ode)
+    assert pc._pii_sigmas(t) == (1,)
+    a_rf = rf_pow(t.j_squared, F(1, 2))
+    target = eqs.painleve_ii(rf_to_expr(a_rf))
+    w = rf_pow(t.i9.scale(-2500), F(1, 6))
+    for tau in (1, -1):
+        x_new = t.i6.scale(-5) / (w * w) - (a_rf * w).scale(F(3, 2) * tau)
+        for eps in (1, -1):
+            tr = PointTransform(rf_to_expr(x_new), rf_to_expr(w.inverse().scale(eps)))
+            report = verify_transform(ode, target, tr, n=ORACLE_SAMPLES, policy=t.policy)
+            assert report.samples_used == 0
+            assert report.poles_skipped == ORACLE_SAMPLES + ORACLE_REDRAWS
+
+
+def test_pii_keeps_both_sigmas_when_i9_changes_sign():
+    # I9 is odd in y: -1/(2500 y^3) for painleve_ii(3) under y -> -y^2 (new
+    # in terms of old), and proportional to 1/y^3 for p34_rational(0)
+    t = PointTransform(Sym("x"), normalize(parse("-y^2")), (Sym("x"), parse("(-y)^(1/2)")))
+    for ode in (apply_transform(eqs.painleve_ii(3), t), eqs.p34_rational(0)):
+        tower = InvariantTower(ode)
+        assert tower.i9.is_monomial
+        assert pc._pii_sigmas(tower) == (tower.i9_sign, -tower.i9_sign)
+
+
+def test_pii_prunes_sigma_on_even_i9_of_the_golden_neg_square():
+    # the golden painleve_ii_3_neg_square gives old in terms of new, y -> -y^2,
+    # where I9 = 1/(2500 y^12); its transform is found at sigma = 1
+    ode = OdeCubic(*(parse(c) for c in ("(2*y^6 + x*y^2 - 3)/(2*y)", "0", "-1/(3*y)", "0")))
+    tower = InvariantTower(ode)
+    assert pc._pii_sigmas(tower) == (1,)
+    assert pc.test_pii(ode, tower=tower).outcome is Outcome.EQUIVALENT_PII
 
 
 def test_pii_out_of_scope_cases():

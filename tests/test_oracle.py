@@ -100,7 +100,7 @@ def test_mirrored_pii_candidates_agree(a):
     a_rf = rf_pow(t.j_squared, F(1, 2))
     plus = {key: (tr, target) for key, tr, target in _pii_candidates(t, a_rf)}
     minus = list(_pii_candidates(t, -a_rf))
-    assert len(plus) == len(minus) == 8
+    assert len(plus) == len(minus) == 4  # one sigma: I9 > 0
     for (sigma, tau, eps), tr, target in minus:
         mirror, mirror_target = plus[sigma, -tau, -eps]
         assert to_string(tr.x_new) == to_string(mirror.x_new)

@@ -121,10 +121,11 @@ def test_monomial_content_and_shift():
 
 
 def test_eval():
+    # polynomials evaluate as RatFuncs: the value is 1, the sum of |terms| 7
     x, y = Poly.gen("x"), Poly.gen("y")
-    p = x * x + y.scale(-3)
+    p = RatFunc(x * x + y.scale(-3))
     assert p.eval({"x": 2.0, "y": 1.0}) == 1.0
-    assert p.eval_abs({"x": 2.0, "y": 1.0}) == 7.0
+    assert p.eval_relative({"x": 2.0, "y": 1.0}) == 1.0 / 7.0
 
 
 def test_deriv():

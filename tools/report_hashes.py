@@ -1,0 +1,78 @@
+"""Print a sha256 of the JSON and of the text report of many inputs.
+
+    python tools/report_hashes.py [--seed N] [--verify]
+
+The inputs are every catalog and electrodiffusion equation of the benchmark
+(perfbench/workloads.py), every transformed input it can generate
+(perfbench/gen_transformed.py --all, which needs sympy) and every golden
+input (tests/test_golden.py).  Each line is
+
+    <sha256 of the JSON report> <sha256 of the text report> <exit code> <input>
+
+for the report `p34eq --json` and `p34eq` print at that seed, with
+--verify when given.  Two checkouts give the same lines exactly when they
+give the same reports, so a change meant to keep every report can be
+checked by diffing the output of the parent and of the change.  The
+benchmark's files are read, never written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+
+from p34eq.cli import RunConfig, run  # noqa: E402
+
+
+def _config(cli: dict) -> RunConfig:
+    return RunConfig(
+        rhs=cli.get("rhs"),
+        coeffs=tuple(cli["coeffs"]) if "coeffs" in cli else None,
+        implicit=tuple(cli["implicit"]) if "implicit" in cli else None,
+        params=list(cli.get("params", [])),
+    )
+
+
+def inputs() -> list[tuple[str, RunConfig]]:
+    """(label, configuration) of every input, in a fixed order."""
+    import gen_transformed
+    import workloads
+    from test_golden import CASES
+
+    out = [(f"catalog {eq.name}", _config(eq.cli)) for eq in workloads.catalog()]
+    out += [(f"electrodiffusion {eq.name}", _config(eq.cli)) for eq in workloads.electrodiffusion()]
+    out += [
+        (f"transformed {item['name']} from {item['source']}", _config({"coeffs": item["coeffs"]}))
+        for item in gen_transformed.every_input()
+    ]
+    out += [(f"golden {name}", cfg) for name, cfg in sorted(CASES.items())]
+    return out
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=2034, help="sampling seed of every report")
+    ap.add_argument("--verify", action="store_true", help="report as p34eq --verify does")
+    args = ap.parse_args(argv)
+    for label, cfg in inputs():
+        start = time.perf_counter()
+        code, report, text = run(replace(cfg, seed=args.seed, verify=args.verify))
+        print(sha(json.dumps(report, indent=2)), sha(text), code, label, flush=True)
+        print(f"{time.perf_counter() - start:7.2f} s  {label}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
