@@ -104,10 +104,6 @@ def as_expr(v) -> Expr:
     raise TypeError(f"cannot interpret {v!r} as an expression")
 
 
-def rat(p: int, q: int = 1) -> Const:
-    return Const(Fraction(p, q))
-
-
 def add(terms: Iterable) -> Expr:
     ts = tuple(as_expr(t) for t in terms)
     if not ts:

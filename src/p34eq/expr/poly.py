@@ -488,12 +488,6 @@ def _gcd_primitive(a: Poly, b: Poly) -> Poly:
     return _modular_gcd(*Poly.aligned(a, b))
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero or b.is_zero:
-        return Poly.zero()
-    return (a * b).exact_div(poly_gcd(a, b))
-
-
 # ----- modular GCD (Brown 1971) ---------------------------------------------
 #
 # Modulo p, the last generator is evaluated at random points and the image

@@ -1,16 +1,15 @@
 """Independent numeric verification of transforms and of the weight law.
 
 The transform check propagates second-order jets (y, y', y'') of the source
-equation through the map pointwise and solves a small Vandermonde system
-for the effective cubic coefficients at the image point, a path disjoint
-from the symbolic chain-rule transformer, so the two validate each other.
+equation through the map pointwise.  The effective cubic coefficients at the
+image point are those of the cubic through the four image (slope, y'') pairs,
+found by divided differences.  This path is disjoint from the symbolic
+chain-rule transformer, so the two validate each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EvalPole
 from .expr import QUADRANTS, ParamEnv, Point, RatFunc, SamplePolicy, sample, to_ratfunc
@@ -93,12 +92,24 @@ def _jet_coefficients(
             + t_parts["vy"] * ypp
         )
         ws.append((d2v * du - dv * d2u) / du**3)
-    V = np.vander(np.array(jets[2]), 4, increasing=True)
-    try:
-        c = np.linalg.solve(V, np.array(ws))
-    except np.linalg.LinAlgError:
-        raise EvalPole("degenerate jets at the sample point") from None
-    return float(c[0]), float(c[1]), float(c[2]), float(c[3])
+    return _cubic_through(jets[2], ws)
+
+
+def _cubic_through(q, w):
+    """(c0, c1, c2, c3) with c0 + c1 q + c2 q^2 + c3 q^3 = w at four points of distinct q.
+
+    Björck and Pereyra (1970): Newton divided differences, then the Newton
+    form expanded by Horner steps.  Only + - * / touch the inputs, so Decimal
+    inputs give Decimal coefficients.
+    """
+    c = list(w)
+    for k in range(1, 4):
+        for i in range(3, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (q[i] - q[i - k])
+    for k in range(2, -1, -1):
+        for i in range(k, 3):
+            c[i] -= q[k] * c[i + 1]
+    return tuple(c)
 
 
 def _transform_parts(t: PointTransform) -> dict[str, RatFunc]:
@@ -176,7 +187,7 @@ def verify_transform(
             -best.max_residual,
         ):
             best = report
-    return best if best is not None else ResidualReport()
+    return best
 
 
 def verify_weight_law(
@@ -205,25 +216,21 @@ def verify_weight_law(
     symbols = set().union(*(c.free_symbols() for c in src_rfs + dst_rfs + list(parts.values())))
 
     def deviation(a: dict[str, float]) -> float:
-        jf = np.array(
-            [
-                [parts["ux"].eval(a), parts["uy"].eval(a)],
-                [parts["vx"].eval(a), parts["vy"].eval(a)],
-            ]
-        )
-        det = float(np.linalg.det(jf))
+        ux, uy = parts["ux"].eval(a), parts["uy"].eval(a)
+        vx, vy = parts["vx"].eval(a), parts["vy"].eval(a)
+        det = ux * vy - uy * vx
         if abs(det) < 1e-9:
             raise EvalPole("singular Jacobian at the sample point")
         image = Point(a)
         image["x"], image["y"] = parts["u"].eval(a), parts["v"].eval(a)
-        src_vals = np.array([c.eval(a) for c in src_rfs])
-        dst_vals = np.array([c.eval(image) for c in dst_rfs])
-        if len(src_rfs) == 1:
-            predicted = det**weight * dst_vals
-        else:
-            predicted = det**weight * (np.linalg.inv(jf) @ dst_vals)
-        scale = max(1.0, float(np.max(np.abs(src_vals))), float(np.max(np.abs(predicted))))
-        return float(np.max(np.abs(src_vals - predicted))) / scale
+        src_vals = [c.eval(a) for c in src_rfs]
+        dst_vals = [c.eval(image) for c in dst_rfs]
+        if len(src_rfs) > 1:
+            f, g = dst_vals
+            dst_vals = [(vy * f - uy * g) / det, (ux * g - vx * f) / det]
+        predicted = [det**weight * d for d in dst_vals]
+        scale = max(1.0, *map(abs, src_vals), *map(abs, predicted))
+        return max(abs(s - p) for s, p in zip(src_vals, predicted)) / scale
 
     deviations, _ = sample(deviation, symbols, env, policy, n, redraws=ORACLE_REDRAWS)
     worst = max((0.0, *deviations))

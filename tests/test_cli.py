@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import p34eq
 from p34eq.cli import RunConfig, build_arg_parser, main, run
 from p34eq.expr import parse as parse_expr
 
@@ -131,3 +136,21 @@ def test_arg_parser_requires_one_mode():
     ap = build_arg_parser()
     with pytest.raises(SystemExit):
         ap.parse_args(["--json"])
+
+
+def test_runtime_needs_no_numpy():
+    # numpy is a test dependency only; both verdicts below pass the jet oracle
+    code = """
+import sys
+sys.modules["numpy"] = None
+from p34eq.cli import main
+for rhs in ("2*y^3 + x*y + 3", "p^2/(2*y) - 2*y^2 - x*y - 9/(2*y)"):
+    assert main(["--rhs", rhs]) == 0, rhs
+"""
+    src = str(Path(p34eq.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("oracle residual") == 2, proc.stdout

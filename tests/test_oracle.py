@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -127,6 +128,59 @@ def test_oracle_agrees_with_symbolic_transformer():
         dst = apply_transform(e, t)
         report = verify_transform(e, dst, t, n=14)
         assert report.passed, report
+
+
+def _cubic_exact(q, w):
+    """The cubic through the points (q_i, w_i), by elimination over Fractions.
+
+    No pivoting: the leading minors of a Vandermonde matrix with distinct
+    nodes are Vandermonde determinants, hence nonzero.
+    """
+    rows = [[F(x) ** j for j in range(4)] + [F(v)] for x, v in zip(q, w)]
+    for k in range(4):
+        for r in range(4):
+            if r != k:
+                f = rows[r][k] / rows[k][k]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[k])]
+    return [row[4] / row[k] for k, row in enumerate(rows)]
+
+
+def _cubic_at(coeffs, x):
+    return sum(c * x**j for j, c in enumerate(coeffs))
+
+
+def test_cubic_through_recovers_integer_cubic():
+    rng = random.Random(11)
+    for _ in range(200):
+        coeffs = [rng.randint(-50, 50) for _ in range(4)]
+        q = [s + rng.uniform(-0.2, 0.2) for s in oracle._SEEDS]
+        got = oracle._cubic_through(q, [_cubic_at(coeffs, x) for x in q])
+        scale = max(1, *map(abs, coeffs))
+        assert max(abs(g - c) for g, c in zip(got, coeffs)) <= 1e-12 * scale, (coeffs, got)
+
+
+def test_cubic_through_matches_exact_solve():
+    rng = random.Random(12)
+    trials = 0
+    while trials < 300:
+        q = [rng.uniform(-10, 10) for _ in range(4)]
+        if min(abs(a - b) for i, a in enumerate(q) for b in q[i + 1 :]) < 1e-3:
+            continue
+        trials += 1
+        w = [rng.uniform(-100, 100) for _ in range(4)]
+        for got, want in zip(oracle._cubic_through(q, w), _cubic_exact(q, w)):
+            assert abs(got - want) <= 1e-9 * abs(want), (q, w)
+
+
+def test_cubic_through_keeps_decimal():
+    # the jet solve must stay plain arithmetic, so that a Decimal oracle can run it
+    coeffs = [7, -3, 5, 2]
+    q = [Decimal(s) / 10 for s in (-13, -4, 6, 17)]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        got = oracle._cubic_through(q, [_cubic_at(coeffs, x) for x in q])
+    assert all(isinstance(c, Decimal) for c in got)
+    assert max(abs(g - c) for g, c in zip(got, coeffs)) < Decimal("1e-45")
 
 
 def test_weight_law_alpha_under_diagonal_scaling():

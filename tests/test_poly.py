@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from p34eq.expr.poly import ExactDivisionError, Poly, _prime, poly_gcd, poly_lcm
+from p34eq.expr.poly import ExactDivisionError, Poly, _prime, poly_gcd
 from p34eq.expr.ratfunc import RatFunc
 
 
@@ -101,15 +101,6 @@ def test_gcd_skips_unlucky_prime():
     assert poly_gcd((x + p + one) * g, (x + one) * g) == g
     # A prime that divides a leading coefficient is skipped.
     assert poly_gcd((x * p + one) * g, (x + one) * g) == g
-
-
-def test_lcm():
-    x, y = Poly.gen("x"), Poly.gen("y")
-    a = (x + y) * x
-    b = (x + y) * y
-    m = poly_lcm(a, b)
-    assert a.divides(m) and b.divides(m)
-    assert m.total_degree() == 3
 
 
 def test_monomial_content_and_shift():
