@@ -113,6 +113,10 @@ def functional_independence(
     rf = f if isinstance(f, RatFunc) else to_ratfunc(f)
     rg = g if isinstance(g, RatFunc) else to_ratfunc(g)
     jac = rf.deriv("x") * rg.deriv("y") - rf.deriv("y") * rg.deriv("x")
+    return _jacobian_nonzero(jac, env, policy)
+
+
+def _jacobian_nonzero(jac: RatFunc, env: ParamEnv | None, policy: SamplePolicy | None) -> bool:
     v = is_zero(jac, env, policy)
     if v.is_unknown:
         raise UnknownVerdictError("functional independence Jacobian", v)
@@ -205,12 +209,14 @@ def test_pii(
 
 
 def _independent_pair(t: InvariantTower) -> tuple[str, str] | None:
-    pairs = (("I3", t.i3, "I6", t.i6), ("I3", t.i3, "I9", t.i9), ("I6", t.i6, "I9", t.i9))
+    """The first functionally independent pair among I3, I6, I9, with the
+    Jacobians built from the tower's cached gradients."""
     unknown = False
-    for name_f, f, name_g, g in pairs:
+    for f, g in (("I3", "I6"), ("I3", "I9"), ("I6", "I9")):
+        jac = t.d(f, 1, 0) * t.d(g, 0, 1) - t.d(f, 0, 1) * t.d(g, 1, 0)
         try:
-            if functional_independence(f, g, t.env, t.policy):
-                return name_f, name_g
+            if _jacobian_nonzero(jac, t.env, t.policy):
+                return f, g
         except UnknownVerdictError:
             unknown = True
     if unknown:

@@ -148,15 +148,19 @@ _PREC_ATOM = 5
 
 
 def to_string(e: Expr) -> str:
-    return _render(e)[0]
+    return _render(e, {})[0]
 
 
-def _render(e: Expr) -> tuple[str, int]:
-    """Render to (text, precedence of the outermost construct)."""
+def _render(e: Expr, memo: dict) -> tuple[str, int]:
+    """Render to (text, precedence of the outermost construct).
+
+    memo maps id(base) to (base, text) for the power bases rendered so far
+    in this call, so a compound radicand shared by many powers renders once.
+    """
     if isinstance(e, Const):
         v = e.value
         if v < 0:
-            inner, _ = _render(Const(-v))
+            inner, _ = _render(Const(-v), memo)
             return f"-{inner}", _PREC_UNARY
         if v.denominator == 1:
             return str(v.numerator), _PREC_ATOM
@@ -164,16 +168,16 @@ def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Sym):
         return e.name, _PREC_ATOM
     if isinstance(e, Neg):
-        inner = _paren(e.arg, _PREC_UNARY)
+        inner = _paren(e.arg, _PREC_UNARY, memo)
         return f"-{inner}", _PREC_UNARY
     if isinstance(e, Pow):
-        return _render_pow(e)
+        return _render_pow(e, memo)
     if isinstance(e, Mul):
-        return _render_mul(e)
+        return _render_mul(e, memo)
     if isinstance(e, Add):
         parts = []
         for i, t in enumerate(e.terms):
-            sign, body = _signed(t)
+            sign, body = _signed(t, memo)
             if i == 0:
                 parts.append(f"-{body}" if sign < 0 else body)
             else:
@@ -182,45 +186,49 @@ def _render(e: Expr) -> tuple[str, int]:
     raise TypeError(f"unknown node {e!r}")
 
 
-def _signed(e: Expr) -> tuple[int, str]:
+def _signed(e: Expr, memo: dict) -> tuple[int, str]:
     """Split a term into sign and the rendering of its absolute part."""
     if isinstance(e, Neg):
-        s, body = _signed(e.arg)
+        s, body = _signed(e.arg, memo)
         return -s, body
     if isinstance(e, Const) and e.value < 0:
-        return -1, _paren(Const(-e.value), _PREC_ADD + 1)
+        return -1, _paren(Const(-e.value), _PREC_ADD + 1, memo)
     if isinstance(e, Mul) and e.factors:
         head = e.factors[0]
         if isinstance(head, Neg):
-            s, body = _signed(mul((head.arg,) + e.factors[1:]))
+            s, body = _signed(mul((head.arg,) + e.factors[1:]), memo)
             return -s, body
         if isinstance(head, Const) and head.value < 0:
             if head.value == -1 and len(e.factors) > 1:
                 rest = mul(e.factors[1:])
             else:
                 rest = Mul((Const(-head.value),) + e.factors[1:])
-            s, body = _signed(rest)
+            s, body = _signed(rest, memo)
             return -s, body
-    return 1, _paren(e, _PREC_ADD + 1)
+    return 1, _paren(e, _PREC_ADD + 1, memo)
 
 
-def _render_pow(e: Pow) -> tuple[str, int]:
+def _render_pow(e: Pow, memo: dict) -> tuple[str, int]:
     exp = e.exp
     if exp == 1:
-        return _render(e.base)
-    base = _paren_base(e.base)
+        return _render(e.base, memo)
+    base = _paren_base(e.base, memo)
     if exp.denominator == 1:
         return f"{base}^{exp.numerator}", _PREC_POW
     return f"{base}^({exp.numerator}/{exp.denominator})", _PREC_POW
 
 
-def _paren_base(e: Expr) -> str:
+def _paren_base(e: Expr, memo: dict) -> str:
     # Power bases must be grammar atoms: symbol, unsigned integer, or parens.
     if isinstance(e, Sym):
         return e.name
     if isinstance(e, Const) and e.value >= 0 and e.value.denominator == 1:
         return str(e.value.numerator)
-    return f"({_render(e)[0]})"
+    # The memo keeps e alive, so its id cannot be reused within the call.
+    hit = memo.get(id(e))
+    if hit is None:
+        hit = memo[id(e)] = (e, f"({_render(e, memo)[0]})")
+    return hit[1]
 
 
 def _flat_factors(e: Mul):
@@ -231,15 +239,15 @@ def _flat_factors(e: Mul):
             yield f
 
 
-def _render_mul(e: Mul) -> tuple[str, int]:
+def _render_mul(e: Mul, memo: dict) -> tuple[str, int]:
     nums: list[str] = []
     dens: list[str] = []
     for f in _flat_factors(e):
         if isinstance(f, Pow) and f.exp < 0:
             inv = Pow(f.base, -f.exp) if f.exp != -1 else f.base
-            dens.append(_paren(inv, _PREC_MUL + 1))
+            dens.append(_paren(inv, _PREC_MUL + 1, memo))
         else:
-            nums.append(_paren(f, _PREC_MUL + 1))
+            nums.append(_paren(f, _PREC_MUL + 1, memo))
     num = "*".join(nums) if nums else "1"
     if not dens:
         return num, _PREC_MUL
@@ -248,8 +256,8 @@ def _render_mul(e: Mul) -> tuple[str, int]:
     return f"{num}/({'*'.join(dens)})", _PREC_MUL
 
 
-def _paren(e: Expr, min_prec: int) -> str:
-    text, prec = _render(e)
+def _paren(e: Expr, min_prec: int, memo: dict) -> str:
+    text, prec = _render(e, memo)
     if prec < min_prec:
         return f"({text})"
     return text

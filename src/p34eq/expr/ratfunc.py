@@ -12,6 +12,17 @@ denominator first (y and y^(1/3) never coexist inside one polynomial), and
 surd exponents are folded back below their root denominator after every
 product, keeping monomials in distinct prime radicals linearly independent.
 
+Sums and derivatives take only the GCDs a reduced result needs.  A sum over
+coprime denominators is already reduced, and over denominators with a
+common factor g only a factor of g can be left to cancel (Henrici 1956).  A
+derivative is the sum over generators g of d(g)/d(var) * d(num/den)/dg;
+with h = gcd(den, d(den)/dg), the quotient rule over den * (den/h) leaves
+in common only factors free of g, each dividing h (Horowitz 1971), so the
+GCD is taken against h, not den^2.  Surds are the exception: folding surd
+exponents merges monomials, and the reduced form of a ratio with surds
+depends on the path that built it.  So a sum with surd operands takes the
+full GCD, and a derivative with surds keeps the quotient rule over den^2.
+
 Evaluation in floats is straight-line code that each RatFunc generates on
 its first evaluation and keeps.  It does the float operations of a
 term-by-term loop in the same order, so its values are those of that loop
@@ -256,9 +267,12 @@ class RatFunc:
         if g.is_const:
             num = reduce_surds(an * bd + bn * ad)
             den = reduce_surds(ad * bd)
-            gg = poly_gcd(num, den)
-            if not gg.is_const:
-                num, den = num.exact_div(gg), den.exact_div(gg)
+            # A sum over coprime denominators is reduced (Henrici 1956),
+            # unless folding surd exponents merges monomials.
+            if _has_surds(an, ad, bn, bd):
+                gg = poly_gcd(num, den)
+                if not gg.is_const:
+                    num, den = num.exact_div(gg), den.exact_div(gg)
         else:
             ad_r, bd_r = ad.exact_div(g), bd.exact_div(g)
             num = reduce_surds(an * bd_r + bn * ad_r)
@@ -325,11 +339,18 @@ class RatFunc:
     def deriv(self, var: str) -> "RatFunc":
         """Partial derivative with respect to the base variable x or y."""
         n, d = self.num, self.den
-        dn = _poly_deriv(n, var)
-        dd = _poly_deriv(d, var)
-        rf_d = RatFunc(d, reduced=True)
-        out = dn * rf_d - RatFunc(n, reduced=True) * dd
-        return (out / (rf_d * rf_d)).scale(self.coeff)
+        chains = {g: _chain(g, var) for g in self.gens()}
+        chains = {g: c for g, c in chains.items() if not c.is_zero}
+        if _has_surds(n, d) or any(_has_surds(c.num, c.den) for c in chains.values()):
+            # Surd normal forms depend on the path: keep the quotient rule.
+            rf_d = RatFunc(d, reduced=True)
+            dn, dd = _poly_deriv(n, chains), _poly_deriv(d, chains)
+            out = dn * rf_d - RatFunc(n, reduced=True) * dd
+            return (out / (rf_d * rf_d)).scale(self.coeff)
+        out = RatFunc.const(0)
+        for g, chain in chains.items():
+            out = out + chain * _partial(n, d, g)
+        return out.scale(self.coeff)
 
     # ----- evaluation ---------------------------------------------------
 
@@ -396,17 +417,36 @@ def _chain(gen: str, var: str) -> RatFunc:
     return dbase * RatFunc.from_gen(gen) / base.scale(info.q)  # type: ignore[operator]
 
 
-def _poly_deriv(p: Poly, var: str) -> RatFunc:
+def _poly_deriv(p: Poly, chains: Mapping[str, RatFunc]) -> RatFunc:
+    """Derivative of p given d(gen)/d(var) for the generators that move."""
     out = RatFunc.const(0)
     for g in p.gens:
-        partial = p.deriv(g)
-        if partial.is_zero:
-            continue
-        chain = _chain(g, var)
-        if chain.is_zero:
-            continue
-        out = out + _with_contents(_F1, partial, _ONE) * chain
+        chain = chains.get(g)
+        if chain is not None:
+            out = out + _with_contents(_F1, p.deriv(g), _ONE) * chain
     return out
+
+
+def _partial(n: Poly, d: Poly, g: str) -> RatFunc:
+    """d(n/d)/dg, reduced, for coprime integer n, d without surds.
+
+    With h = gcd(d, dd/dg), the quotient rule over d * (d/h) leaves only
+    factors free of g in common, and each divides h (Horowitz 1971): the
+    GCD against h replaces one against d^2.
+    """
+    dn, dd = n.deriv(g), d.deriv(g)
+    if dd.is_zero:
+        return _with_contents(_F1, dn, _ONE) * RatFunc(_ONE, d, reduced=True)
+    h = poly_gcd(d, dd)
+    if h.is_const:
+        return _with_contents(_F1, dn * d - n * dd, d * d)
+    d_h = d.exact_div(h)
+    num = dn * d_h - n * dd.exact_div(h)
+    den = d * d_h
+    gg = poly_gcd(num, h)
+    if not gg.is_const:
+        num, den = num.exact_div(gg), den.exact_div(gg)
+    return _with_contents(_F1, num, den)
 
 
 # ----- evaluation -----------------------------------------------------------

@@ -53,7 +53,10 @@ _SWAP = {
 }
 
 # The tower stage that computes each derived quantity the derivative cache holds.
-_STAGE = {"A": "A", "B": "B", "G": "G", "H": "H", "N": "n_pseudo", "Omega": "omega"}
+_STAGE = {
+    "A": "A", "B": "B", "G": "G", "H": "H", "N": "n_pseudo", "Omega": "omega",
+    "I1": "i1", "I3": "i3", "I6": "i6", "I9": "i9",
+}
 
 # d(name, i, j) in one frame: name differentiated i times in x and j times in y.
 _Deriv = Callable[..., RatFunc]
@@ -169,8 +172,9 @@ class InvariantTower:
     # ----- derivative cache ----------------------------------------------
 
     def d(self, name: str, i: int = 0, j: int = 0) -> RatFunc:
-        """K_{i.j}: a coefficient P, Q, R, S or a quantity A, B, G, H, N,
-        Omega differentiated i times in x and j times in y."""
+        """K_{i.j}: a coefficient P, Q, R, S, a quantity A, B, G, H, N, Omega
+        or an invariant I1, I3, I6, I9 differentiated i times in x and j
+        times in y."""
         key = (name, i, j)
         out = self._derivs.get(key)
         if out is None:
@@ -333,9 +337,10 @@ class InvariantTower:
     def i3(self) -> RatFunc:
         return self.gamma_hat / self.m_pseudo
 
-    def _directional(self, inv: RatFunc) -> tuple[RatFunc, RatFunc]:
-        """(alpha-direction, gamma-direction) derivatives entering I4..I9."""
-        ix, iy = inv.deriv("x"), inv.deriv("y")
+    def _directional(self, name: str) -> tuple[RatFunc, RatFunc]:
+        """(alpha-direction, gamma-direction) derivatives of the invariant
+        name, entering I4..I9."""
+        ix, iy = self.d(name, 1, 0), self.d(name, 0, 1)
         g1, g2 = self.gamma
         alpha_dir = (self.B * ix - self.A * iy) / self.n_pseudo
         # (c^2)/N^3 arranged as (c/N)^2/N: divisions happen before squaring,
@@ -346,11 +351,11 @@ class InvariantTower:
 
     @cached_property
     def _i4_i7(self) -> tuple[RatFunc, RatFunc]:
-        return self._directional(self.i1)
+        return self._directional("I1")
 
     @cached_property
     def _i6_i9(self) -> tuple[RatFunc, RatFunc]:
-        return self._directional(self.i3)
+        return self._directional("I3")
 
     @property
     def i4(self) -> RatFunc:

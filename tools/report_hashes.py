@@ -1,6 +1,6 @@
 """Print a sha256 of the JSON and of the text report of many inputs.
 
-    python tools/report_hashes.py [--seed N] [--verify]
+    python tools/report_hashes.py [--seed N] [--verify] [--mask-residuals]
 
 The inputs are every catalog and electrodiffusion equation of the benchmark
 (perfbench/workloads.py), every transformed input it can generate
@@ -12,8 +12,12 @@ input (tests/test_golden.py).  Each line is
 for the report `p34eq --json` and `p34eq` print at that seed, with
 --verify when given.  Two checkouts give the same lines exactly when they
 give the same reports, so a change meant to keep every report can be
-checked by diffing the output of the parent and of the change.  The
-benchmark's files are read, never written.
+checked by diffing the output of the parent and of the change.  With
+--mask-residuals the residual figures (the JSON "residual" and
+"max_residual" values and the text's "oracle residual" figure) are masked
+before hashing, for a change that may move only their last digits, such as
+one that sums the terms of a RatFunc in another order.  The benchmark's
+files are read, never written.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from dataclasses import replace
@@ -61,14 +66,39 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+_RESIDUAL_KEYS = ("residual", "max_residual")
+_MASK = "<masked>"
+
+
+def mask_residuals(report):
+    """The report with every residual value that is not None masked."""
+    if isinstance(report, dict):
+        return {
+            k: _MASK if k in _RESIDUAL_KEYS and v is not None else mask_residuals(v)
+            for k, v in report.items()
+        }
+    if isinstance(report, list):
+        return [mask_residuals(v) for v in report]
+    return report
+
+
+def mask_text_residuals(text: str) -> str:
+    return re.sub(r"oracle residual \S+", f"oracle residual {_MASK}", text)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=2034, help="sampling seed of every report")
     ap.add_argument("--verify", action="store_true", help="report as p34eq --verify does")
+    ap.add_argument(
+        "--mask-residuals", action="store_true", help="hash with residual figures masked"
+    )
     args = ap.parse_args(argv)
     for label, cfg in inputs():
         start = time.perf_counter()
         code, report, text = run(replace(cfg, seed=args.seed, verify=args.verify))
+        if args.mask_residuals:
+            report, text = mask_residuals(report), mask_text_residuals(text)
         print(sha(json.dumps(report, indent=2)), sha(text), code, label, flush=True)
         print(f"{time.perf_counter() - start:7.2f} s  {label}", file=sys.stderr)
     return 0
