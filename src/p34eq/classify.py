@@ -17,12 +17,10 @@ from .expr import (
     ParamEnv,
     RatFunc,
     SamplePolicy,
-    ZeroVerdict,
     is_zero,
     rf_pow,
     rf_to_expr,
     sample_any_quadrant,
-    to_ratfunc,
 )
 from .equations import p34_cuberoot, painleve_ii
 from .invariants import I1_PII, CaseTag, InvariantTower
@@ -37,7 +35,6 @@ ORACLE_SAMPLES = 24
 class Classification:
     tag: CaseTag
     flags: dict[str, bool] = field(default_factory=dict)
-    verdicts: dict[str, ZeroVerdict] = field(default_factory=dict)
 
     @property
     def case_1_4(self) -> bool:
@@ -94,33 +91,13 @@ def classify(
     a predicate cannot be decided at the configured sampling effort."""
     t = tower or InvariantTower(ode, policy)
     if t.case is not CaseTag.FIRST_CASE:
-        return Classification(t.case, verdicts=t.verdicts)
+        return Classification(t.case)
     flags = {
         "omega_zero": t.require("Omega", t.omega).is_zero,
         "i2_zero": t.require("I2", t.i2).is_zero,
         "i7_zero": t.require("I7", t.i7).is_zero,
     }
-    return Classification(CaseTag.FIRST_CASE, flags=flags, verdicts=t.verdicts)
-
-
-def functional_independence(
-    f: Expr | RatFunc,
-    g: Expr | RatFunc,
-    env: ParamEnv | None = None,
-    policy: SamplePolicy | None = None,
-) -> bool:
-    """Whether the Jacobian determinant of (f, g) w.r.t. (x, y) is nonzero."""
-    rf = f if isinstance(f, RatFunc) else to_ratfunc(f)
-    rg = g if isinstance(g, RatFunc) else to_ratfunc(g)
-    jac = rf.deriv("x") * rg.deriv("y") - rf.deriv("y") * rg.deriv("x")
-    return _jacobian_nonzero(jac, env, policy)
-
-
-def _jacobian_nonzero(jac: RatFunc, env: ParamEnv | None, policy: SamplePolicy | None) -> bool:
-    v = is_zero(jac, env, policy)
-    if v.is_unknown:
-        raise UnknownVerdictError("functional independence Jacobian", v)
-    return v.is_nonzero
+    return Classification(CaseTag.FIRST_CASE, flags=flags)
 
 
 def _case_gate(t: InvariantTower) -> EquivalenceResult | None:
@@ -214,11 +191,10 @@ def _independent_pair(t: InvariantTower) -> tuple[str, str] | None:
     unknown = False
     for f, g in (("I3", "I6"), ("I3", "I9"), ("I6", "I9")):
         jac = t.d(f, 1, 0) * t.d(g, 0, 1) - t.d(f, 0, 1) * t.d(g, 1, 0)
-        try:
-            if _jacobian_nonzero(jac, t.env, t.policy):
-                return f, g
-        except UnknownVerdictError:
-            unknown = True
+        v = is_zero(jac, t.env, t.policy)
+        if v.is_nonzero:
+            return f, g
+        unknown = unknown or v.is_unknown
     if unknown:
         raise UnknownVerdictError("functional independence of I3, I6, I9")
     return None

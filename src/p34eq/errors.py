@@ -58,6 +58,3 @@ class UnknownVerdictError(P34Error):
 class DegenerateTransformError(P34Error):
     """A point transformation has identically vanishing Jacobian."""
 
-
-class TransformInversionError(P34Error):
-    """No closed-form inverse is available for a point transformation."""

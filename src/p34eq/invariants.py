@@ -471,7 +471,6 @@ class InvariantTower:
 class InvariantReport:
     """Everything the tower computed, in printable normal form."""
 
-    label: str
     branch: str | None
     invariants: dict[str, Expr | None] = field(default_factory=dict)
     verdicts: dict[str, ZeroVerdict] = field(default_factory=dict)
@@ -490,7 +489,7 @@ def compute_invariants(
 ) -> InvariantReport:
     """Run the tower as far as the degeneration case allows."""
     t = tower or InvariantTower(ode, policy)
-    report = InvariantReport(label=ode.label, branch=None)
+    report = InvariantReport(branch=None)
     report.invariants["A"] = rf_to_expr(t.A)
     report.invariants["B"] = rf_to_expr(t.B)
     report.invariants["F5"] = rf_to_expr(t.F5)

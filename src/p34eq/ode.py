@@ -1,9 +1,10 @@
 """Equations y'' = P + 3Q y' + 3R y'^2 + S y'^3 and point transformations.
 
-The class is closed under invertible changes of both variables; the
+The class is closed under invertible changes of both variables.  The
 transformed coefficients are obtained by substituting the source equation
-into the chain rule and re-extracting the cubic, then rewriting the result
-in the new variables through the inverse map.
+into the chain rule and re-extracting the cubic; this pullback writes them
+as functions of the old variables and needs no inverse.  Rewriting them in
+the new variables (`apply_transform`) takes the inverse map from the caller.
 """
 
 from __future__ import annotations
@@ -11,16 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DegenerateTransformError,
-    NotCubicError,
-    TransformInversionError,
-)
+from .errors import DegenerateTransformError, NotCubicError
 from .expr import (
     Const,
     Expr,
     ParamEnv,
-    Pow,
     RatFunc,
     SamplePolicy,
     Sym,
@@ -86,15 +82,10 @@ class OdeCubic:
 
 @dataclass(frozen=True)
 class PointTransform:
-    """x_new(x, y), y_new(x, y); optionally with a closed-form inverse.
-
-    The inverse pair is written in the same two symbols, read as the new
-    variables: x = inverse[0](x_new, y_new), y = inverse[1](x_new, y_new).
-    """
+    """x_new(x, y), y_new(x, y)."""
 
     x_new: Expr
     y_new: Expr
-    inverse: tuple[Expr, Expr] | None = None
 
     def jacobian(self) -> Expr:
         u, v = to_ratfunc(self.x_new), to_ratfunc(self.y_new)
@@ -109,23 +100,6 @@ class PointTransform:
 
     def __repr__(self):
         return f"PointTransform(x_new={to_string(self.x_new)}, y_new={to_string(self.y_new)})"
-
-
-def compose(second: PointTransform, first: PointTransform) -> PointTransform:
-    """The map first-then-second, as a single point transformation."""
-    binding = {"x": first.x_new, "y": first.y_new}
-    inv = None
-    if first.inverse is not None and second.inverse is not None:
-        inv_binding = {"x": second.inverse[0], "y": second.inverse[1]}
-        inv = (
-            normalize(subst(first.inverse[0], inv_binding)),
-            normalize(subst(first.inverse[1], inv_binding)),
-        )
-    return PointTransform(
-        normalize(subst(second.x_new, binding)),
-        normalize(subst(second.y_new, binding)),
-        inv,
-    )
 
 
 # ----- construction from right-hand sides -----------------------------------
@@ -265,148 +239,21 @@ def pullback_coefficients(
 
 
 def apply_transform(
-    e: OdeCubic, t: PointTransform, policy: SamplePolicy | None = None
+    e: OdeCubic,
+    t: PointTransform,
+    inverse: tuple[Expr, Expr],
+    policy: SamplePolicy | None = None,
 ) -> OdeCubic:
     """The equation satisfied by y_new(x_new) when y(x) solves e.
 
-    Coefficients of the result are expressed in the new variables, which
-    requires a closed-form inverse: either supplied on the transform or
-    derived automatically for affine and single-variable power maps.
+    The coefficients of the result are written in the new variables by
+    composing the pullback with ``inverse``, the old variables as functions
+    of the new ones, written in the same two symbols: x = inverse[0](x, y),
+    y = inverse[1](x, y).  The inverse is not checked against t.
     """
     t.check_nondegenerate(e.env, policy)
-    inverse = t.inverse if t.inverse is not None else invert_point_transform(t)
     binding = {"x": inverse[0], "y": inverse[1]}
     pb = pullback_coefficients(e, t)
     coeffs = [normalize(subst(rf_to_expr(c), binding)) for c in pb]
     label = f"{e.label}|transformed" if e.label else "transformed"
     return OdeCubic(*coeffs, env=e.env, label=label)
-
-
-# ----- closed-form inversion --------------------------------------------------
-
-
-def invert_point_transform(t: PointTransform) -> tuple[Expr, Expr]:
-    """Closed-form inverse for affine maps and separable power maps.
-
-    Raises TransformInversionError when the shape is not recognized;
-    callers that only need pullbacks (the numeric oracle) never invert.
-    """
-    u = to_ratfunc(t.x_new)
-    v = to_ratfunc(t.y_new)
-    affine = _try_affine_inverse(u, v)
-    if affine is not None:
-        return affine
-    separable = _try_separable_inverse(u, v)
-    if separable is not None:
-        return separable
-    raise TransformInversionError(
-        "no closed-form inverse available; supply PointTransform.inverse explicitly"
-    )
-
-
-def _is_xy_free(rf: RatFunc) -> bool:
-    return not (rf.free_symbols() & {"x", "y"})
-
-
-def _try_affine_inverse(u: RatFunc, v: RatFunc) -> tuple[Expr, Expr] | None:
-    comps = []
-    for w in (u, v):
-        wx, wy = w.deriv("x"), w.deriv("y")
-        if not (_is_xy_free(wx) and _is_xy_free(wy)):
-            return None
-        c0 = w - wx * RatFunc.from_gen("x") - wy * RatFunc.from_gen("y")
-        if not _is_xy_free(c0):
-            return None
-        comps.append((wx, wy, c0))
-    (a, b, c), (d, e, f) = comps
-    det = a * e - b * d
-    if det.is_zero:
-        return None
-    xs = RatFunc.from_gen("x")
-    ys = RatFunc.from_gen("y")
-    x_old = (e * (xs - c) - b * (ys - f)) / det
-    y_old = (a * (ys - f) - d * (xs - c)) / det
-    return rf_to_expr(x_old), rf_to_expr(y_old)
-
-
-def split_by_variable(rf: RatFunc, var: str) -> dict[Fraction, RatFunc] | None:
-    """Write rf as sum of c_k * var**k with var-free coefficients.
-
-    Requires a var-free denominator up to a monomial var power; returns
-    None when the shape does not allow it (including var hidden inside a
-    compound radicand).
-    """
-    for g in rf.gens():
-        info = parse_gen(g)
-        if info.kind == KIND_OPAQUE:
-            base = lookup_opaque(str(info.base))
-            if var in base.free_symbols():  # type: ignore[attr-defined]
-                return None
-    den = rf.den
-    den_exp = Fraction(0)
-    dgens = [
-        g for g in den.gens
-        if parse_gen(g).kind == KIND_SYMBOL and parse_gen(g).base == var
-    ]
-    if dgens:
-        if not den.is_monomial:
-            return None
-        g = dgens[0]
-        j = den.gens.index(g)
-        dm, _ = den.leading()
-        den_exp = Fraction(dm[j], parse_gen(g).q)
-        terms = {m[:j] + m[j + 1 :]: c for m, c in den.terms.items()}
-        den = Poly(den.gens[:j] + den.gens[j + 1 :], terms)._compress()
-    num = rf.num
-    ngens = [
-        g for g in num.gens
-        if parse_gen(g).kind == KIND_SYMBOL and parse_gen(g).base == var
-    ]
-    if not ngens:
-        groups = {Fraction(0): num}
-    else:
-        g = ngens[0]
-        i = num.gens.index(g)
-        q = parse_gen(g).q
-        rest = num.gens[:i] + num.gens[i + 1 :]
-        acc: dict[Fraction, dict] = {}
-        for mono, c in num.terms.items():
-            acc.setdefault(Fraction(mono[i], q), {})[mono[:i] + mono[i + 1 :]] = c
-        groups = {k: Poly(rest, t)._compress() for k, t in acc.items()}
-    return {
-        k - den_exp: RatFunc(p, den, rf.coeff) for k, p in groups.items() if not p.is_zero
-    }
-
-
-def _power_form(rf: RatFunc) -> tuple[str, RatFunc, Fraction, RatFunc] | None:
-    """Match c * v**k + d with v in {x, y} and c, d, k free of x and y."""
-    deps = rf.free_symbols() & {"x", "y"}
-    if len(deps) != 1:
-        return None
-    var = deps.pop()
-    terms = split_by_variable(rf, var)
-    if terms is None:
-        return None
-    nonconst = {k: c for k, c in terms.items() if k != 0}
-    if len(nonconst) != 1:
-        return None
-    k, c = next(iter(nonconst.items()))
-    d = terms.get(Fraction(0), RatFunc.const(0))
-    if not (_is_xy_free(c) and _is_xy_free(d)):
-        return None
-    return var, c, k, d
-
-
-def _try_separable_inverse(u: RatFunc, v: RatFunc) -> tuple[Expr, Expr] | None:
-    pu = _power_form(u)
-    pv = _power_form(v)
-    if pu is None or pv is None:
-        return None
-    if {pu[0], pv[0]} != {"x", "y"}:
-        return None
-    out: dict[str, Expr] = {}
-    for (var, c, k, d), new_sym in ((pu, Sym("x")), (pv, Sym("y"))):
-        # var = ((new - d) / c) ** (1/k)
-        body = (new_sym - rf_to_expr(d)) / rf_to_expr(c)
-        out[var] = normalize(Pow(body, Fraction(1) / k) if k != 1 else body)
-    return out["x"], out["y"]

@@ -22,6 +22,12 @@ from p34eq.ode import OdeCubic, PointTransform, apply_transform, from_rhs
 from p34eq.oracle import ORACLE_REDRAWS, verify_transform
 
 
+def neg_square(ode):
+    """ode under x -> x, y -> -y^2 (new in terms of old), real for y < 0."""
+    t = PointTransform(Sym("x"), normalize(parse("-y^2")))
+    return apply_transform(ode, t, (Sym("x"), parse("(-y)^(1/2)")))
+
+
 # ----- classify --------------------------------------------------------------
 
 
@@ -66,15 +72,11 @@ def test_classify_deterministic_on_normalized_input():
 # ----- functional independence -------------------------------------------------
 
 
-def test_functional_independence_pairs():
-    assert pc.functional_independence(parse("x"), parse("y"))
-    assert not pc.functional_independence(parse("x"), parse("x^2"))
-    # Hand Jacobian of the zero-parameter pair (I3, I6):
-    #   (1/(30y))(-x/(5y^2)) - (-x/(30y^2))(1/(5y)) = 0,
-    # consistent with the linear relation I3 = 1/15 + I6/6: dependent.
-    assert not pc.functional_independence(parse("(2*y + x)/(30*y)"), parse("x/(5*y)"))
-    # The pair the equivalence test actually certifies is (I3, I9):
-    assert pc.functional_independence(parse("(2*y + x)/(30*y)"), parse("-1/(1250*y^3)"))
+def test_independent_pair_skips_the_dependent_zero_parameter_pair():
+    # On painleve_ii(0), I3 and I6 are dependent: I3 = 1/15 + I6/6, so their
+    # Jacobian vanishes and the first independent pair is (I3, I9).
+    assert pc._independent_pair(InvariantTower(eqs.painleve_ii(0))) == ("I3", "I9")
+    assert pc._independent_pair(InvariantTower(eqs.painleve_ii(3))) == ("I3", "I6")
 
 
 # ----- test_pii ------------------------------------------------------------------
@@ -105,8 +107,7 @@ def test_pii_on_pii_itself_recovers_parameter():
 def test_pii_parameter_sampled_where_real():
     # painleve_ii(3) under y -> -y^2 is real only for y < 0, so the value of
     # a is sampled there
-    t = PointTransform(Sym("x"), normalize(parse("-y^2")), (Sym("x"), parse("(-y)^(1/2)")))
-    res = pc.test_pii(apply_transform(eqs.painleve_ii(3), t))
+    res = pc.test_pii(neg_square(eqs.painleve_ii(3)))
     assert res.outcome is Outcome.EQUIVALENT_PII
     assert res.a_values == (3.0, -3.0)
 
@@ -155,8 +156,7 @@ def test_pii_skipped_sigma_draws_no_sample(a):
 def test_pii_keeps_both_sigmas_when_i9_changes_sign():
     # I9 is odd in y: -1/(2500 y^3) for painleve_ii(3) under y -> -y^2 (new
     # in terms of old), and proportional to 1/y^3 for p34_rational(0)
-    t = PointTransform(Sym("x"), normalize(parse("-y^2")), (Sym("x"), parse("(-y)^(1/2)")))
-    for ode in (apply_transform(eqs.painleve_ii(3), t), eqs.p34_rational(0)):
+    for ode in (neg_square(eqs.painleve_ii(3)), eqs.p34_rational(0)):
         tower = InvariantTower(ode)
         assert tower.i9.is_monomial
         assert pc._pii_sigmas(tower) == (tower.i9_sign, -tower.i9_sign)
@@ -220,11 +220,9 @@ def test_p34_piv_fails_on_i7():
 
 def test_p34_verdict_invariant_under_point_transform():
     base = eqs.p34_rational(1)
-    t = PointTransform(
-        normalize(parse("x + y/2")), normalize(parse("x/3 + y")),
-        (normalize(parse("(6*x - 3*y)/5")), normalize(parse("(-2*x + 6*y)/5"))),
-    )
-    moved = apply_transform(base, t)
+    t = PointTransform(normalize(parse("x + y/2")), normalize(parse("x/3 + y")))
+    inverse = (normalize(parse("(6*x - 3*y)/5")), normalize(parse("(-2*x + 6*y)/5")))
+    moved = apply_transform(base, t, inverse)
     r0 = pc.test_p34(base)
     r1 = pc.test_p34(moved)
     assert r0.outcome is r1.outcome is Outcome.EQUIVALENT_P34

@@ -4,15 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from p34eq import equations as eqs
-from p34eq.errors import NotCubicError, TransformInversionError
+from p34eq.errors import NotCubicError
 from p34eq.expr import Const, ParamEnv, Sym, is_zero, normalize, parse, to_string
 from p34eq.ode import (
     OdeCubic,
     PointTransform,
     apply_transform,
-    compose,
     from_rhs,
-    invert_point_transform,
     normalize_implicit,
     pullback_coefficients,
 )
@@ -104,19 +102,18 @@ def test_electrodiffusion_3b_coefficients():
 # ----- apply_transform ----------------------------------------------------------
 
 
-def identity_transform():
-    return PointTransform(Sym("x"), Sym("y"), (Sym("x"), Sym("y")))
-
-
 def test_identity_transform():
     e = eqs.p34_rational("b")
-    assert coeffs_equal(apply_transform(e, identity_transform()), e)
+    xy = (Sym("x"), Sym("y"))
+    assert coeffs_equal(apply_transform(e, PointTransform(*xy), xy), e)
 
 
 def test_swap_maps_lines_to_lines():
     z = OdeCubic(0, 0, 0, 0)
-    sw = PointTransform(Sym("y"), Sym("x"), (Sym("y"), Sym("x")))
-    assert all(normalize(c) == Const(0) for c in apply_transform(z, sw).coeffs())
+    yx = (Sym("y"), Sym("x"))
+    assert all(
+        normalize(c) == Const(0) for c in apply_transform(z, PointTransform(*yx), yx).coeffs()
+    )
 
 
 def test_ince_to_cuberoot_form_symbolic():
@@ -126,7 +123,8 @@ def test_ince_to_cuberoot_form_symbolic():
     t = PointTransform(
         normalize(parse("x/(2*a)^(2/3)")), normalize(parse("-2*a*y^3"))
     )
-    got = apply_transform(e, t)
+    inverse = (normalize(parse("x*(2*a)^(2/3)")), normalize(parse("(-y/(2*a))^(1/3)")))
+    got = apply_transform(e, t, inverse)
     want = eqs.p34_cuberoot(parse("4*a^2"))
     assert coeffs_equal(got, want, ParamEnv({"a": "nonzero"}))
 
@@ -137,16 +135,17 @@ def test_composition_of_affine_transforms():
     for _ in range(3):
         a1, b1 = F(rng.randint(1, 3)), F(rng.randint(-2, 2))
         c2, d2 = F(rng.randint(1, 3)), F(rng.randint(-2, 2))
-        t1 = PointTransform(
-            normalize(Const(a1) * Sym("x") + Const(b1)), Sym("y"),
-            (normalize((Sym("x") - Const(b1)) / Const(a1)), Sym("y")),
+        x1 = normalize(Const(a1) * Sym("x") + Const(b1))
+        x1_inv = normalize((Sym("x") - Const(b1)) / Const(a1))
+        y2 = normalize(Const(c2) * Sym("y") + Const(d2))
+        y2_inv = normalize((Sym("y") - Const(d2)) / Const(c2))
+        t1 = PointTransform(x1, Sym("y"))
+        t2 = PointTransform(Sym("x"), y2)
+        chained = apply_transform(
+            apply_transform(e, t1, (x1_inv, Sym("y"))), t2, (Sym("x"), y2_inv)
         )
-        t2 = PointTransform(
-            Sym("x"), normalize(Const(c2) * Sym("y") + Const(d2)),
-            (Sym("x"), normalize((Sym("y") - Const(d2)) / Const(c2))),
-        )
-        chained = apply_transform(apply_transform(e, t1), t2)
-        direct = apply_transform(e, compose(t2, t1))
+        # t1 then t2, composed by hand
+        direct = apply_transform(e, PointTransform(x1, y2), (x1_inv, y2_inv))
         assert coeffs_equal(chained, direct)
 
 
@@ -155,23 +154,10 @@ def test_affine_round_trip():
     t = PointTransform(
         normalize(parse("2*x + y + 1")), normalize(parse("x + y")),
     )
-    inv_x, inv_y = invert_point_transform(t)
-    back = PointTransform(inv_x, inv_y, (t.x_new, t.y_new))
-    assert coeffs_equal(apply_transform(apply_transform(e, t), back), e)
-
-
-def test_separable_power_inversion():
-    t = PointTransform(normalize(parse("x/(2*a)^(2/3)")), normalize(parse("-2*a*y^3")))
-    ix, iy = invert_point_transform(t)
-    # x_old(x_new, y_new) and y_old, written in the new variables
-    assert normalize(ix - parse("x*(2*a)^(2/3)")) == Const(0)
-    assert is_zero(normalize(iy**3 + parse("y/(2*a)")), ParamEnv({"a": "nonzero"})).is_zero
-
-
-def test_inversion_failure_reported():
-    t = PointTransform(normalize(parse("x + y^2 + y^3")), normalize(parse("y + x^2")))
-    with pytest.raises(TransformInversionError):
-        invert_point_transform(t)
+    inverse = (normalize(parse("x - y - 1")), normalize(parse("-x + 2*y + 1")))
+    back = PointTransform(*inverse)
+    there = apply_transform(e, t, inverse)
+    assert coeffs_equal(apply_transform(there, back, (t.x_new, t.y_new)), e)
 
 
 def test_transform_oracle_cross_validates_symbolic_path():
@@ -184,11 +170,17 @@ def test_transform_oracle_cross_validates_symbolic_path():
             if rng.random() < 0.5
             else parse("p*y + x^2 - y^3/(x + 4)")
         )
+        a, b = F(rng.randint(1, 3)), F(rng.randint(0, 2))
+        c, d = F(rng.randint(1, 3)), F(rng.randint(0, 2))
         t = PointTransform(
-            normalize(Const(F(rng.randint(1, 3))) * Sym("x") + Const(F(rng.randint(0, 2)))),
-            normalize(Const(F(rng.randint(1, 3))) * Sym("y") + Const(F(rng.randint(0, 2)))),
+            normalize(Const(a) * Sym("x") + Const(b)),
+            normalize(Const(c) * Sym("y") + Const(d)),
         )
-        dst = apply_transform(e, t)
+        inverse = (
+            normalize((Sym("x") - Const(b)) / Const(a)),
+            normalize((Sym("y") - Const(d)) / Const(c)),
+        )
+        dst = apply_transform(e, t, inverse)
         report = verify_transform(e, dst, t, n=14)
         assert report.passed, report
 
