@@ -2,7 +2,9 @@
 
 Conditions are checked in the theorems' order; the first failure
 short-circuits and is named in the result.  Every Equivalent outcome
-carries a transform that passed the numeric jet oracle.
+carries a transform that passed the numeric jet oracle.  Parameters and
+transforms are reported in normal form, normalized once after the oracle
+ran on them as the tower built them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .expr import (
     RatFunc,
     SamplePolicy,
     is_zero,
+    normalize,
     rf_pow,
     rf_to_expr,
     sample_any_quadrant,
@@ -160,7 +163,7 @@ def test_pii(
     if zero_j:
         a_rf = RatFunc.const(0)
     candidates = (a_rf,) if zero_j else (a_rf, -a_rf)
-    a_exprs = tuple(rf_to_expr(c) for c in candidates)
+    a_exprs = tuple(normalize(rf_to_expr(c)) for c in candidates)
     a_values = tuple(_sample_value(c, ode.env, t.policy) for c in candidates)
 
     result = _build_pii_transform(ode, t, a_rf)
@@ -178,7 +181,7 @@ def test_pii(
         Outcome.EQUIVALENT_PII,
         a_candidates=a_exprs,
         a_values=a_values,
-        transform=transform,
+        transform=_normalized(transform),
         residual=report,
         independence_pair=pair,
         detail=f"verified against parameter a = {a_exprs[0]}",
@@ -198,6 +201,10 @@ def _independent_pair(t: InvariantTower) -> tuple[str, str] | None:
     if unknown:
         raise UnknownVerdictError("functional independence of I3, I6, I9")
     return None
+
+
+def _normalized(t: PointTransform) -> PointTransform:
+    return PointTransform(normalize(t.x_new), normalize(t.y_new))
 
 
 def _sample_value(rf: RatFunc, env: ParamEnv, policy: SamplePolicy) -> float:
@@ -302,20 +309,21 @@ def test_p34(
     b2_expr = rf_to_expr(b2)
     target = p34_cuberoot(b2_expr)
     report = verify_transform(ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy)
+    b2_shown, transform_shown = normalize(b2_expr), _normalized(transform)
     if not report.passed:
         return EquivalenceResult(
             Outcome.INCONCLUSIVE,
             detail=f"all theorem conditions hold but the recovered transform "
             f"did not pass the oracle ({report!r})",
-            beta_squared=b2_expr,
-            transform=transform,
+            beta_squared=b2_shown,
+            transform=transform_shown,
             residual=report,
         )
     return EquivalenceResult(
         Outcome.EQUIVALENT_P34,
-        beta_squared=b2_expr,
+        beta_squared=b2_shown,
         beta_squared_value=_sample_value(b2, ode.env, t.policy),
-        transform=transform,
+        transform=transform_shown,
         residual=report,
     )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .classify import Outcome, classify, test_p34, test_pii
 from .errors import P34Error, UnknownVerdictError
-from .expr import ParamEnv, SamplePolicy, normalize, parse, to_string
+from .expr import ParamEnv, SamplePolicy, parse, rf_to_expr, to_string
 from .invariants import InvariantTower, compute_invariants
 from .ode import OdeCubic, from_rhs, normalize_implicit
 from .oracle import verify_transform
@@ -68,8 +68,8 @@ def _transform_dict(result) -> dict | None:
     if result.transform is None:
         return None
     return {
-        "x_new": to_string(normalize(result.transform.x_new)),
-        "y_new": to_string(normalize(result.transform.y_new)),
+        "x_new": to_string(result.transform.x_new),
+        "y_new": to_string(result.transform.y_new),
     }
 
 
@@ -129,16 +129,17 @@ def run(cfg: RunConfig) -> tuple[int, dict, str]:
         for key, v in ((k, inv_report.invariants.get(k)) for k in _INVARIANT_KEYS)
     }
 
+    p, q, r, s = (to_string(rf_to_expr(c)) for c in ode.coeff_rfs())
     report = {
         "input": {
             "rhs": cfg.rhs,
             "coeffs": list(cfg.coeffs) if cfg.coeffs else None,
             "implicit": list(cfg.implicit) if cfg.implicit else None,
             "label": ode.label,
-            "P": to_string(normalize(ode.p)),
-            "Q": to_string(normalize(ode.q)),
-            "R": to_string(normalize(ode.r)),
-            "S": to_string(normalize(ode.s)),
+            "P": p,
+            "Q": q,
+            "R": r,
+            "S": s,
         },
         "params": {
             name: ode.env.constraints[name].value for name in sorted(ode.env.constraints)
@@ -206,7 +207,7 @@ def _verification_block(ode, pii, p34, policy) -> dict:
     from .equations import p34_cuberoot, painleve_ii
 
     if pii.equivalent and pii.transform is not None and pii.a_candidates:
-        target = painleve_ii(parse(to_string(pii.a_candidates[0])))
+        target = painleve_ii(pii.a_candidates[0])
         rep = verify_transform(ode, target, pii.transform, n=40, policy=policy)
         out["pii"] = {"max_residual": rep.max_residual, "samples": rep.samples_used,
                       "passed": rep.passed}

@@ -110,6 +110,7 @@ def test_pii_parameter_sampled_where_real():
     res = pc.test_pii(neg_square(eqs.painleve_ii(3)))
     assert res.outcome is Outcome.EQUIVALENT_PII
     assert res.a_values == (3.0, -3.0)
+    assert to_string(res.a_candidates[0]) == "3"  # in normal form
 
 
 def test_pii_searches_only_the_plus_a_candidates(monkeypatch):

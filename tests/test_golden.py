@@ -116,6 +116,27 @@ def test_cli_json_matches_golden(name):
     assert render(CASES[name]) == expected
 
 
+def _equivalent_kinds(name: str) -> list[str]:
+    path = GOLDEN / f"{name}.json"
+    if not path.exists():  # while the files are written
+        return []
+    report = json.loads(path.read_text())
+    return [k for k in ("pii", "p34") if report[k]["outcome"].startswith("equivalent")]
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(CASES) if _equivalent_kinds(n)])
+def test_text_report_shows_the_json_transform_and_parameter(name):
+    _, report, text = run(CASES[name])
+    for kind in _equivalent_kinds(name):
+        result = report[kind]
+        t = result["transform"]
+        assert f"transform x_new = {t['x_new']}, y_new = {t['y_new']}" in text
+        if kind == "p34":
+            assert f"beta^2 = {result['beta_squared']}" in text
+        else:  # the text gives the values of the a candidates
+            assert f"a candidates {tuple(result['a_values'])}" in text
+
+
 def verdicts(report: dict) -> tuple:
     return (
         report["pii"]["outcome"],
