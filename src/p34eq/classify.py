@@ -78,7 +78,6 @@ class EquivalenceResult:
     beta_squared_value: float | None = None
     transform: PointTransform | None = None
     residual: ResidualReport | None = None
-    independence_pair: tuple[str, str] | None = None
 
     @property
     def equivalent(self) -> bool:
@@ -147,15 +146,12 @@ def test_pii(
             and t.require("dJ2/dy", j2.deriv("y")).is_zero
         ):
             return EquivalenceResult(Outcome.NOT_EQUIVALENT, failed_condition="J constant")
-        pair = _independent_pair(t)
-        if pair is None:
+        if _independent_pair(t) is None:
             return EquivalenceResult(
                 Outcome.NOT_EQUIVALENT,
                 failed_condition="two functionally independent invariants among I3, I6, I9",
             )
-    except UnknownVerdictError as exc:
-        return EquivalenceResult(Outcome.INCONCLUSIVE, detail=str(exc))
-    except CaseError as exc:
+    except (UnknownVerdictError, CaseError) as exc:
         return EquivalenceResult(Outcome.INCONCLUSIVE, detail=str(exc))
 
     a_rf = rf_pow(j2, Fraction(1, 2))
@@ -174,7 +170,6 @@ def test_pii(
             "passed the numeric oracle",
             a_candidates=a_exprs,
             a_values=a_values,
-            independence_pair=pair,
         )
     transform, report = result
     return EquivalenceResult(
@@ -183,7 +178,6 @@ def test_pii(
         a_values=a_values,
         transform=_normalized(transform),
         residual=report,
-        independence_pair=pair,
         detail=f"verified against parameter a = {a_exprs[0]}",
     )
 
@@ -300,9 +294,7 @@ def test_p34(
             )
     except VanishingRecoveryError as exc:
         return EquivalenceResult(Outcome.NOT_EQUIVALENT, failed_condition=exc.condition)
-    except UnknownVerdictError as exc:
-        return EquivalenceResult(Outcome.INCONCLUSIVE, detail=str(exc))
-    except CaseError as exc:
+    except (UnknownVerdictError, CaseError) as exc:
         return EquivalenceResult(Outcome.INCONCLUSIVE, detail=str(exc))
 
     transform = PointTransform(rf_to_expr(x_rf), rf_to_expr(y_rf))

@@ -1,5 +1,12 @@
 """Command-line front end: declare an equation, classify it, test equivalence.
 
+The JSON report has the keys ``input`` (the equation as given and its
+coefficients P, Q, R, S), ``params``, ``invariants``, ``classification``,
+``pii``, ``p34`` and ``seed``, and ``verification`` under ``--verify``.
+``invariants`` maps A, B, F5, Omega, N, M, I1, I2, I3, I4, I6, I7, I9 and K
+to their normal forms; an invariant is null when no verdict computed it.
+The text report prints the same verdicts and the invariants that are not null.
+
 Exit codes: 0 equivalent to PII or P34, 1 not equivalent or out of scope,
 2 inconclusive, 3 input error.
 """
@@ -17,11 +24,6 @@ from .expr import ParamEnv, SamplePolicy, parse, rf_to_expr, to_string
 from .invariants import InvariantTower, compute_invariants
 from .ode import OdeCubic, from_rhs, normalize_implicit
 from .oracle import verify_transform
-
-_INVARIANT_KEYS = (
-    "A", "B", "F5", "Omega", "N", "M",
-    "I1", "I2", "I3", "I4", "I6", "I7", "I9", "J", "K",
-)
 
 
 @dataclass
@@ -108,7 +110,6 @@ def run(cfg: RunConfig) -> tuple[int, dict, str]:
         return 3, report, f"input error: {exc}"
 
     tower = InvariantTower(ode, policy)
-    inv_report = compute_invariants(ode, policy, tower=tower)
     try:
         classification = classify(ode, policy, tower=tower)
         cls_dict: dict = {
@@ -123,11 +124,7 @@ def run(cfg: RunConfig) -> tuple[int, dict, str]:
 
     pii = test_pii(ode, policy, tower=tower)
     p34 = test_p34(ode, policy, tower=tower)
-
-    invariants = {
-        key: (to_string(v) if v is not None else None)
-        for key, v in ((k, inv_report.invariants.get(k)) for k in _INVARIANT_KEYS)
-    }
+    invariants = compute_invariants(tower)
 
     p, q, r, s = (to_string(rf_to_expr(c)) for c in ode.coeff_rfs())
     report = {
@@ -145,7 +142,6 @@ def run(cfg: RunConfig) -> tuple[int, dict, str]:
             name: ode.env.constraints[name].value for name in sorted(ode.env.constraints)
         },
         "invariants": invariants,
-        "notes": inv_report.notes,
         "classification": cls_dict,
         "pii": _equivalence_dict(pii, "pii"),
         "p34": _equivalence_dict(p34, "p34"),
@@ -163,11 +159,9 @@ def run(cfg: RunConfig) -> tuple[int, dict, str]:
         f"  S = {report['input']['S']}",
         f"classification: {cls_text}",
     ]
-    for key in _INVARIANT_KEYS:
-        if invariants[key] is not None:
-            lines.append(f"  {key} = {invariants[key]}")
-    for note in inv_report.notes:
-        lines.append(f"  note: {note}")
+    for key, text in invariants.items():
+        if text is not None:
+            lines.append(f"  {key} = {text}")
     lines.append(_describe_result("PII", pii))
     lines.append(_describe_result("P34", p34))
 

@@ -133,13 +133,6 @@ class Poly:
     def is_monomial(self) -> bool:
         return len(self.terms) <= 1
 
-    def const_value(self) -> int:
-        if self.is_zero:
-            return 0
-        if not self.is_const:
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
-
     def degree(self, name: str) -> int:
         if name not in self.gens:
             return 0

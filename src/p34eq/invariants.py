@@ -16,7 +16,6 @@ and M are computed on both pivots and must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -24,13 +23,13 @@ from typing import Callable
 
 from .errors import CaseError, UnknownVerdictError, VanishingRecoveryError
 from .expr import (
-    Expr,
     RatFunc,
     SamplePolicy,
     ZeroVerdict,
     is_zero,
     rf_pow,
     rf_to_expr,
+    to_string,
 )
 from .ode import OdeCubic
 
@@ -203,10 +202,6 @@ class InvariantTower:
         if v.is_unknown:
             raise UnknownVerdictError(name, v)
         return v
-
-    @property
-    def verdicts(self) -> dict[str, ZeroVerdict]:
-        return dict(self._verdicts)
 
     # ----- step 2: the two pseudovectorial fields and F -------------------
 
@@ -394,21 +389,6 @@ class InvariantTower:
         signs = {(r > 0) - (r < 0) for r in self.verdict("I9", self.i9).residuals} - {0}
         return signs.pop() if len(signs) == 1 else None
 
-    def j_expr(self) -> Expr | None:
-        """J in closed form when representable over the reals; else None.
-
-        When the numerator vanishes identically, J = 0 regardless of the
-        branch of the square root.  Otherwise the root of |I9| is used with
-        the recorded sign; for mixed-sign I9 no expression is reported.
-        """
-        if self.verdict("J_numerator", self.j_numerator).is_zero:
-            return rf_to_expr(RatFunc.const(0))
-        sign = self.i9_sign
-        if sign is None:
-            return None
-        root = rf_pow(self.i9.scale(sign), Fraction(1, 2))
-        return rf_to_expr(self.j_numerator / root.scale(50))
-
     @cached_property
     def k_invariant(self) -> RatFunc:
         """The syzygy polynomial in I1, I4 that vanishes for the target family,
@@ -464,73 +444,26 @@ class InvariantTower:
         return (num / den).scale(Fraction(-64, 625))
 
 
-# ----- report assembly -------------------------------------------------------
+# ----- the report --------------------------------------------------------------
+
+# Each reported invariant in report order, with the tower stage that caches
+# it and, for a stage that computes a pair, its index in the pair.
+_REPORTED = {
+    "A": ("A", None), "B": ("B", None), "F5": ("F5", None), "Omega": ("omega", None),
+    "N": ("n_pseudo", None), "M": ("m_pseudo", None), "I1": ("i1", None),
+    "I2": ("i2", None), "I3": ("i3", None), "I4": ("_i4_i7", 0), "I6": ("_i6_i9", 0),
+    "I7": ("_i4_i7", 1), "I9": ("_i6_i9", 1), "K": ("k_invariant", None),
+}
 
 
-@dataclass
-class InvariantReport:
-    """Everything the tower computed, in printable normal form."""
-
-    branch: str | None
-    invariants: dict[str, Expr | None] = field(default_factory=dict)
-    verdicts: dict[str, ZeroVerdict] = field(default_factory=dict)
-    i9_sign: int | None = None
-    notes: list[str] = field(default_factory=list)
-
-
-# Where the tower stops in the cases short of the intermediate degeneration.
-_STOPS_AT = {CaseTag.MAXIMAL_DEGENERATION: "alpha", CaseTag.GENERAL_CASE: "F"}
-
-
-def compute_invariants(
-    ode: OdeCubic,
-    policy: SamplePolicy | None = None,
-    tower: InvariantTower | None = None,
-) -> InvariantReport:
-    """Run the tower as far as the degeneration case allows."""
-    t = tower or InvariantTower(ode, policy)
-    report = InvariantReport(branch=None)
-    report.invariants["A"] = rf_to_expr(t.A)
-    report.invariants["B"] = rf_to_expr(t.B)
-    report.invariants["F5"] = rf_to_expr(t.F5)
-    try:
-        case = t.case
-    except UnknownVerdictError as exc:
-        report.notes.append(f"{exc}: degeneration case undecided, tower stops")
-        report.verdicts = t.verdicts
-        return report
-    if case in _STOPS_AT:
-        report.notes.append(f"{case.value}: tower stops at {_STOPS_AT[case]}")
-        report.verdicts = t.verdicts
-        return report
-    try:
-        report.branch = t.branch
-        report.invariants["Omega"] = rf_to_expr(t.omega)
-        report.invariants["N"] = rf_to_expr(t.n_pseudo)
-        report.invariants["M"] = rf_to_expr(t.m_pseudo)
-        t.require_first_case()
-        for name, rf in (
-            ("I1", t.i1),
-            ("I2", t.i2),
-            ("I3", t.i3),
-            ("I4", t.i4),
-            ("I6", t.i6),
-            ("I7", t.i7),
-            ("I9", t.i9),
-            ("K", t.k_invariant),
-        ):
-            report.invariants[name] = rf_to_expr(rf)
-        if t.verdict("I9", t.i9).is_nonzero:
-            report.invariants["J"] = t.j_expr()
-            report.i9_sign = t.i9_sign
-            if report.invariants["J"] is None:
-                report.notes.append(
-                    "I9 changes sign on the sampling domain: no real closed form for J"
-                )
-        else:
-            report.invariants["J"] = None
-            report.notes.append("I9 not certified nonzero: J omitted")
-    except (CaseError, UnknownVerdictError) as exc:
-        report.notes.append(str(exc))
-    report.verdicts = t.verdicts
-    return report
+def compute_invariants(tower: InvariantTower) -> dict[str, str | None]:
+    """Every reported invariant: rendered where a stage the decision ran
+    cached it, None elsewhere.  Nothing is computed here."""
+    cached = vars(tower)
+    out: dict[str, str | None] = {}
+    for name, (stage, index) in _REPORTED.items():
+        value = cached.get(stage)
+        if value is not None and index is not None:
+            value = value[index]
+        out[name] = None if value is None else to_string(rf_to_expr(value))
+    return out

@@ -32,6 +32,9 @@ from .expr import (
 from .expr.atoms import KIND_OPAQUE, KIND_SYMBOL, lookup_opaque, parse_gen
 from .expr.poly import Poly
 
+# The symbol that stands for the derivative y' in a right-hand side.
+DERIV = "p"
+
 
 class OdeCubic:
     """One equation of the cubic-in-derivative class."""
@@ -61,9 +64,9 @@ class OdeCubic:
             out |= free_symbols(c)
         return out
 
-    def rhs(self, deriv_symbol: str = "p") -> Expr:
+    def rhs(self) -> Expr:
         """P + 3Q p + 3R p^2 + S p^3 with p the formal derivative symbol."""
-        d = Sym(deriv_symbol)
+        d = Sym(DERIV)
         return (
             self.p
             + Const(Fraction(3)) * self.q * d
@@ -141,12 +144,11 @@ def _coeffs_in_symbol(rf: RatFunc, symbol: str, max_degree: int) -> list[RatFunc
     return [RatFunc(b, den, rf.coeff) for b in buckets]
 
 
-def from_rhs(rhs: Expr, env: ParamEnv | None = None, label: str = "",
-             deriv_symbol: str = "p") -> OdeCubic:
+def from_rhs(rhs: Expr, env: ParamEnv | None = None, label: str = "") -> OdeCubic:
     """Build an OdeCubic from y'' = rhs(x, y, p) with p the derivative."""
     env = env or ParamEnv()
     rf = to_ratfunc(rhs)
-    c0, c1, c2, c3 = _coeffs_in_symbol(rf, deriv_symbol, 3)
+    c0, c1, c2, c3 = _coeffs_in_symbol(rf, DERIV, 3)
     third = Fraction(1, 3)
     return OdeCubic(
         rf_to_expr(c0),
@@ -159,7 +161,7 @@ def from_rhs(rhs: Expr, env: ParamEnv | None = None, label: str = "",
 
 
 def normalize_implicit(lead: Expr, rest: Expr, env: ParamEnv | None = None,
-                       label: str = "", deriv_symbol: str = "p") -> OdeCubic:
+                       label: str = "") -> OdeCubic:
     """Build from lead(x,y) * y'' = rest(x, y, p) by dividing through."""
     env = env or ParamEnv()
     lead_rf = to_ratfunc(lead)
@@ -168,7 +170,7 @@ def normalize_implicit(lead: Expr, rest: Expr, env: ParamEnv | None = None,
     if is_zero(lead, env).is_zero:
         raise NotCubicError("leading factor is identically zero")
     rhs = rf_to_expr(to_ratfunc(rest) / lead_rf)
-    return from_rhs(rhs, env, label, deriv_symbol)
+    return from_rhs(rhs, env, label)
 
 
 # ----- applying point transformations ----------------------------------------

@@ -88,7 +88,6 @@ def test_pii_zero_parameter_branch():
     assert res.a_values == (0.0,)
     assert res.residual is not None and res.residual.passed
     assert res.residual.samples_used >= 20
-    assert res.independence_pair is not None
 
 
 def test_pii_rejects_nonzero_parameter_family():

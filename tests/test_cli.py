@@ -9,9 +9,11 @@ import pytest
 import p34eq
 from p34eq.cli import RunConfig, build_arg_parser, main, run
 from p34eq.expr import parse as parse_expr
+from p34eq.invariants import InvariantTower
 
 P34_RHS = "p^2/(2*y) - 2*y^2 - x*y - b^2/(2*y)"
 PIV_RHS = "p^2/(2*y) + 3*y^3/2 + 4*x*y^2 + 2*(x^2 - 2)*y - 27/(2*y)"
+PIV_1_2_RHS = "p^2/(2*y) + 3*y^3/2 + 4*x*y^2 + 2*x^2*y - 2*(1)*y - (2)^3/(2*y)"
 
 
 def test_rational_form_exits_zero(capsys):
@@ -49,10 +51,10 @@ def test_inconclusive_case_predicate_exits_two(capsys):
     assert code == 2
     assert report["classification"] == {"tag": "inconclusive", "predicate": "A"}
     assert report["pii"]["outcome"] == report["p34"]["outcome"] == "inconclusive"
-    note = "inconclusive zero-test for predicate 'A': degeneration case undecided, tower stops"
-    assert report["notes"] == [note]
+    detail = "inconclusive zero-test for predicate 'A'"
+    assert report["pii"]["detail"] == report["p34"]["detail"] == detail
     code, _, text = run(RunConfig(rhs="(-y^2 - 1)^(1/2)"))
-    assert f"note: {note}" in text
+    assert f"PII: inconclusive ({detail})" in text
 
 
 def test_equation_real_only_for_negative_y_is_decided():
@@ -79,20 +81,35 @@ def test_json_schema_keys():
     code, report, _ = run(RunConfig(rhs=P34_RHS, params=["b!=0"]))
     assert code == 0
     assert list(report) == [
-        "input", "params", "invariants", "notes", "classification", "pii", "p34", "seed",
-    ]
-    assert report["notes"] == [
-        "I9 changes sign on the sampling domain: no real closed form for J"
+        "input", "params", "invariants", "classification", "pii", "p34", "seed",
     ]
     assert list(report["invariants"]) == [
         "A", "B", "F5", "Omega", "N", "M",
-        "I1", "I2", "I3", "I4", "I6", "I7", "I9", "J", "K",
+        "I1", "I2", "I3", "I4", "I6", "I7", "I9", "K",
     ]
     assert set(report["pii"]) >= {"outcome", "a_candidates", "transform", "residual"}
     assert set(report["p34"]) >= {"outcome", "beta_squared", "transform", "residual"}
     assert report["p34"]["outcome"] == "equivalent-p34"
     assert report["p34"]["residual"] < 1e-7
     assert report["seed"] == 2034
+
+
+def test_report_prints_only_what_the_verdicts_computed(monkeypatch):
+    # PII fails at I1 and P34 at I7, so no verdict reads I3, I6, I9 or K:
+    # the report must neither compute them nor print them
+    def unread(self):
+        raise AssertionError("the report computed a stage no verdict read")
+
+    monkeypatch.setattr(InvariantTower, "_i6_i9", property(unread))
+    monkeypatch.setattr(InvariantTower, "k_invariant", property(unread))
+    code, report, text = run(RunConfig(rhs=PIV_1_2_RHS))
+    assert code == 1
+    assert report["pii"]["failed_condition"] == "I1 = 18/5"
+    assert report["p34"]["failed_condition"] == "I7 = 0"
+    inv = report["invariants"]
+    assert [k for k in ("I3", "I6", "I9", "K") if inv[k] is not None] == []
+    assert inv["I1"] is not None and inv["I7"] is not None
+    assert "  I7 = " in text and "  I9 = " not in text
 
 
 def test_json_byte_identical_for_same_seed():

@@ -13,7 +13,9 @@ from p34eq.expr import (
     rf_to_expr,
     subst,
     to_ratfunc,
+    to_string,
 )
+from p34eq.classify import Outcome, classify, test_p34, test_pii
 from p34eq.invariants import InvariantTower, compute_invariants
 from p34eq.ode import PointTransform, apply_transform, from_rhs
 
@@ -110,7 +112,6 @@ def test_zero_parameter_invariants():
     assert (t.i6 - rf("x/(5*y)")).is_zero
     assert (t.i9 - rf("-1/(1250*y^3)")).is_zero
     assert t.j_numerator.is_zero
-    assert normalize(t.j_expr()) == Const(0)
     assert t.i9_sign == -1
 
 
@@ -264,24 +265,38 @@ def test_predicate_stability_across_seeds():
 # ----- report assembly ---------------------------------------------------------------
 
 
+def _decided_report(ode):
+    """The tower after classification and both equivalence tests, and its report."""
+    t = InvariantTower(ode)
+    classify(ode, tower=t)
+    pii, p34 = test_pii(ode, tower=t), test_p34(ode, tower=t)
+    return t, pii, p34, compute_invariants(t)
+
+
 def test_compute_invariants_report():
-    rep = compute_invariants(eqs.p34_rational("b"))
-    assert rep.branch == "A"
-    assert rep.invariants["B"] == Const(0)
-    assert rep.invariants["K"] == Const(0)
-    assert rep.verdicts["M"].is_nonzero
-    assert "J" in rep.invariants  # may be None off the correspondence region
+    t, _, p34, rep = _decided_report(eqs.p34_rational("b"))
+    assert p34.outcome is Outcome.EQUIVALENT_P34
+    assert list(rep) == [
+        "A", "B", "F5", "Omega", "N", "M", "I1", "I2", "I3", "I4", "I6", "I7", "I9", "K",
+    ]
+    assert rep["B"] == rep["K"] == "0"
+    assert rep["M"] == to_string(rf_to_expr(t.m_pseudo))
 
 
 def test_compute_invariants_j_zero_branch():
-    rep = compute_invariants(eqs.p34_rational(0))
-    assert normalize(rep.invariants["J"]) == Const(0)
-    assert rep.i9_sign == -1
+    t, pii, _, rep = _decided_report(eqs.p34_rational(0))
+    assert pii.outcome is Outcome.EQUIVALENT_PII
+    assert t.j_numerator.is_zero
+    assert rep["I1"] == "18/5"
+    assert rep["I9"] == to_string(rf_to_expr(rf("-1/(1250*y^3)")))
+    assert t.i9_sign == -1
 
 
 def test_compute_invariants_stops_on_degenerate_cases():
-    rep = compute_invariants(from_rhs(Const(0)))
-    assert "maximal degeneration" in " ".join(rep.notes)
-    assert "I1" not in rep.invariants
-    rep2 = compute_invariants(from_rhs(parse("y^2 + p^3*x^2")))
-    assert any("general case" in n for n in rep2.notes)
+    _, pii, _, rep = _decided_report(from_rhs(Const(0)))
+    assert pii.outcome is Outcome.OUT_OF_SCOPE
+    assert rep["A"] == rep["B"] == "0"
+    assert all(v is None for k, v in rep.items() if k not in ("A", "B"))
+    _, pii, _, rep2 = _decided_report(from_rhs(parse("y^2 + p^3*x^2")))
+    assert pii.failed_condition == "intermediate degeneration (F = 0)"
+    assert rep2["F5"] is not None and rep2["Omega"] is None

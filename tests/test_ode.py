@@ -50,7 +50,7 @@ def test_from_rhs_zero():
 def test_from_rhs_reconstruction_round_trip():
     rhs = parse("p^3*y - 3*p^2/x + p*(x + y) - 1/y")
     e = from_rhs(rhs)
-    assert normalize(e.rhs("p") - rhs) == Const(0)
+    assert normalize(e.rhs() - rhs) == Const(0)
 
 
 @pytest.mark.parametrize(
