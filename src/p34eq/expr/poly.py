@@ -75,13 +75,10 @@ class Poly:
         return Poly((), {(): c} if c else {})
 
     @staticmethod
-    def gen(name: str, exp: int = 1, coeff=1) -> "Poly":
-        coeff = _int_coeff(coeff)
-        if not coeff:
-            return Poly.zero()
+    def gen(name: str, exp: int = 1) -> "Poly":
         if exp == 0:
-            return Poly.const(coeff)
-        return Poly((name,), {(exp,): coeff})
+            return Poly.const(1)
+        return Poly((name,), {(exp,): 1})
 
     @staticmethod
     def from_terms(gens: Iterable[str], terms: Mapping[Monomial, int]) -> "Poly":
@@ -258,13 +255,10 @@ class Poly:
             return self
         return Poly(self.gens, {m: c * v for m, v in self.terms.items()})
 
-    def mul_monomial(self, mono: Monomial, coeff: int = 1) -> "Poly":
-        """Multiply by coeff * gens**mono (mono aligned to self.gens)."""
-        if not coeff:
-            return Poly.zero()
+    def mul_monomial(self, mono: Monomial) -> "Poly":
+        """Multiply by gens**mono (mono aligned to self.gens)."""
         return Poly(
-            self.gens,
-            {tuple(e + d for e, d in zip(m, mono)): c * coeff for m, c in self.terms.items()},
+            self.gens, {tuple(e + d for e, d in zip(m, mono)): c for m, c in self.terms.items()}
         )
 
     def __pow__(self, n: int) -> "Poly":

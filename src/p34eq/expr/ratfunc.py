@@ -18,10 +18,12 @@ common factor g only a factor of g can be left to cancel (Henrici 1956).  A
 derivative is the sum over generators g of d(g)/d(var) * d(num/den)/dg;
 with h = gcd(den, d(den)/dg), the quotient rule over den * (den/h) leaves
 in common only factors free of g, each dividing h (Horowitz 1971), so the
-GCD is taken against h, not den^2.  Surds are the exception: folding surd
-exponents merges monomials, and the reduced form of a ratio with surds
-depends on the path that built it.  So a sum with surd operands takes the
-full GCD, and a derivative with surds keeps the quotient rule over den^2.
+GCD is taken against h, not den^2.  Surds add one rule: folding surd
+exponents can merge monomials and so leave a common factor that the
+argument above does not see.  Every sum, product and power over coprime
+parts therefore refolds its surds and, when there are any, divides out the
+full GCD (`_refold`); a partial derivative leaves its surds unfolded until
+the product with its chain factor refolds them.
 
 Evaluation in floats is straight-line code that each RatFunc generates on
 its first evaluation and keeps.  It does the float operations of a
@@ -265,22 +267,15 @@ class RatFunc:
         an, bn = an.scale(ka), bn.scale(kb)
         g = poly_gcd(ad, bd)
         if g.is_const:
-            num = reduce_surds(an * bd + bn * ad)
-            den = reduce_surds(ad * bd)
-            # A sum over coprime denominators is reduced (Henrici 1956),
-            # unless folding surd exponents merges monomials.
-            if _has_surds(an, ad, bn, bd):
-                gg = poly_gcd(num, den)
-                if not gg.is_const:
-                    num, den = num.exact_div(gg), den.exact_div(gg)
-        else:
-            ad_r, bd_r = ad.exact_div(g), bd.exact_div(g)
-            num = reduce_surds(an * bd_r + bn * ad_r)
-            den = reduce_surds(ad * bd_r)
-            # Any new common factor divides g (classical Henrici optimization).
-            gg = poly_gcd(num, g)
-            if not gg.is_const:
-                num, den = num.exact_div(gg), den.exact_div(gg)
+            # A sum over coprime denominators is reduced (Henrici 1956).
+            return _refold(c, an * bd + bn * ad, ad * bd)
+        ad_r, bd_r = ad.exact_div(g), bd.exact_div(g)
+        num = reduce_surds(an * bd_r + bn * ad_r)
+        den = reduce_surds(ad * bd_r)
+        # Any new common factor divides g (classical Henrici optimization).
+        gg = poly_gcd(num, g)
+        if not gg.is_const:
+            num, den = num.exact_div(gg), den.exact_div(gg)
         return _with_contents(c, num, den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
@@ -296,16 +291,7 @@ class RatFunc:
         g2 = poly_gcd(bn, ad)
         if not g2.is_const:
             bn, ad = bn.exact_div(g2), ad.exact_div(g2)
-        num = an * bn
-        den = ad * bd
-        # Products of coprime parts are coprime, unless folding radical
-        # exponents merges monomials; only then reduce again.
-        if _has_surds(num, den):
-            num, den = reduce_surds(num), reduce_surds(den)
-            g3 = poly_gcd(num, den)
-            if not g3.is_const:
-                num, den = num.exact_div(g3), den.exact_div(g3)
-        return _with_contents(self.coeff * other.coeff, num, den)
+        return _refold(self.coeff * other.coeff, an * bn, ad * bd)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inverse()
@@ -320,16 +306,7 @@ class RatFunc:
             return RatFunc.const(1)
         base = self if n > 0 else self.inverse()
         n = abs(n)
-        num = base.num**n
-        den = base.den**n
-        if _has_surds(num, den):
-            # Folding radical exponents can merge monomials, so coprimality
-            # of the power is no longer automatic; reduce again.
-            num, den = reduce_surds(num), reduce_surds(den)
-            g = poly_gcd(num, den)
-            if not g.is_const:
-                num, den = num.exact_div(g), den.exact_div(g)
-        return _with_contents(base.coeff**n, num, den)
+        return _refold(base.coeff**n, base.num**n, base.den**n)
 
     def scale(self, c) -> "RatFunc":
         return RatFunc(self.num, self.den, self.coeff * Fraction(c), reduced=True)
@@ -338,18 +315,11 @@ class RatFunc:
 
     def deriv(self, var: str) -> "RatFunc":
         """Partial derivative with respect to the base variable x or y."""
-        n, d = self.num, self.den
-        chains = {g: _chain(g, var) for g in self.gens()}
-        chains = {g: c for g, c in chains.items() if not c.is_zero}
-        if _has_surds(n, d) or any(_has_surds(c.num, c.den) for c in chains.values()):
-            # Surd normal forms depend on the path: keep the quotient rule.
-            rf_d = RatFunc(d, reduced=True)
-            dn, dd = _poly_deriv(n, chains), _poly_deriv(d, chains)
-            out = dn * rf_d - RatFunc(n, reduced=True) * dd
-            return (out / (rf_d * rf_d)).scale(self.coeff)
         out = RatFunc.const(0)
-        for g, chain in chains.items():
-            out = out + chain * _partial(n, d, g)
+        for g in self.gens():
+            chain = _chain(g, var)
+            if not chain.is_zero:
+                out = out + chain * _partial(self.num, self.den, g)
         return out.scale(self.coeff)
 
     # ----- evaluation ---------------------------------------------------
@@ -397,6 +367,18 @@ def _with_contents(coeff: Fraction, num: Poly, den: Poly) -> RatFunc:
     return RatFunc(num, den, coeff, reduced=True)
 
 
+def _refold(coeff: Fraction, num: Poly, den: Poly) -> RatFunc:
+    """coeff * num / den for integer num, den that are coprime before their
+    surd powers are folded.  Folding can merge monomials and leave a common
+    factor, so with surds present the full GCD is divided out."""
+    if _has_surds(num, den):
+        num, den = reduce_surds(num), reduce_surds(den)
+        g = poly_gcd(num, den)
+        if not g.is_const:
+            num, den = num.exact_div(g), den.exact_div(g)
+    return _with_contents(coeff, num, den)
+
+
 def _chain(gen: str, var: str) -> RatFunc:
     """d(gen)/d(var) for a base variable var in {x, y}."""
     info = parse_gen(gen)
@@ -417,22 +399,14 @@ def _chain(gen: str, var: str) -> RatFunc:
     return dbase * RatFunc.from_gen(gen) / base.scale(info.q)  # type: ignore[operator]
 
 
-def _poly_deriv(p: Poly, chains: Mapping[str, RatFunc]) -> RatFunc:
-    """Derivative of p given d(gen)/d(var) for the generators that move."""
-    out = RatFunc.const(0)
-    for g in p.gens:
-        chain = chains.get(g)
-        if chain is not None:
-            out = out + _with_contents(_F1, p.deriv(g), _ONE) * chain
-    return out
-
-
 def _partial(n: Poly, d: Poly, g: str) -> RatFunc:
-    """d(n/d)/dg, reduced, for coprime integer n, d without surds.
+    """d(n/d)/dg for coprime integer n, d, reduced up to its surd powers.
 
     With h = gcd(d, dd/dg), the quotient rule over d * (d/h) leaves only
     factors free of g in common, and each divides h (Horowitz 1971): the
-    GCD against h replaces one against d^2.
+    GCD against h replaces one against d^2.  Surd powers are left unfolded:
+    the product with the chain factor folds them (`__mul__` -> `rebase_poly`
+    -> `reduce_surds`) and reduces the result (`_refold`).
     """
     dn, dd = n.deriv(g), d.deriv(g)
     if dd.is_zero:

@@ -300,10 +300,9 @@ class InvariantTower:
         return self.on_branch("gamma", self.branch)
 
     def require_first_case(self) -> None:
+        # M is linear in N, N_x and N_y, so M != 0 implies N != 0.
         if not self.require("M", self.m_pseudo).is_nonzero:
             raise CaseError("M vanishes: second case of intermediate degeneration")
-        if not self.require("N", self.n_pseudo).is_nonzero:
-            raise CaseError("N vanishes: basic invariants are undefined")
 
     @cached_property
     def gamma_hat(self) -> RatFunc:

@@ -5,12 +5,15 @@ transformed coefficients are obtained by substituting the source equation
 into the chain rule and re-extracting the cubic; this pullback writes them
 as functions of the old variables and needs no inverse.  Rewriting them in
 the new variables (`apply_transform`) takes the inverse map from the caller.
+`PointTransform.parts` is the one derivative table of a transform: the
+Jacobian check, the pullback and the numeric oracle all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegenerateTransformError, NotCubicError
 from .expr import (
@@ -90,10 +93,31 @@ class PointTransform:
     x_new: Expr
     y_new: Expr
 
-    def jacobian(self) -> Expr:
+    @cached_property
+    def parts(self) -> dict[str, RatFunc]:
+        """u = x_new and v = y_new with their first and second partials,
+        keyed u, v, ux, uy, vx, vy, uxx, uxy, uyy, vxx, vxy, vyy."""
         u, v = to_ratfunc(self.x_new), to_ratfunc(self.y_new)
-        j = u.deriv("x") * v.deriv("y") - u.deriv("y") * v.deriv("x")
-        return rf_to_expr(j)
+        ux, uy = u.deriv("x"), u.deriv("y")
+        vx, vy = v.deriv("x"), v.deriv("y")
+        return {
+            "u": u,
+            "v": v,
+            "ux": ux,
+            "uy": uy,
+            "vx": vx,
+            "vy": vy,
+            "uxx": ux.deriv("x"),
+            "uxy": ux.deriv("y"),
+            "uyy": uy.deriv("y"),
+            "vxx": vx.deriv("x"),
+            "vxy": vx.deriv("y"),
+            "vyy": vy.deriv("y"),
+        }
+
+    def jacobian(self) -> RatFunc:
+        p = self.parts
+        return p["ux"] * p["vy"] - p["uy"] * p["vx"]
 
     def check_nondegenerate(self, env: ParamEnv, policy: SamplePolicy | None = None) -> None:
         if is_zero(self.jacobian(), env, policy).is_zero:
@@ -144,10 +168,8 @@ def _coeffs_in_symbol(rf: RatFunc, symbol: str, max_degree: int) -> list[RatFunc
     return [RatFunc(b, den, rf.coeff) for b in buckets]
 
 
-def from_rhs(rhs: Expr, env: ParamEnv | None = None, label: str = "") -> OdeCubic:
-    """Build an OdeCubic from y'' = rhs(x, y, p) with p the derivative."""
-    env = env or ParamEnv()
-    rf = to_ratfunc(rhs)
+def _from_ratfunc(rf: RatFunc, env: ParamEnv | None, label: str) -> OdeCubic:
+    """The OdeCubic of y'' = rf(x, y, p): P, 3Q, 3R and S are rf's coefficients in p."""
     c0, c1, c2, c3 = _coeffs_in_symbol(rf, DERIV, 3)
     third = Fraction(1, 3)
     return OdeCubic(
@@ -160,17 +182,18 @@ def from_rhs(rhs: Expr, env: ParamEnv | None = None, label: str = "") -> OdeCubi
     )
 
 
+def from_rhs(rhs: Expr, env: ParamEnv | None = None, label: str = "") -> OdeCubic:
+    """Build an OdeCubic from y'' = rhs(x, y, p) with p the derivative."""
+    return _from_ratfunc(to_ratfunc(rhs), env, label)
+
+
 def normalize_implicit(lead: Expr, rest: Expr, env: ParamEnv | None = None,
                        label: str = "") -> OdeCubic:
     """Build from lead(x,y) * y'' = rest(x, y, p) by dividing through."""
-    env = env or ParamEnv()
     lead_rf = to_ratfunc(lead)
-    if lead_rf.is_zero:
+    if is_zero(lead_rf, env).is_zero:
         raise NotCubicError("leading factor is identically zero")
-    if is_zero(lead, env).is_zero:
-        raise NotCubicError("leading factor is identically zero")
-    rhs = rf_to_expr(to_ratfunc(rest) / lead_rf)
-    return from_rhs(rhs, env, label)
+    return _from_ratfunc(to_ratfunc(rest) / lead_rf, env, label)
 
 
 # ----- applying point transformations ----------------------------------------
@@ -198,12 +221,10 @@ def pullback_coefficients(
     p = RatFunc.from_gen(psym)
     q = RatFunc.from_gen(qsym)
 
-    u = to_ratfunc(t.x_new)
-    v = to_ratfunc(t.y_new)
-    ux, uy = u.deriv("x"), u.deriv("y")
-    vx, vy = v.deriv("x"), v.deriv("y")
-    uxx, uxy, uyy = ux.deriv("x"), ux.deriv("y"), uy.deriv("y")
-    vxx, vxy, vyy = vx.deriv("x"), vx.deriv("y"), vy.deriv("y")
+    parts = t.parts
+    ux, uy, vx, vy = parts["ux"], parts["uy"], parts["vx"], parts["vy"]
+    uxx, uxy, uyy = parts["uxx"], parts["uxy"], parts["uyy"]
+    vxx, vxy, vyy = parts["vxx"], parts["vxy"], parts["vyy"]
 
     cp, cq, cr, cs = e.coeff_rfs()
     three = RatFunc.const(3)
@@ -225,7 +246,7 @@ def pullback_coefficients(
         if ck.is_zero:
             continue
         acc = acc + ck * top**k * bot ** (4 - k)
-    jac = ux * vy - uy * vx
+    jac = t.jacobian()
     if jac.is_zero:
         raise DegenerateTransformError("transform has identically zero Jacobian")
     ynew_pp = acc / (jac**3 * bot)

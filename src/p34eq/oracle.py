@@ -112,26 +112,6 @@ def _cubic_through(q, w):
     return tuple(c)
 
 
-def _transform_parts(t: PointTransform) -> dict[str, RatFunc]:
-    u, v = to_ratfunc(t.x_new), to_ratfunc(t.y_new)
-    ux, uy = u.deriv("x"), u.deriv("y")
-    vx, vy = v.deriv("x"), v.deriv("y")
-    return {
-        "u": u,
-        "v": v,
-        "ux": ux,
-        "uy": uy,
-        "vx": vx,
-        "vy": vy,
-        "uxx": ux.deriv("x"),
-        "uxy": ux.deriv("y"),
-        "uyy": uy.deriv("y"),
-        "vxx": vx.deriv("x"),
-        "vxy": vx.deriv("y"),
-        "vyy": vy.deriv("y"),
-    }
-
-
 def verify_transform(
     src: OdeCubic,
     dst: OdeCubic,
@@ -148,7 +128,7 @@ def verify_transform(
     jets degenerate counts as a pole.
     """
     policy = policy or SamplePolicy()
-    parts = _transform_parts(t)
+    parts = t.parts
     src_rfs = src.coeff_rfs()
     dst_rfs = dst.coeff_rfs()
     symbols = (
@@ -210,7 +190,7 @@ def verify_weight_law(
     """
     policy = policy or SamplePolicy()
     env = env or ParamEnv()
-    parts = _transform_parts(t)
+    parts = t.parts
     src_rfs = [to_ratfunc(c) if not isinstance(c, RatFunc) else c for c in src_components]
     dst_rfs = [to_ratfunc(c) if not isinstance(c, RatFunc) else c for c in dst_components]
     symbols = set().union(*(c.free_symbols() for c in src_rfs + dst_rfs + list(parts.values())))

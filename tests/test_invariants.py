@@ -273,6 +273,13 @@ def _decided_report(ode):
     return t, pii, p34, compute_invariants(t)
 
 
+def test_first_case_decides_no_zero_test_of_n():
+    # M is linear in N and its derivatives, so M != 0 already rules out N = 0.
+    t = InvariantTower(eqs.p34_rational("b"))
+    classify(eqs.p34_rational("b"), tower=t)
+    assert "M" in t._verdicts and "N" not in t._verdicts
+
+
 def test_compute_invariants_report():
     t, _, p34, rep = _decided_report(eqs.p34_rational("b"))
     assert p34.outcome is Outcome.EQUIVALENT_P34

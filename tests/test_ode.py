@@ -5,7 +5,7 @@ import pytest
 
 from p34eq import equations as eqs
 from p34eq.errors import NotCubicError
-from p34eq.expr import Const, ParamEnv, Sym, is_zero, normalize, parse, to_string
+from p34eq.expr import Const, ParamEnv, RatFunc, Sym, is_zero, normalize, parse, to_string
 from p34eq.ode import (
     OdeCubic,
     PointTransform,
@@ -183,6 +183,22 @@ def test_transform_oracle_cross_validates_symbolic_path():
         dst = apply_transform(e, t, inverse)
         report = verify_transform(e, dst, t, n=14)
         assert report.passed, report
+
+
+def test_apply_transform_differentiates_the_transform_once(monkeypatch):
+    # The Jacobian check and the pullback read one table of 10 partials.
+    calls = []
+    deriv = RatFunc.deriv
+
+    def counting(self, var):
+        calls.append(var)
+        return deriv(self, var)
+
+    monkeypatch.setattr(RatFunc, "deriv", counting)
+    t = PointTransform(normalize(parse("2*x + y + 1")), normalize(parse("x + y^2")))
+    inverse = (normalize(parse("x - y - 1")), normalize(parse("-x + 2*y + 1")))
+    apply_transform(eqs.p34_rational(1), t, inverse)
+    assert len(calls) == 10
 
 
 def test_pullback_is_cubic():

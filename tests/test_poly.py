@@ -85,8 +85,8 @@ def test_gcd_recovers_constructed_factor():
                 if g.is_const:
                     continue
                 u, v = rng.sample(gens, 2)
-                a = Poly.gen(u, 1, rng.randint(1, 9)) + Poly.const(rng.randint(-9, 9))
-                b = Poly.gen(v, 1, rng.randint(1, 9)) + Poly.const(rng.randint(-9, 9))
+                a = Poly.gen(u).scale(rng.randint(1, 9)) + Poly.const(rng.randint(-9, 9))
+                b = Poly.gen(v).scale(rng.randint(1, 9)) + Poly.const(rng.randint(-9, 9))
                 assert poly_gcd(g * a, g * b) == g.primitive()[1]
                 done += 1
 

@@ -14,10 +14,11 @@ for the report `p34eq --json` and `p34eq` print at that seed, with
 give the same reports, so a change meant to keep every report can be
 checked by diffing the output of the parent and of the change.  With
 --mask-residuals the residual figures (the JSON "residual" and
-"max_residual" values and the text's "oracle residual" figure) are masked
-before hashing, for a change that may move only their last digits, such as
-one that sums the terms of a RatFunc in another order.  The benchmark's
-files are read, never written.
+"max_residual" values, the text's "oracle residual" figure, and the
+"max=" figure of a "ResidualReport(...)" quoted in a JSON "detail" or in
+the text) are masked before hashing, for a change that may move only
+their last digits, such as one that sums the terms of a RatFunc in
+another order.  The benchmark's files are read, never written.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ _RESIDUAL_KEYS = ("residual", "max_residual")
 _MASK = "<masked>"
 
 
+def _mask_quoted(text: str) -> str:
+    """text with the max= figure of every quoted ResidualReport masked."""
+    return re.sub(r"(ResidualReport\(\w+, max=)[^,)]+", rf"\g<1>{_MASK}", text)
+
+
 def mask_residuals(report):
     """The report with every residual value that is not None masked."""
     if isinstance(report, dict):
@@ -79,11 +85,13 @@ def mask_residuals(report):
         }
     if isinstance(report, list):
         return [mask_residuals(v) for v in report]
+    if isinstance(report, str):
+        return _mask_quoted(report)
     return report
 
 
 def mask_text_residuals(text: str) -> str:
-    return re.sub(r"oracle residual \S+", f"oracle residual {_MASK}", text)
+    return _mask_quoted(re.sub(r"oracle residual \S+", f"oracle residual {_MASK}", text))
 
 
 def main(argv: list[str] | None = None) -> int:
