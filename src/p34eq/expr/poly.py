@@ -9,6 +9,15 @@ atoms.py, and so does any rational content, in RatFunc's coefficient.
 Coefficients are Python ints.  Constructors accept integer-valued rationals
 and store them as ints; a non-integer coefficient raises ValueError.
 
+Monomials are packed ints (Monagan and Pearce 2007), one _W = 32 bit field
+per generator, the first in gen_sort_key order the most significant: int
+order is lex order, a product monomial is a sum of keys and 1 is 0.  No
+exponent reaches a field's top bit, its guard, so fields never carry, and a
+guard bit set in a difference shows a monomial that does not divide.  An
+exponent that would reach 2^31 raises OverflowError; it never wraps.
+monomials() unpacks the terms in insertion order, and from_terms takes
+tuple keys.  Every constructor returns a compressed polynomial.
+
 Division is exact division in Z[gens].  By a primitive divisor it succeeds
 exactly when the rational quotient exists (Gauss's lemma), and the first
 leading coefficient that the divisor's does not divide proves it inexact.
@@ -19,6 +28,8 @@ tries, in order:
 - monomial: common monomial factors split off first;
 - constants: a constant argument, or no shared generator, gives 1;
 - divides: one argument divides the other;
+- coprime: modulo one prime, constant GCDs of univariate images in each
+  shared generator, the others at a random point, prove the inputs coprime;
 - modular: Brown's dense modular GCD (1971), images modulo primes just
   below 2^62 combined by Chinese remaindering and certified by exact
   division.  A constant first image proves the inputs coprime.
@@ -27,16 +38,56 @@ tries, in order:
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import count
+from itertools import accumulate, chain, count
 from math import gcd as int_gcd
-from operator import add, mul
-from typing import Iterable, Mapping
+from operator import mul, or_
+from typing import Iterable, Iterator, Mapping
 
 from .atoms import gen_sort_key
 
 Monomial = tuple[int, ...]
+
+_W = 32  # bits per exponent field
+_TOP = 1 << (_W - 1)  # a field's guard bit; exponents stay below it
+_MASK = (1 << _W) - 1
+
+
+@cache
+def _shifts(n: int) -> tuple[int, ...]:
+    """The shift of each of n fields, the first generator's first."""
+    return tuple(range(_W * (n - 1), -1, -_W))
+
+
+@cache
+def _guards(n: int) -> int:
+    return sum(_TOP << s for s in _shifts(n))
+
+
+def _pack(mono: Iterable[int]) -> int:
+    k = 0
+    for e in mono:
+        if not 0 <= e < _TOP:
+            raise OverflowError(f"exponent {e} outside [0, 2^{_W - 1})")
+        k = k << _W | e
+    return k
+
+
+def _field(keys: Iterable[int], s: int) -> Iterator[int]:
+    """The exponents in the field at shift s of each key."""
+    return map(_MASK.__and__, map(s.__rrshift__, keys))
+
+
+def _tuples(keys: Iterable[int], shifts: Iterable[int]) -> Iterator[Monomial]:
+    """The exponents in the fields at the given shifts, as a tuple per key."""
+    fields = [_field(keys, s) for s in shifts]
+    return zip(*fields) if fields else (() for _ in keys)
+
+
+def _repack(terms: dict[int, int], moves: list[tuple[int, int]]) -> dict[int, int]:
+    """Each key's field at shift s moved to shift d, for (s, d) in moves."""
+    return {sum((k >> s & _MASK) << d for s, d in moves): c for k, c in terms.items()}
 
 
 def _int_coeff(c) -> int:
@@ -55,10 +106,10 @@ class Poly:
 
     __slots__ = ("gens", "terms")
 
-    def __init__(self, gens: tuple[str, ...], terms: Mapping[Monomial, int]):
-        # Constructor trusts its input; use the factory helpers below.
+    def __init__(self, gens: tuple[str, ...], terms: dict[int, int]):
+        # Trusts its input and keeps the dict, which no one writes; use the factories.
         object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "terms", dict(terms))
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -72,13 +123,13 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         c = _int_coeff(c)
-        return Poly((), {(): c} if c else {})
+        return Poly((), {0: c} if c else {})
 
     @staticmethod
     def gen(name: str, exp: int = 1) -> "Poly":
         if exp == 0:
             return Poly.const(1)
-        return Poly((name,), {(exp,): 1})
+        return Poly((name,), {_pack((exp,)): 1})
 
     @staticmethod
     def from_terms(gens: Iterable[str], terms: Mapping[Monomial, int]) -> "Poly":
@@ -86,12 +137,12 @@ class Poly:
         gens = tuple(gens)
         order = sorted(range(len(gens)), key=lambda i: gen_sort_key(gens[i]))
         sorted_gens = tuple(gens[i] for i in order)
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         for mono, c in terms.items():
             c = _int_coeff(c)
             if not c:
                 continue
-            new = tuple(mono[i] for i in order)
+            new = _pack(mono[i] for i in order)
             acc = out.get(new)
             s = c if acc is None else acc + c
             if s:
@@ -102,19 +153,13 @@ class Poly:
 
     def _compress(self) -> "Poly":
         """Drop generators that no term uses."""
-        if not self.gens:
+        n = len(self.gens)
+        used = reduce(or_, self.terms, 0)
+        keep = [i for i, s in enumerate(_shifts(n)) if used >> s & _MASK]
+        if len(keep) == n:
             return self
-        used = [False] * len(self.gens)
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used[i] = True
-        if all(used):
-            return self
-        keep = [i for i, u in enumerate(used) if u]
-        gens = tuple(self.gens[i] for i in keep)
-        terms = {tuple(m[i] for i in keep): c for m, c in self.terms.items()}
-        return Poly(gens, terms)
+        moves = list(zip((_shifts(n)[i] for i in keep), _shifts(len(keep))))
+        return Poly(tuple(self.gens[i] for i in keep), _repack(self.terms, moves))
 
     # ----- inspection ---------------------------------------------------
 
@@ -124,7 +169,7 @@ class Poly:
 
     @property
     def is_const(self) -> bool:
-        return all(all(e == 0 for e in m) for m in self.terms)
+        return not any(self.terms)
 
     @property
     def is_monomial(self) -> bool:
@@ -133,31 +178,34 @@ class Poly:
     def degree(self, name: str) -> int:
         if name not in self.gens:
             return 0
-        i = self.gens.index(name)
-        return max((m[i] for m in self.terms), default=0)
+        s = _shifts(len(self.gens))[self.gens.index(name)]
+        return max(_field(self.terms, s), default=0)
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return max(map(sum, _tuples(self.terms, _shifts(len(self.gens)))), default=0)
+
+    def monomials(self) -> Iterator[tuple[Monomial, int]]:
+        """The terms as (exponent tuple, coefficient), in insertion order."""
+        return zip(_tuples(self.terms, _shifts(len(self.gens))), self.terms.values())
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in the canonical (descending lexicographic) order."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        keys = sorted(self.terms, reverse=True)
+        return list(zip(_tuples(keys, _shifts(len(self.gens))), map(self.terms.get, keys)))
 
     def leading(self) -> tuple[Monomial, int]:
         if self.is_zero:
             return (), 0
-        m = max(self.terms)
-        return m, self.terms[m]
+        k = max(self.terms)
+        return next(_tuples((k,), _shifts(len(self.gens)))), self.terms[k]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._compress(), other._compress()
-        return a.gens == b.gens and a.terms == b.terms
+        return self.gens == other.gens and self.terms == other.terms
 
     def __hash__(self):
-        p = self._compress()
-        return hash((p.gens, frozenset(p.terms.items())))
+        return hash((self.gens, frozenset(self.terms.items())))
 
     def __bool__(self):
         return not self.is_zero
@@ -173,16 +221,9 @@ class Poly:
         """Re-express on a superset generator tuple (already sorted)."""
         if gens == self.gens:
             return self
-        pos = {g: i for i, g in enumerate(gens)}
-        idx = [pos[g] for g in self.gens]
-        n = len(gens)
-        terms = {}
-        for mono, c in self.terms.items():
-            new = [0] * n
-            for i, e in enumerate(mono):
-                new[idx[i]] = e
-            terms[tuple(new)] = c
-        return Poly(gens, terms)
+        sh = _shifts(len(gens))
+        moves = list(zip(_shifts(len(self.gens)), (sh[gens.index(g)] for g in self.gens)))
+        return Poly(gens, _repack(self.terms, moves))
 
     @staticmethod
     def aligned(a: "Poly", b: "Poly") -> tuple["Poly", "Poly"]:
@@ -195,19 +236,17 @@ class Poly:
         """Replace generator ``name`` by ``new_name ** factor``.
 
         Used when two polynomials carry different root atoms of the same
-        base (e.g. y vs y^(1/3)) and must be rebased to a common one.
+        base (e.g. y vs y^(1/3)) and must be rebased to a common one.  Both
+        have one base, so new_name sorts where name does.
         """
         if name not in self.gens or self.is_zero:
             return self
+        if self.degree(name) * factor >= _TOP:
+            raise OverflowError(f"exponent of {new_name} reaches 2^{_W - 1}")
         i = self.gens.index(name)
-        gens = list(self.gens)
-        gens[i] = new_name
-        terms = {}
-        for mono, c in self.terms.items():
-            m = list(mono)
-            m[i] = m[i] * factor
-            terms[tuple(m)] = c
-        return Poly.from_terms(gens, terms)
+        s = _shifts(len(self.gens))[i]
+        terms = {k + ((k >> s & _MASK) * (factor - 1) << s): c for k, c in self.terms.items()}
+        return Poly(self.gens[:i] + (new_name,) + self.gens[i + 1 :], terms)
 
     # ----- arithmetic ---------------------------------------------------
 
@@ -235,16 +274,19 @@ class Poly:
         a, b = Poly.aligned(self, other)
         if len(a.terms) > len(b.terms):
             a, b = b, a
-        terms: dict[Monomial, int] = {}
+        terms: dict[int, int] = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                m = tuple(map(add, m1, m2))
+                m = m1 + m2
                 acc = terms.get(m)
                 s = c1 * c2 if acc is None else acc + c1 * c2
                 if s:
                     terms[m] = s
                 elif acc is not None:
                     del terms[m]
+        # Fields below 2^31 sum below 2^32: a guard bit shows any overflow.
+        if reduce(or_, terms, 0) & _guards(len(a.gens)):
+            raise OverflowError(f"an exponent of a product reaches 2^{_W - 1}")
         return Poly(a.gens, terms)
 
     def scale(self, c) -> "Poly":
@@ -254,12 +296,6 @@ class Poly:
         if c == 1:
             return self
         return Poly(self.gens, {m: c * v for m, v in self.terms.items()})
-
-    def mul_monomial(self, mono: Monomial) -> "Poly":
-        """Multiply by gens**mono (mono aligned to self.gens)."""
-        return Poly(
-            self.gens, {tuple(e + d for e, d in zip(m, mono)): c for m, c in self.terms.items()}
-        )
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -278,15 +314,12 @@ class Poly:
         """Formal partial derivative with respect to one generator."""
         if name not in self.gens:
             return Poly.zero()
-        i = self.gens.index(name)
+        s = _shifts(len(self.gens))[self.gens.index(name)]
         terms = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            m = list(mono)
-            m[i] = e - 1
-            terms[tuple(m)] = c * e
+        for k, c in self.terms.items():
+            e = k >> s & _MASK
+            if e:
+                terms[k - (1 << s)] = c * e
         return Poly(self.gens, terms)._compress()
 
     # ----- content and primitive parts ----------------------------------
@@ -305,7 +338,7 @@ class Poly:
         if self.is_zero:
             return 0, self
         c = self.content()
-        if self.leading()[1] < 0:
+        if self.terms[max(self.terms)] < 0:
             c = -c
         if c == 1:
             return 1, self
@@ -315,26 +348,18 @@ class Poly:
         """Per-generator minimum exponent over all terms."""
         if self.is_zero:
             return {}
-        mins: list[int] | None = None
-        for mono in self.terms:
-            if mins is None:
-                mins = list(mono)
-            else:
-                for i, e in enumerate(mono):
-                    if e < mins[i]:
-                        mins[i] = e
-        assert mins is not None
+        mins = [min(_field(self.terms, s)) for s in _shifts(len(self.gens))]
         return {g: e for g, e in zip(self.gens, mins) if e}
 
     def shift_down(self, shifts: dict[str, int]) -> "Poly":
         """Divide by the monomial prod(g**shifts[g]); must divide exactly."""
         if not shifts:
             return self
-        delta = tuple(-shifts.get(g, 0) for g in self.gens)
-        out = self.mul_monomial(delta)
-        if any(e < 0 for m in out.terms for e in m):
+        d = _pack(shifts.get(g, 0) for g in self.gens)
+        terms = {k - d: c for k, c in self.terms.items()}
+        if reduce(or_, terms, 0) & _guards(len(self.gens)):
             raise ExactDivisionError("monomial does not divide polynomial")
-        return out._compress()
+        return Poly(self.gens, terms)._compress()
 
     # ----- division -----------------------------------------------------
 
@@ -347,34 +372,23 @@ class Poly:
         does.  For exact quotients (the only use in this package) the
         remainder is zero; otherwise the returned remainder is nonzero.
 
-        Monomials are ints in base 1 + the dividend's largest exponent, so
-        lex order is int order and products add keys; the quotient bound
-        rules out carries.  A heap yields each remainder lead (Johnson 1974).
+        A heap yields each remainder lead (Johnson 1974).  A quotient
+        monomial d = lead(rem) - lead(other) is valid when neither d nor
+        bound - d has a guard bit set (Monagan and Pearce 2007).
         """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         a, b = Poly.aligned(self, other)
         gens = a.gens
-        deg_a = [max(col) for col in zip(*a.terms)]
-        room = [d - max(col) for d, col in zip(deg_a, zip(*b.terms))]
-        base = max(deg_a, default=0) + 1
-
-        def pack(m: Monomial) -> int:
-            k = 0
-            for e in m:
-                k = k * base + e
-            return k
-
-        def unpack(k: int) -> Monomial:
-            m = [0] * len(gens)
-            for i in range(len(gens) - 1, -1, -1):
-                k, m[i] = divmod(k, base)
-            return tuple(m)
-
-        lm, lc = b.leading()
-        lead = pack(lm)
-        tail = [(pack(m), c) for m, c in b.terms.items() if m != lm]
-        rem = {pack(m): c for m, c in a.terms.items()}
+        n = len(gens)
+        room = [max(_field(a.terms, s), default=0) - max(_field(b.terms, s)) for s in _shifts(n)]
+        if min(room, default=0) < 0:
+            return Poly.zero(), self
+        bound, guards = _pack(room), _guards(n)
+        lead = max(b.terms)
+        lc = b.terms[lead]
+        tail = [(k, c) for k, c in b.terms.items() if k != lead]
+        rem = dict(a.terms)
         heap = [-k for k in rem]
         heapify(heap)
         q_terms: dict[int, int] = {}
@@ -383,13 +397,13 @@ class Poly:
             c = rem.get(k)
             if c is None:
                 continue  # cancelled, or a repeated entry
-            if any(e < f or e - f > r for e, f, r in zip(unpack(k), lm, room)):
+            d = k - lead
+            if (d | bound - d) & guards:
                 break
             coeff, r = divmod(c, lc)
             if r:
                 break
             # Leads strictly decrease, so each quotient monomial occurs once.
-            d = k - lead
             q_terms[d] = coeff
             del rem[k]
             for k2, c2 in tail:
@@ -403,9 +417,7 @@ class Poly:
                     del rem[k2]
                 else:
                     rem[k2] = v - t
-        q = Poly(gens, {unpack(k): c for k, c in q_terms.items()})._compress()
-        r = Poly(gens, {unpack(k): c for k, c in rem.items()})._compress()
-        return q, r
+        return Poly(gens, q_terms)._compress(), Poly(gens, rem)._compress()
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = self.divmod_by(other)
@@ -439,16 +451,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.primitive()[1]
     if a.is_const or b.is_const:
         return Poly.const(1)
-
-    a = a._compress()
-    b = b._compress()
-    if a.gens == b.gens and a.terms == b.terms:
+    if a == b:
         return a.primitive()[1]
 
     # Monomial factors split off cheaply and lower every degree below.
     am, bm = a.monomial_content(), b.monomial_content()
     common = {g: min(e, bm.get(g, 0)) for g, e in am.items() if bm.get(g, 0)}
-    common = {g: e for g, e in common.items() if e}
     a = a.shift_down(am).primitive()[1]
     b = b.shift_down(bm).primitive()[1]
 
@@ -464,8 +472,7 @@ def _gcd_primitive(a: Poly, b: Poly) -> Poly:
         return Poly.const(1)
     if a == b:
         return a
-    shared = [g for g in a.gens if g in b.gens and a.degree(g) > 0 and b.degree(g) > 0]
-    if not shared:
+    if not set(a.gens) & set(b.gens):
         return Poly.const(1)
     # Quick exits: one argument divides the other.
     if a.total_degree() <= b.total_degree() and a.divides(b):
@@ -515,23 +522,25 @@ def _prime(i: int) -> int:
 
 def _modular_gcd(a: Poly, b: Poly) -> Poly:
     """GCD of primitive polynomials over the same generators."""
-    da, db = ([max(col) for col in zip(*x.terms)] for x in (a, b))
-    # The generator of largest degree is the one Euclid's algorithm handles;
-    # generators of one operand go last, where one evaluation point does.
+    sh = _shifts(len(a.gens))
+    da, db = ([max(_field(x.terms, s)) for s in sh] for x in (a, b))
+    # Exponent tuples from here on, generators in this order: the one of
+    # largest degree is the one Euclid's algorithm handles, and generators
+    # of one operand go last, where one evaluation point does.
     order = sorted(range(len(da)), reverse=True,
                    key=lambda i: (min(da[i], db[i]) > 0, max(da[i], db[i])))
-    back = sorted(range(len(order)), key=order.__getitem__)
-    A = {tuple(m[i] for i in order): c for m, c in a.terms.items()}
-    B = {tuple(m[i] for i in order): c for m, c in b.terms.items()}
+    A, B = (dict(zip(_tuples(x.terms, [sh[i] for i in order]), x.terms.values()))
+            for x in (a, b))
     lc_a, lc_b = A[max(A)], B[max(B)]
+    primes = (p for p in map(_prime, count()) if lc_a % p and lc_b % p)
+    p = next(primes)
+    if _coprime(A, B, [da[i] for i in order], [db[i] for i in order], p, random.Random(p)):
+        return Poly.const(1)
     # The GCD's leading coefficient divides gamma, so gamma times the monic
     # image is the image of one integer polynomial for every lucky prime.
     gamma = int_gcd(lc_a, lc_b)
     lifted, modulus, lead = {}, 1, None
-    for i in count():
-        p = _prime(i)
-        if lc_a % p == 0 or lc_b % p == 0:
-            continue
+    for p in chain((p,), primes):
         ap, bp = ({m: c % p for m, c in X.items() if c % p} for X in (A, B))
         image = _gcd_mod(ap, bp, p, random.Random(p))
         m = max(image)
@@ -550,10 +559,40 @@ def _modular_gcd(a: Poly, b: Poly) -> Poly:
         settled = combined == lifted or max(map(abs, combined.values())) ** 2 < modulus
         lifted = combined
         if settled:
-            g = Poly(a.gens, {tuple(k[j] for j in back): c for k, c in lifted.items()})
+            keys = (sum(e << sh[i] for i, e in zip(order, t)) for t in lifted)
+            g = Poly(a.gens, dict(zip(keys, lifted.values())))
             g = g._compress().primitive()[1]
             if g.divides(a) and g.divides(b):
                 return g
+
+
+def _coprime(A: dict, B: dict, dA: list[int], dB: list[int], p: int, rng: random.Random) -> bool:
+    """Whether images mod p prove A and B coprime (n-tuple keys, degrees dA,
+    dB).  In each generator v of both, the others go to a random point where
+    no leading coefficient in v vanishes (three tries); a nonconstant GCD
+    keeps its degree in some v there, as lc_v(gcd) divides lc_v(A)."""
+    for v, shared in enumerate(map(min, dA, dB)):
+        if not shared:
+            continue
+        for _ in range(3):
+            pws = [list(accumulate([rng.randrange(1, p)] * max(d), lambda u, w: u * w % p,
+                                   initial=1)) for d in zip(dA, dB)]
+            pws[v] = [1] * len(pws[v])
+            images = []
+            for X, d in ((A, dA[v]), (B, dB[v])):
+                out = [0] * (d + 1)
+                for m, c in X.items():
+                    for pw, e in zip(pws, m):
+                        c *= pw[e]
+                    out[m[v]] += c
+                images.append([c % p for c in out])
+            if images[0][-1] and images[1][-1]:
+                break
+        else:
+            return False
+        if len(_ugcd(*images, p)) > 1:
+            return False
+    return True
 
 
 def _crt(h: dict, modulus: int, image: dict, p: int) -> dict:

@@ -71,10 +71,10 @@ def reduce_surds(p: Poly) -> Poly:
     ]
     if not hot:
         return p
-    if not any(m[i] >= info.q for m, _ in p.terms.items() for i, info in hot):
+    if not any(m[i] >= info.q for m, _ in p.monomials() for i, info in hot):
         return p
     terms: dict[tuple[int, ...], int] = {}
-    for mono, c in p.terms.items():
+    for mono, c in p.monomials():
         m = list(mono)
         for i, info in hot:
             e = m[i]
@@ -88,7 +88,7 @@ def reduce_surds(p: Poly) -> Poly:
             terms[key] = s
         else:
             terms.pop(key, None)
-    return Poly(p.gens, terms)._compress()
+    return Poly.from_terms(p.gens, terms)
 
 
 def _base_roots(p: Poly) -> dict[str | int, int]:
@@ -522,7 +522,7 @@ def _sum(
         ks = [abs(k) for k in ks]
     params = "t, k" + "".join(f", v{j}" for j in range(len(p.gens)))
     args = "".join(f", {prefix}{slot[g]}" for g in p.gens)
-    monos = list(p.terms)
+    monos = [m for m, _ in p.monomials()]
     lines = [f"    {var} = 0.0"]
     for start in range(0, len(monos), _BLOCK):
         block = [

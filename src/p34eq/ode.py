@@ -159,10 +159,10 @@ def _coeffs_in_symbol(rf: RatFunc, symbol: str, max_degree: int) -> list[RatFunc
         i = num.gens.index(symbol)
         rest_gens = num.gens[:i] + num.gens[i + 1 :]
         acc: list[dict] = [dict() for _ in range(max_degree + 1)]
-        for mono, c in num.terms.items():
+        for mono, c in num.monomials():
             k = mono[i]
             acc[k][mono[:i] + mono[i + 1 :]] = c
-        buckets = [Poly(rest_gens, t)._compress() for t in acc]
+        buckets = [Poly.from_terms(rest_gens, t) for t in acc]
     else:
         buckets[0] = num
     return [RatFunc(b, den, rf.coeff) for b in buckets]

@@ -42,7 +42,7 @@ def to_sympy(p: Poly):
     return sp.Add(
         *(
             c * sp.Mul(*(SYMS[g] ** e for g, e in zip(p.gens, mono)))
-            for mono, c in p.terms.items()
+            for mono, c in p.monomials()
         )
     )
 

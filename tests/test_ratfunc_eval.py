@@ -24,7 +24,7 @@ def ref_poly(p, gv, coeff=F(1), absolute=False):
     num, den = coeff.numerator, coeff.denominator
     vals = [abs(gv[g]) if absolute else gv[g] for g in p.gens]
     total = 0.0
-    for mono, c in p.terms.items():
+    for mono, c in p.monomials():
         v = (num * c) / den
         if absolute:
             v = abs(v)
