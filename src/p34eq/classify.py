@@ -96,8 +96,8 @@ def classify(
         return Classification(t.case)
     flags = {
         "omega_zero": t.require("Omega", t.omega).is_zero,
-        "i2_zero": t.require("I2", t.i2).is_zero,
-        "i7_zero": t.require("I7", t.i7).is_zero,
+        "i2_zero": t.require("I2 = 0", t.i2).is_zero,
+        "i7_zero": t.require("I7 = 0", t.i7).is_zero,
     }
     return Classification(CaseTag.FIRST_CASE, flags=flags)
 
@@ -275,11 +275,8 @@ def test_p34(
             )
         if not t.require("K", t.k_invariant).is_zero:
             return EquivalenceResult(Outcome.NOT_EQUIVALENT, failed_condition="K = 0")
-        y_rf = t.recovered_y
-        x_rf = t.recovered_x
-        jac = x_rf.deriv("x") * y_rf.deriv("y") - x_rf.deriv("y") * y_rf.deriv("x")
-        vj = t.require("recovered transform Jacobian", jac)
-        if not vj.is_nonzero:
+        transform = PointTransform(rf_to_expr(t.recovered_x), rf_to_expr(t.recovered_y))
+        if not t.require("recovered transform Jacobian", transform.jacobian()).is_nonzero:
             return EquivalenceResult(
                 Outcome.NOT_EQUIVALENT,
                 failed_condition="nondegenerate invariant change of variables",
@@ -297,7 +294,6 @@ def test_p34(
     except (UnknownVerdictError, CaseError) as exc:
         return EquivalenceResult(Outcome.INCONCLUSIVE, detail=str(exc))
 
-    transform = PointTransform(rf_to_expr(x_rf), rf_to_expr(y_rf))
     b2_expr = rf_to_expr(b2)
     target = p34_cuberoot(b2_expr)
     report = verify_transform(ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy)

@@ -34,9 +34,9 @@ class RunConfig:
     coeffs: tuple[str, str, str, str] | None = None
     implicit: tuple[str, str] | None = None
     params: list[str] = field(default_factory=list)
-    seed: int = 2034
-    abs_tol: float = 1e-9
-    samples: int = 16
+    seed: int = SamplePolicy.seed
+    abs_tol: float = SamplePolicy.abs_tol
+    samples: int = SamplePolicy.n_samples
     json_output: bool = False
     verify: bool = False
 
@@ -230,9 +230,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="emit a JSON report")
     ap.add_argument("--verify", action="store_true",
                     help="re-verify any successful transform at a higher sample count")
-    ap.add_argument("--seed", type=int, default=2034, help="sampling seed")
-    ap.add_argument("--abs-tol", type=float, default=1e-9, help="zero-test tolerance")
-    ap.add_argument("--samples", type=int, default=16, help="samples per zero test")
+    ap.add_argument("--seed", type=int, default=RunConfig.seed, help="sampling seed")
+    ap.add_argument("--abs-tol", type=float, default=RunConfig.abs_tol, help="zero-test tolerance")
+    ap.add_argument("--samples", type=int, default=RunConfig.samples,
+                    help="samples per zero test")
     return ap
 
 

@@ -8,30 +8,33 @@ scale factors, the 1/q of a root's derivative) live in coeff, so scaling and
 negation touch no polynomial.
 
 Binary operations rebase root atoms of a common base to their lcm
-denominator first (y and y^(1/3) never coexist inside one polynomial), and
-surd exponents are folded back below their root denominator after every
-product, keeping monomials in distinct prime radicals linearly independent.
+denominator first (y and y^(1/3) never coexist inside one polynomial).
 
-Sums and derivatives take only the GCDs a reduced result needs.  A sum over
-coprime denominators is already reduced, and over denominators with a
-common factor g only a factor of g can be left to cancel (Henrici 1956).  A
+Every result is brought to normal form by one helper, `_normal`, in three
+steps.  It folds surd powers n^(e/q) with e >= q into the coefficients,
+keeping monomials in distinct prime radicals linearly independent.  It
+cancels common factors: each caller passes a bound g that every common
+factor of its unfolded num and den divides, and gcd(num, g) is divided out;
+a fold can merge monomials and leave a common factor that g does not see,
+so after one the full GCD is.  It moves the integer contents into coeff.
+
+The bounds save GCDs.  A product cancels across its operands first, so g =
+1 for products and powers.  A sum over denominators with GCD g can leave
+only a factor of g to cancel, and over coprime ones none (Henrici 1956).  A
 derivative is the sum over generators g of d(g)/d(var) * d(num/den)/dg;
 with h = gcd(den, d(den)/dg), the quotient rule over den * (den/h) leaves
 in common only factors free of g, each dividing h (Horowitz 1971), so the
-GCD is taken against h, not den^2.  Surds add one rule: folding surd
-exponents can merge monomials and so leave a common factor that the
-argument above does not see.  Every sum, product and power over coprime
-parts therefore refolds its surds and, when there are any, divides out the
-full GCD (`_refold`); a partial derivative leaves its surds unfolded until
-the product with its chain factor refolds them.
+GCD is taken against h, not den^2.  The constructor, given any num and den,
+takes g = den.
 
 Evaluation in floats is straight-line code that each RatFunc generates on
 its first evaluation and keeps.  It does the float operations of a
 term-by-term loop in the same order, so its values are those of that loop
 to the bit: every term starts from the correctly rounded float of its
 rational coefficient, is multiplied by each generator power in monomial
-order, and the terms are summed from 0.0; the denominator is a pole when its
-value is at most _POLE_EPS times the sum of its absolute terms.  The float
+order, and the terms are summed from 0.0 in descending lex order, so values
+depend only on the normal form.  The denominator is a pole when its value
+is at most _POLE_EPS times the sum of its absolute terms.  The float
 constants are kept apart from the code, which indexes them, so RatFuncs of
 one shape share compiled code.  Generator values (roots of symbols, surds,
 compound radicands) are computed once per Point and shared by every
@@ -64,11 +67,7 @@ _F1 = Fraction(1)
 
 def reduce_surds(p: Poly) -> Poly:
     """Fold surd powers n^(e/q) with e >= q into the coefficients."""
-    hot = [
-        (i, parse_gen(g))
-        for i, g in enumerate(p.gens)
-        if parse_gen(g).kind == KIND_SURD
-    ]
+    hot = [(i, info) for i, info in enumerate(map(parse_gen, p.gens)) if info.kind == KIND_SURD]
     if not hot:
         return p
     if not any(m[i] >= info.q for m, _ in p.monomials() for i, info in hot):
@@ -103,7 +102,7 @@ def rebase_poly(p: Poly, targets: Mapping[str | int, int]) -> Poly:
         if q_target != info.q:
             assert q_target % info.q == 0
             p = p.remap_gen(g, make_name(info.base, q_target), q_target // info.q)
-    return reduce_surds(p)
+    return p
 
 
 def common_root_targets(*polys: Poly) -> dict[str | int, int]:
@@ -153,12 +152,7 @@ class RatFunc:
         elif not reduced:
             targets = common_root_targets(num, den)
             num, den = rebase_poly(num, targets), rebase_poly(den, targets)
-            g = poly_gcd(num, den)
-            if not g.is_const:
-                num, den = num.exact_div(g), den.exact_div(g)
-            cn, num = num.primitive()
-            cd, den = den.primitive()
-            coeff = Fraction(coeff) * Fraction(cn, cd)
+            num, den, coeff = _normal(num, den, Fraction(coeff), den)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -266,17 +260,8 @@ class RatFunc:
         c, ka, kb = _common_factor(self.coeff, other.coeff)
         an, bn = an.scale(ka), bn.scale(kb)
         g = poly_gcd(ad, bd)
-        if g.is_const:
-            # A sum over coprime denominators is reduced (Henrici 1956).
-            return _refold(c, an * bd + bn * ad, ad * bd)
-        ad_r, bd_r = ad.exact_div(g), bd.exact_div(g)
-        num = reduce_surds(an * bd_r + bn * ad_r)
-        den = reduce_surds(ad * bd_r)
-        # Any new common factor divides g (classical Henrici optimization).
-        gg = poly_gcd(num, g)
-        if not gg.is_const:
-            num, den = num.exact_div(gg), den.exact_div(gg)
-        return _with_contents(c, num, den)
+        ad_r, bd_r = (ad, bd) if g.is_const else (ad.exact_div(g), bd.exact_div(g))
+        return RatFunc(*_normal(an * bd_r + bn * ad_r, ad * bd_r, c, g), reduced=True)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -285,13 +270,9 @@ class RatFunc:
         if self.is_zero or other.is_zero:
             return RatFunc.const(0)
         an, ad, bn, bd = self._aligned_with(other)
-        g1 = poly_gcd(an, bd)
-        if not g1.is_const:
-            an, bd = an.exact_div(g1), bd.exact_div(g1)
-        g2 = poly_gcd(bn, ad)
-        if not g2.is_const:
-            bn, ad = bn.exact_div(g2), ad.exact_div(g2)
-        return _refold(self.coeff * other.coeff, an * bn, ad * bd)
+        an, bd = _cancel(an, bd, bd)
+        bn, ad = _cancel(bn, ad, ad)
+        return RatFunc(*_normal(an * bn, ad * bd, self.coeff * other.coeff, _ONE), reduced=True)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inverse()
@@ -306,7 +287,7 @@ class RatFunc:
             return RatFunc.const(1)
         base = self if n > 0 else self.inverse()
         n = abs(n)
-        return _refold(base.coeff**n, base.num**n, base.den**n)
+        return RatFunc(*_normal(base.num**n, base.den**n, base.coeff**n, _ONE), reduced=True)
 
     def scale(self, c) -> "RatFunc":
         return RatFunc(self.num, self.den, self.coeff * Fraction(c), reduced=True)
@@ -341,10 +322,6 @@ class RatFunc:
         return code(values, memo, consts, names, relative)
 
 
-def _has_surds(*polys: Poly) -> bool:
-    return any(parse_gen(g).kind == KIND_SURD for p in polys for g in p.gens)
-
-
 def _common_factor(a: Fraction, b: Fraction) -> tuple[Fraction, int, int]:
     """(c, ka, kb) with a = c * ka and b = c * kb for coprime integers ka, kb."""
     n = gcd(a.numerator, b.numerator)
@@ -356,27 +333,31 @@ def _common_factor(a: Fraction, b: Fraction) -> tuple[Fraction, int, int]:
     )
 
 
-def _with_contents(coeff: Fraction, num: Poly, den: Poly) -> RatFunc:
-    """coeff * num / den for coprime integer num, den: contents move to coeff."""
-    if num.is_zero:
-        return RatFunc.const(0)
-    cn, num = num.primitive()
-    cd, den = den.primitive()
+def _cancel(a: Poly, b: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """a and b divided by gcd(a, g), for a g that every common factor of a
+    and b divides."""
+    if not g.is_const:
+        g = poly_gcd(a, g)
+        if not g.is_const:
+            return a.exact_div(g), b.exact_div(g)
+    return a, b
+
+
+def _normal(num: Poly, den: Poly, coeff: Fraction, g: Poly) -> tuple[Poly, Poly, Fraction]:
+    """(num, den, coeff) of coeff * num / den in normal form, for integer
+    num and den whose common factors divide g until their surds are folded
+    (see the module docstring)."""
+    n, d = reduce_surds(num), reduce_surds(den)
+    if n.is_zero:
+        return n, _ONE, _F0
+    if n is not num or d is not den:
+        g = d  # a fold can leave any common factor: take the full GCD
+    n, d = _cancel(n, d, g)
+    cn, n = n.primitive()
+    cd, d = d.primitive()
     if cn != 1 or cd != 1:
         coeff = coeff * Fraction(cn, cd)
-    return RatFunc(num, den, coeff, reduced=True)
-
-
-def _refold(coeff: Fraction, num: Poly, den: Poly) -> RatFunc:
-    """coeff * num / den for integer num, den that are coprime before their
-    surd powers are folded.  Folding can merge monomials and leave a common
-    factor, so with surds present the full GCD is divided out."""
-    if _has_surds(num, den):
-        num, den = reduce_surds(num), reduce_surds(den)
-        g = poly_gcd(num, den)
-        if not g.is_const:
-            num, den = num.exact_div(g), den.exact_div(g)
-    return _with_contents(coeff, num, den)
+    return n, d, coeff
 
 
 def _chain(gen: str, var: str) -> RatFunc:
@@ -400,27 +381,18 @@ def _chain(gen: str, var: str) -> RatFunc:
 
 
 def _partial(n: Poly, d: Poly, g: str) -> RatFunc:
-    """d(n/d)/dg for coprime integer n, d, reduced up to its surd powers.
+    """d(n/d)/dg for coprime integer n, d.
 
     With h = gcd(d, dd/dg), the quotient rule over d * (d/h) leaves only
     factors free of g in common, and each divides h (Horowitz 1971): the
-    GCD against h replaces one against d^2.  Surd powers are left unfolded:
-    the product with the chain factor folds them (`__mul__` -> `rebase_poly`
-    -> `reduce_surds`) and reduces the result (`_refold`).
+    GCD against h replaces one against d^2.
     """
     dn, dd = n.deriv(g), d.deriv(g)
     if dd.is_zero:
-        return _with_contents(_F1, dn, _ONE) * RatFunc(_ONE, d, reduced=True)
+        return RatFunc(*_normal(dn, d, _F1, d), reduced=True)
     h = poly_gcd(d, dd)
-    if h.is_const:
-        return _with_contents(_F1, dn * d - n * dd, d * d)
-    d_h = d.exact_div(h)
-    num = dn * d_h - n * dd.exact_div(h)
-    den = d * d_h
-    gg = poly_gcd(num, h)
-    if not gg.is_const:
-        num, den = num.exact_div(gg), den.exact_div(gg)
-    return _with_contents(_F1, num, den)
+    d_h, dd_h = (d, dd) if h.is_const else (d.exact_div(h), dd.exact_div(h))
+    return RatFunc(*_normal(dn * d_h - n * dd_h, d * d_h, _F1, h), reduced=True)
 
 
 # ----- evaluation -----------------------------------------------------------
@@ -510,19 +482,20 @@ def _sum(
     slot: dict[str, int],
     consts: list[tuple[float, ...]],
 ) -> list[str]:
-    """Statements summing coeff * p into var term by term from 0.0, block by
-    block; with prefix "a" the terms' absolute values, from the abs'd
-    generator values."""
+    """Statements summing coeff * p into var term by term from 0.0, in the
+    canonical monomial order, block by block; with prefix "a" the terms'
+    absolute values, from the abs'd generator values."""
     num, den = coeff.numerator, coeff.denominator
+    terms = p.sorted_terms()
     try:
-        ks = [(num * c) / den for c in p.terms.values()]
+        ks = [(num * c) / den for _, c in terms]
     except OverflowError:
         return ['    raise OverflowError("coefficient beyond float range")']
     if prefix == "a":
         ks = [abs(k) for k in ks]
     params = "t, k" + "".join(f", v{j}" for j in range(len(p.gens)))
     args = "".join(f", {prefix}{slot[g]}" for g in p.gens)
-    monos = [m for m, _ in p.monomials()]
+    monos = [m for m, _ in terms]
     lines = [f"    {var} = 0.0"]
     for start in range(0, len(monos), _BLOCK):
         block = [

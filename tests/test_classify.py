@@ -4,10 +4,12 @@ import pytest
 
 from p34eq import classify as pc
 from p34eq import equations as eqs
+from p34eq import invariants
 from p34eq.classify import ORACLE_SAMPLES, CaseTag, Outcome
 from p34eq.expr import (
     Const,
     ParamEnv,
+    RatFunc,
     SamplePolicy,
     Sym,
     is_zero,
@@ -255,3 +257,37 @@ def test_both_tests_share_tower():
     r2 = pc.test_p34(e, tower=tower)
     assert r1.outcome is Outcome.NOT_EQUIVALENT
     assert r2.outcome is Outcome.EQUIVALENT_P34
+
+
+def test_first_case_decision_zero_tests_each_invariant_once(monkeypatch):
+    # classify and test_p34 require I2 and I7 under one name each.
+    tested = []
+    zero_test = invariants.is_zero
+
+    def recording(rf, env, policy):
+        tested.append(rf)
+        return zero_test(rf, env, policy)
+
+    monkeypatch.setattr(invariants, "is_zero", recording)
+    e = eqs.p34_rational(3)
+    tower = InvariantTower(e)
+    assert pc.classify(e, tower=tower).case_1_4
+    assert pc.test_p34(e, tower=tower).outcome is Outcome.EQUIVALENT_P34
+    assert len({id(rf) for rf in tested}) == len(tested)
+
+
+def test_p34_differentiates_the_recovered_transform_once(monkeypatch):
+    # The Jacobian check and the oracle read one table of partials.
+    calls = []
+    deriv = RatFunc.deriv
+
+    def counting(self, var):
+        calls.append((self, var))
+        return deriv(self, var)
+
+    monkeypatch.setattr(RatFunc, "deriv", counting)
+    e = eqs.p34_rational(3)
+    tower = InvariantTower(e)
+    assert pc.test_p34(e, tower=tower).outcome is Outcome.EQUIVALENT_P34
+    for rf in (tower.recovered_x, tower.recovered_y):
+        assert [var for f, var in calls if f == rf] == ["x", "y"]

@@ -8,6 +8,7 @@ import pytest
 
 import p34eq
 from p34eq.cli import RunConfig, build_arg_parser, main, run
+from p34eq.expr import SamplePolicy
 from p34eq.expr import parse as parse_expr
 from p34eq.invariants import InvariantTower
 
@@ -171,3 +172,9 @@ for rhs in ("2*y^3 + x*y + 3", "p^2/(2*y) - 2*y^2 - x*y - 9/(2*y)"):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("oracle residual") == 2, proc.stdout
+
+
+def test_cli_defaults_are_the_sampling_defaults():
+    args = build_arg_parser().parse_args(["--rhs", "y"])
+    got = SamplePolicy(seed=args.seed, n_samples=args.samples, abs_tol=args.abs_tol)
+    assert got == SamplePolicy()

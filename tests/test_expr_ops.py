@@ -111,6 +111,34 @@ def test_diff_reduces_a_surd_denominator():
     assert to_string(rf_to_expr(got)) == "y^(1/3)/(y*2^(1/2) + 1)"
 
 
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        (
+            "(-2*x*2^(1/2) - 1)/((-2*2^(1/2))*(-2*y*2^(1/2)))",
+            "(-2*x*2^(1/2) - x)/((-2*2^(1/2))*y)",
+            "(x - 1/8)/y",
+        ),
+        (
+            "(2^(1/2) - x)/(-2*x)",
+            "3*y*2^(1/2)/((-2*x)*(-3*y*2^(1/2) + 3*y))",
+            "((1/2)*x + 1)/x",
+        ),
+        (
+            "(3*y*2^(1/2) - 3)/((2*2^(1/2) - y*2^(1/2))*(-3))",
+            "(3*x - y*2^(1/2))/((2*2^(1/2) - y*2^(1/2))*(y*2^(1/2)))",
+            "(-(3/2)*x + y^2)/(y^2 - 2*y)",
+        ),
+    ],
+)
+def test_sum_cancels_what_a_surd_fold_leaves_in_common(a, b, want):
+    # Over denominators with a common factor g, folding 2^(1/2)^2 = 2 merges
+    # monomials and can leave a common factor that gcd(num, g) does not see.
+    got = to_ratfunc(parse(a)) + to_ratfunc(parse(b))
+    assert poly_gcd(got.num, got.den).is_const
+    assert to_string(rf_to_expr(got)) == want
+
+
 # A reference for + and deriv: unreduced fractions (coeff, num, den) of
 # polynomials, reduced once at the end by the RatFunc constructor's full GCD.
 

@@ -20,11 +20,11 @@ from p34eq.oracle import MIN_SAMPLES, verify_transform
 def ref_poly(p, gv, coeff=F(1), absolute=False):
     """coeff * p, or the sum of its |terms|: each term the correctly rounded
     (num * c) / den, times each generator power in monomial order, summed
-    from 0.0."""
+    from 0.0 in descending lex order."""
     num, den = coeff.numerator, coeff.denominator
     vals = [abs(gv[g]) if absolute else gv[g] for g in p.gens]
     total = 0.0
-    for mono, c in p.monomials():
+    for mono, c in p.sorted_terms():
         v = (num * c) / den
         if absolute:
             v = abs(v)
@@ -123,6 +123,14 @@ def test_compiled_evaluation_matches_the_reference_bit_for_bit():
                 assert outcome(f, dict(values_dict)) == expected
                 values += isinstance(expected, str)
     assert values > 1000  # most evaluations give a value, not an exception
+
+
+def test_values_depend_only_on_the_normal_form():
+    # Equal RatFuncs whose terms were inserted in two orders sum them in one.
+    a = RatFunc(Poly.from_terms(("x",), {(2,): 10**17, (1,): 1, (0,): -(10**17)}))
+    b = RatFunc(Poly.from_terms(("x",), {(2,): 10**17, (0,): -(10**17), (1,): 1}))
+    assert a == b
+    assert repr(a.eval({"x": 1.0})) == repr(b.eval({"x": 1.0}))
 
 
 def test_exceptions_match_the_reference():
