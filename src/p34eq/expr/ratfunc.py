@@ -10,22 +10,38 @@ negation touch no polynomial.
 Binary operations rebase root atoms of a common base to their lcm
 denominator first (y and y^(1/3) never coexist inside one polynomial).
 
-Every result is brought to normal form by one helper, `_normal`, in three
-steps.  It folds surd powers n^(e/q) with e >= q into the coefficients,
-keeping monomials in distinct prime radicals linearly independent.  It
-cancels common factors: each caller passes a bound g that every common
-factor of its unfolded num and den divides, and gcd(num, g) is divided out;
-a fold can merge monomials and leave a common factor that g does not see,
-so after one the full GCD is.  It moves the integer contents into coeff.
+A RatFunc also carries its factors: it is coeff * prod b_i^e_i, e_i > 0 for
+a factor of num and e_i < 0 for one of den, where the b_i are primitive,
+positive-lead, non-constant polynomials, pairwise coprime within one
+RatFunc, not necessarily squarefree or irreducible.  num and den are the
+expanded products, and only they are printed, compared and evaluated.  A
+factor is one object per polynomial, shared by every RatFunc that holds it,
+and it remembers what was learnt of it: the factors it was proven coprime
+to, its split into pairwise coprime factors once a GCD found a proper
+divisor (factor refinement: Bach, Driscoll and Shallit 1993), and gcd(b,
+db/dg) per generator g.  A RatFunc reads its factors through these splits,
+so no pair of factors goes to a GCD twice.
 
-The bounds save GCDs.  A product cancels across its operands first, so g =
-1 for products and powers.  A sum over denominators with GCD g can leave
-only a factor of g to cancel, and over coprime ones none (Henrici 1956).  A
-derivative is the sum over generators g of d(g)/d(var) * d(num/den)/dg;
-with h = gcd(den, d(den)/dg), the quotient rule over den * (den/h) leaves
-in common only factors free of g, each dividing h (Horowitz 1971), so the
-GCD is taken against h, not den^2.  The constructor, given any num and den,
-takes g = den.
+The only GCDs left refine one operand's factors against the other's:
+
+- a product refines the two factor lists and adds exponents; a power
+  multiplies them and an inverse negates them;
+- a sum's common denominator is prod b^max(e_a, e_b) over the refined
+  denominator factors.  Its numerator is the one new factor, and it can
+  share a factor only with the b of equal exponent in both (Henrici 1956),
+  so it is refined against those alone;
+- a derivative is the sum over generators g of d(g)/d(var) *
+  d(num/den)/dg.  Over den = prod b^e, h = gcd(den, d(den)/dg) is prod
+  b^(e-1) * gcd(b, db/dg) (Horowitz 1971), read from the factors, and the
+  quotient rule over den * (den/h) leaves in common only factors of the
+  gcd(b, db/dg): the numerator is refined against the b where it is not 1.
+
+Every result then has its surd powers n^(e/q) with e >= q folded into the
+coefficients, keeping monomials in distinct prime radicals linearly
+independent.  A fold can merge monomials and leave any common factor, so
+after one the full GCD is taken and the factors restart as [num, den^-1];
+so does the constructor, given any num and den.  The integer contents go
+into coeff.
 
 Evaluation in floats is straight-line code that each RatFunc generates on
 its first evaluation and keeps.  It does the float operations of a
@@ -43,7 +59,9 @@ evaluation at it.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from typing import Callable, Mapping
 
@@ -132,7 +150,7 @@ class Point(dict):
 class RatFunc:
     """Immutable reduced rational function coeff * num / den."""
 
-    __slots__ = ("coeff", "num", "den", "_ev")
+    __slots__ = ("coeff", "num", "den", "_fac", "_ev")
 
     def __init__(
         self, num: Poly, den: Poly | None = None, coeff=_F1, *, reduced: bool = False
@@ -141,7 +159,7 @@ class RatFunc:
 
         With reduced=True the caller guarantees the invariant of the module
         docstring and that coeff is a Fraction; otherwise the ratio is
-        reduced here.
+        reduced here.  Either way the factors start as [num, den^-1].
         """
         if den is None:
             den = _ONE
@@ -152,10 +170,11 @@ class RatFunc:
         elif not reduced:
             targets = common_root_targets(num, den)
             num, den = rebase_poly(num, targets), rebase_poly(den, targets)
-            num, den, coeff = _normal(num, den, Fraction(coeff), den)
+            num, den, coeff = _reduced(reduce_surds(num), reduce_surds(den), Fraction(coeff))
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_fac", None)
         object.__setattr__(self, "_ev", None)
 
     def __setattr__(self, *_):
@@ -169,9 +188,11 @@ class RatFunc:
 
     @staticmethod
     def from_gen(name: str, exp: int = 1) -> "RatFunc":
-        if exp >= 0:
-            return RatFunc(Poly.gen(name, exp), reduced=True)
-        return RatFunc(_ONE, Poly.gen(name, -exp), reduced=True)
+        if exp == 0:
+            return RatFunc.const(1)
+        g = Poly.gen(name, abs(exp))
+        rf = RatFunc(g, reduced=True) if exp > 0 else RatFunc(_ONE, g, reduced=True)
+        return _with_factors(rf, {_factor(Poly.gen(name)): exp})
 
     # ----- inspection ---------------------------------------------------
 
@@ -239,29 +260,23 @@ class RatFunc:
 
     # ----- arithmetic ---------------------------------------------------
 
-    def _aligned_with(self, other: "RatFunc"):
-        targets = common_root_targets(self.num, self.den, other.num, other.den)
-        return (
-            rebase_poly(self.num, targets),
-            rebase_poly(self.den, targets),
-            rebase_poly(other.num, targets),
-            rebase_poly(other.den, targets),
-        )
-
     def __neg__(self) -> "RatFunc":
-        return RatFunc(self.num, self.den, -self.coeff, reduced=True)
+        return self.scale(-1)
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        an, ad, bn, bd = self._aligned_with(other)
+        (an, ad, fa), (bn, bd, fb) = _aligned(self, other)
         c, ka, kb = _common_factor(self.coeff, other.coeff)
-        an, bn = an.scale(ka), bn.scale(kb)
-        g = poly_gcd(ad, bd)
-        ad_r, bd_r = (ad, bd) if g.is_const else (ad.exact_div(g), bd.exact_div(g))
-        return RatFunc(*_normal(an * bd_r + bn * ad_r, ad * bd_r, c, g), reduced=True)
+        da, db = _refine(_part(fa, -1), _part(fb, -1))
+        common = {**db, **{f: max(e, db.get(f, 0)) for f, e in da.items()}}
+        ra = _product({f: e - da.get(f, 0) for f, e in common.items()})  # common / da
+        rb = _product({f: e - db.get(f, 0) for f, e in common.items()})
+        num = _times(an.scale(ka), ra) + _times(bn.scale(kb), rb)
+        shared = {f: e for f, e in da.items() if db.get(f) == e}
+        return _over(num, _times(ad, ra), c, common, shared)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -269,10 +284,19 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if self.is_zero or other.is_zero:
             return RatFunc.const(0)
-        an, ad, bn, bd = self._aligned_with(other)
-        an, bd = _cancel(an, bd, bd)
-        bn, ad = _cancel(bn, ad, ad)
-        return RatFunc(*_normal(an * bn, ad * bd, self.coeff * other.coeff, _ONE), reduced=True)
+        if self.is_const:
+            return other.scale(self.coeff)
+        if other.is_const:
+            return self.scale(other.coeff)
+        (an, ad, fa), (bn, bd, fb) = _aligned(self, other)
+        fa, fb = _refine(fa, fb)
+        exps = dict(fa)
+        for f, e in fb.items():
+            exps[f] = exps.get(f, 0) + e
+        exps = {f: e for f, e in exps.items() if e}
+        num = _product(_part(exps, 1), ((an, _part(fa, 1)), (bn, _part(fb, 1))))
+        den = _product(_part(exps, -1), ((ad, _part(fa, -1)), (bd, _part(fb, -1))))
+        return _result(num, den, self.coeff * other.coeff, exps)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inverse()
@@ -280,17 +304,21 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num, 1 / self.coeff, reduced=True)
+        out = RatFunc(self.den, self.num, 1 / self.coeff, reduced=True)
+        fac = self._fac
+        return _with_factors(out, None if fac is None else {f: -e for f, e in fac.items()})
 
     def __pow__(self, n: int) -> "RatFunc":
         if n == 0:
             return RatFunc.const(1)
         base = self if n > 0 else self.inverse()
         n = abs(n)
-        return RatFunc(*_normal(base.num**n, base.den**n, base.coeff**n, _ONE), reduced=True)
+        exps = {f: e * n for f, e in _exps(base).items()}
+        return _result(base.num**n, base.den**n, base.coeff**n, exps)
 
     def scale(self, c) -> "RatFunc":
-        return RatFunc(self.num, self.den, self.coeff * Fraction(c), reduced=True)
+        out = RatFunc(self.num, self.den, self.coeff * Fraction(c), reduced=True)
+        return _with_factors(out, self._fac) if out.coeff else out
 
     # ----- differentiation ----------------------------------------------
 
@@ -300,7 +328,7 @@ class RatFunc:
         for g in self.gens():
             chain = _chain(g, var)
             if not chain.is_zero:
-                out = out + chain * _partial(self.num, self.den, g)
+                out = out + chain * _partial(self, g)
         return out.scale(self.coeff)
 
     # ----- evaluation ---------------------------------------------------
@@ -333,31 +361,248 @@ def _common_factor(a: Fraction, b: Fraction) -> tuple[Fraction, int, int]:
     )
 
 
-def _cancel(a: Poly, b: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """a and b divided by gcd(a, g), for a g that every common factor of a
-    and b divides."""
-    if not g.is_const:
-        g = poly_gcd(a, g)
-        if not g.is_const:
-            return a.exact_div(g), b.exact_div(g)
-    return a, b
+# ----- factors ----------------------------------------------------------------
 
 
-def _normal(num: Poly, den: Poly, coeff: Fraction, g: Poly) -> tuple[Poly, Poly, Fraction]:
-    """(num, den, coeff) of coeff * num / den in normal form, for integer
-    num and den whose common factors divide g until their surds are folded
-    (see the module docstring)."""
-    n, d = reduce_surds(num), reduce_surds(den)
+class _Factor:
+    """A primitive, positive-lead, non-constant polynomial held as a factor,
+    with what was learnt of it: the keys of the older factors proven coprime
+    to it (a pair is kept on its younger factor, so a factor that lives long
+    gathers nothing from the ones made after it); once a common factor was
+    found, its split into pairwise coprime factors, as (factor, exponent)
+    pairs; and per generator g, gcd(b, db/dg) with the quotients of b and
+    db/dg by it."""
+
+    __slots__ = ("poly", "key", "split", "coprime", "dgcd", "__weakref__")
+
+    def __init__(self, poly: Poly):
+        self.poly = poly
+        self.key = next(_KEYS)
+        self.split: tuple[tuple[_Factor, int], ...] | None = None
+        self.coprime: set[int] = set()
+        self.dgcd: dict[str, tuple[Poly, Poly, Poly]] = {}
+
+
+Exps = dict[_Factor, int]
+
+_KEYS = count()
+# One factor per polynomial, for as long as a RatFunc or a split holds it.
+_FACTORS: weakref.WeakValueDictionary[Poly, _Factor] = weakref.WeakValueDictionary()
+
+
+def _factor(p: Poly) -> _Factor:
+    f = _FACTORS.get(p)
+    if f is None:
+        f = _FACTORS[p] = _Factor(p)
+    return f
+
+
+def _with_factors(rf: RatFunc, fac: Exps | None) -> RatFunc:
+    object.__setattr__(rf, "_fac", fac)
+    return rf
+
+
+def _exps(rf: RatFunc) -> Exps:
+    """rf's factors as they split so far, pairwise coprime."""
+    fac = rf._fac
+    if fac is None:
+        fac = {}
+        if not rf.num.is_const:
+            fac[_factor(rf.num)] = 1
+        if not rf.den.is_const:
+            fac[_factor(rf.den)] = -1
+        if len(fac) == 2:
+            _coprime(*fac)
+    leaves = _leaves(fac)
+    if leaves is not rf._fac:
+        object.__setattr__(rf, "_fac", leaves)
+    return leaves
+
+
+def _leaves(fac: Exps) -> Exps:
+    """fac over the factors that its factors split into."""
+    if all(f.split is None for f in fac):
+        return fac
+    out: Exps = {}
+    todo = list(fac.items())
+    while todo:
+        f, e = todo.pop()
+        if f.split is None:
+            out[f] = out.get(f, 0) + e
+        else:
+            todo += [(g, e * k) for g, k in f.split]
+    return out
+
+
+def _part(fac: Exps, sign: int) -> Exps:
+    """The factors of num (sign 1) or of den (sign -1), with exponents > 0."""
+    return {f: e * sign for f, e in fac.items() if e * sign > 0}
+
+
+def _coprime(a: _Factor, b: _Factor) -> None:
+    if a.key < b.key:
+        a, b = b, a
+    a.coprime.add(b.key)
+
+
+def _known_coprime(a: _Factor, b: _Factor) -> bool:
+    return b.key in a.coprime if a.key > b.key else a.key in b.coprime
+
+
+def _refine(xs: Exps, ys: Exps) -> tuple[Exps, Exps]:
+    """xs and ys over their leaves, split until every factor of one is a
+    factor of the other or proven coprime to it."""
+    while True:
+        xs, ys = _leaves(xs), _leaves(ys)
+        if not any(
+            a is not b and not _known_coprime(a, b) and _split(a, b) for a in xs for b in ys
+        ):
+            return xs, ys
+
+
+def _split(a: _Factor, b: _Factor) -> bool:
+    """Whether a and b have a common factor.  If so both are split into
+    pairwise coprime factors, and otherwise they are remembered coprime."""
+    g = poly_gcd(a.poly, b.poly)
+    if g.is_const:
+        _coprime(a, b)
+        return False
+    base = [(_factor(p), i, j) for p, i, j in _coprime_base(a.poly, b.poly, g)]
+    for k, (f, _, _) in enumerate(base):
+        for h, _, _ in base[:k]:
+            _coprime(f, h)
+    for src, parts in ((a, [(f, i) for f, i, _ in base if i]), (b, [(f, j) for f, _, j in base if j])):
+        if parts != [(src, 1)]:
+            src.split = tuple(parts)
+    return True
+
+
+def _coprime_base(u: Poly, v: Poly, g: Poly) -> list[tuple[Poly, int, int]]:
+    """(c, i, j) for pairwise coprime c with u = prod c^i and v = prod c^j,
+    given g = gcd(u, v), by splitting pairs at their GCD (Bach, Driscoll and
+    Shallit 1993)."""
+    out = [(p, i, j) for p, i, j in ((u.exact_div(g), 1, 0), (v.exact_div(g), 0, 1))
+           if not p.is_const]
+    todo = [(g, 1, 1)]
+    while todo:
+        p, i, j = todo.pop()
+        for k, (q, i2, j2) in enumerate(out):
+            h = poly_gcd(p, q)
+            if not h.is_const:
+                del out[k]
+                todo += [(r, s, t) for r, s, t in (
+                    (h, i + i2, j + j2), (p.exact_div(h), i, j), (q.exact_div(h), i2, j2)
+                ) if not r.is_const]
+                break
+        else:
+            out.append((p, i, j))
+    return out
+
+
+def _times(p: Poly, q: Poly) -> Poly:
+    return p if q is _ONE else q if p is _ONE else p * q
+
+
+def _product(target: Exps, hints: tuple[tuple[Poly, Exps], ...] = ()) -> Poly:
+    """prod f^e over target, from the hints (p, exps), p = prod f^e over
+    exps, that fit in it, largest first, and powers of the rest."""
+    rest = {f: e for f, e in target.items() if e}
+    out = _ONE
+    for p, exps in sorted(hints, key=lambda h: -len(h[0].terms)):
+        if exps and all(rest.get(f, 0) >= e for f, e in exps.items()):
+            out = _times(out, p)
+            for f, e in exps.items():
+                rest[f] -= e
+    powers = sorted((f.poly if e == 1 else f.poly**e for f, e in rest.items() if e),
+                    key=lambda p: len(p.terms))
+    acc = _ONE
+    for p in powers:
+        acc = _times(acc, p)
+    return _times(out, acc)
+
+
+def _aligned(a: RatFunc, b: RatFunc) -> tuple[tuple[Poly, Poly, Exps], ...]:
+    """(num, den, factors) of a and of b over common root generators."""
+    targets = common_root_targets(a.num, a.den, b.num, b.den)
+    return _rebased(a, targets), _rebased(b, targets)
+
+
+def _rebased(rf: RatFunc, targets: Mapping[str | int, int]) -> tuple[Poly, Poly, Exps]:
+    num, den = rebase_poly(rf.num, targets), rebase_poly(rf.den, targets)
+    fac = _exps(rf)
+    if num is rf.num and den is rf.den:
+        return num, den, fac
+    # Replacing a generator by a power of a new one that sorts in its place
+    # keeps each factor's lex lead, so its sign, and keeps GCDs: the factors
+    # stay primitive, positive-lead and pairwise coprime.
+    return num, den, {_factor(rebase_poly(f.poly, targets)): e for f, e in fac.items()}
+
+
+# ----- results ----------------------------------------------------------------
+
+
+def _reduced(n: Poly, d: Poly, coeff: Fraction) -> tuple[Poly, Poly, Fraction]:
+    """(num, den, coeff) of coeff * n / d in normal form, by the full GCD."""
     if n.is_zero:
         return n, _ONE, _F0
-    if n is not num or d is not den:
-        g = d  # a fold can leave any common factor: take the full GCD
-    n, d = _cancel(n, d, g)
+    if not d.is_const:
+        g = poly_gcd(n, d)
+        if not g.is_const:
+            n, d = n.exact_div(g), d.exact_div(g)
     cn, n = n.primitive()
     cd, d = d.primitive()
     if cn != 1 or cd != 1:
         coeff = coeff * Fraction(cn, cd)
     return n, d, coeff
+
+
+def _folded(num: Poly, den: Poly, coeff: Fraction) -> RatFunc | None:
+    """With its surds folded, coeff * num / den reduced by the full GCD, or
+    None when no surd power folds."""
+    n, d = reduce_surds(num), reduce_surds(den)
+    if n is num and d is den:
+        return None
+    return RatFunc(*_reduced(n, d, coeff), reduced=True)
+
+
+def _result(num: Poly, den: Poly, coeff: Fraction, fac: Exps) -> RatFunc:
+    """coeff * num / den for coprime num = prod f^e over fac's e > 0 and den
+    = prod f^-e over its e < 0."""
+    out = _folded(num, den, coeff)
+    return out if out is not None else _with_factors(RatFunc(num, den, coeff, reduced=True), fac)
+
+
+def _over(num: Poly, den: Poly, coeff: Fraction, dfac: Exps, shared: Exps) -> RatFunc:
+    """coeff * num / den for a new numerator num and den = prod f^e over
+    dfac, where num can have a factor in common with those in shared alone."""
+    out = _folded(num, den, coeff)
+    if out is not None:
+        return out
+    if num.is_zero:
+        return RatFunc.const(0)
+    cn, num = num.primitive()
+    coeff = coeff * cn
+    dfac = _leaves(dfac)
+    if num.is_const:
+        return _with_factors(RatFunc(num, den, coeff, reduced=True), {f: -e for f, e in dfac.items()})
+    nf = _factor(num)
+    for f in dfac:
+        if f not in shared and f is not nf:
+            _coprime(nf, f)
+    nfac, _ = _refine({nf: 1}, shared)
+    dfac = _leaves(dfac)
+    fac = {f: -e for f, e in dfac.items()}
+    for f, e in nfac.items():
+        fac[f] = fac.get(f, 0) + e
+    cancel = {f: min(e, dfac[f]) for f, e in nfac.items() if f in dfac}
+    if cancel:
+        k = _product(cancel)
+        num, den = num.exact_div(k), den.exact_div(k)
+        fac = {f: e for f, e in fac.items() if e}
+    return _with_factors(RatFunc(num, den, coeff, reduced=True), fac)
+
+
+# ----- differentiation ----------------------------------------------------------
 
 
 def _chain(gen: str, var: str) -> RatFunc:
@@ -369,7 +614,7 @@ def _chain(gen: str, var: str) -> RatFunc:
         if info.q == 1:
             return RatFunc.const(1)
         # d(v^(1/q))/dv = (1/q) g^(1-q)
-        return RatFunc(_ONE, Poly.gen(gen, info.q - 1), Fraction(1, info.q), reduced=True)
+        return RatFunc.from_gen(gen, 1 - info.q).scale(Fraction(1, info.q))
     if info.kind == KIND_SURD:
         return RatFunc.const(0)
     base = lookup_opaque(str(info.base))
@@ -380,19 +625,64 @@ def _chain(gen: str, var: str) -> RatFunc:
     return dbase * RatFunc.from_gen(gen) / base.scale(info.q)  # type: ignore[operator]
 
 
-def _partial(n: Poly, d: Poly, g: str) -> RatFunc:
-    """d(n/d)/dg for coprime integer n, d.
+def _dgcd(f: _Factor, g: str) -> tuple[Poly, Poly, Poly]:
+    """(c, b / c, (db/dg) / c) for b = f.poly and c = gcd(b, db/dg), which
+    is b when db/dg = 0; remembered on f."""
+    out = f.dgcd.get(g)
+    if out is None:
+        b = f.poly
+        db = b.deriv(g)
+        if db.is_zero:
+            out = (b, _ONE, db)
+        else:
+            c = poly_gcd(b, db)
+            out = (c, b, db) if c.is_const else (c, b.exact_div(c), db.exact_div(c))
+        f.dgcd[g] = out
+    return out
 
-    With h = gcd(d, dd/dg), the quotient rule over d * (d/h) leaves only
-    factors free of g in common, and each divides h (Horowitz 1971): the
-    GCD against h replaces one against d^2.
+
+def _partial(rf: RatFunc, g: str) -> RatFunc:
+    """d(num/den)/dg of rf's num and den.
+
+    Over den = prod b^e, h = gcd(den, d(den)/dg) is prod b^(e-1) c_b with
+    c_b = gcd(b, db/dg), so den/h = prod b/c_b and d(den)/dg / h = sum_b e
+    (db/dg)/c_b prod_(b' != b) b'/c_b' (Horowitz 1971).  Over den * (den/h)
+    the quotient rule's numerator has no prime factor p of a b that c_b is
+    free of: modulo p, every term but e (db/dg)/c_b prod_(b' != b) b'/c_b'
+    vanishes, and p divides none of its factors.  So it is refined against
+    the b with c_b != 1 alone.
     """
-    dn, dd = n.deriv(g), d.deriv(g)
-    if dd.is_zero:
-        return RatFunc(*_normal(dn, d, _F1, d), reduced=True)
-    h = poly_gcd(d, dd)
-    d_h, dd_h = (d, dd) if h.is_const else (d.exact_div(h), dd.exact_div(h))
-    return RatFunc(*_normal(dn * d_h - n * dd_h, d * d_h, _F1, h), reduced=True)
+    n, d = rf.num, rf.den
+    dfac = _part(_exps(rf), -1)
+    parts = [(f, e, *_dgcd(f, g)) for f, e in dfac.items()]
+    d_h = _ONE
+    for _, _, _, q, _ in parts:
+        d_h = _times(d_h, q)
+    dd_h = Poly.zero()
+    for i, (_, e, _, _, dq) in enumerate(parts):
+        if not dq.is_zero:
+            term = dq.scale(e)
+            for k, (_, _, _, q, _) in enumerate(parts):
+                if k != i:
+                    term = _times(term, q)
+            dd_h = dd_h + term
+    num = _times(n.deriv(g), d_h) - _times(n, dd_h)
+    den = _times(d, d_h)
+    # den * (den/h) over factors: b/c_b is b, 1, or a proper divisor of b
+    # that splits b (it is coprime to every other b).
+    out = dict(dfac)
+    for f, _, c, q, _ in parts:
+        if q is f.poly:
+            out[f] += 1
+        elif not q.is_const:
+            qf = _factor(q)
+            for other in dfac:
+                if other is not f:
+                    _coprime(qf, other)
+            _refine({qf: 1}, {f: 1})
+            out[qf] = out.get(qf, 0) + 1
+    shared = _leaves({f: 1 for f, _, c, _, _ in parts if not c.is_const})
+    return _over(num, den, _F1, out, shared)
 
 
 # ----- evaluation -----------------------------------------------------------

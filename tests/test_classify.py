@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +17,7 @@ from p34eq.expr import (
     is_zero,
     normalize,
     parse,
+    ratfunc,
     rf_pow,
     rf_to_expr,
     to_string,
@@ -212,6 +215,37 @@ def test_p34_electrodiffusion_with_two_symbols():
     assert res.outcome is Outcome.EQUIVALENT_P34
     assert abs(res.beta_squared_value - 0.25) < 1e-9
     assert pc.test_pii(e, tower=tower).outcome is Outcome.NOT_EQUIVALENT
+
+
+def test_p34_electrodiffusion_fully_symbolic():
+    # nu1, k1, C and K symbolic: denominators over 6 generators, each a power
+    # product of a few coprime factors.
+    e = eqs.electrodiffusion_3b()
+    tower = InvariantTower(e)
+    assert pc.test_pii(e, tower=tower).outcome is Outcome.NOT_EQUIVALENT
+    res = pc.test_p34(e, tower=tower)
+    assert res.outcome is Outcome.EQUIVALENT_P34
+    assert normalize(res.beta_squared - parse("1/4")) == Const(0)
+
+
+def test_factors_die_with_their_decision():
+    # What a factor remembers lives on the factor, so a decision leaves
+    # nothing behind once its tower is gone.
+    def decide():
+        e = eqs.electrodiffusion_3b(2, 3, 5, 7)
+        tower = InvariantTower(e)
+        pc.test_pii(e, tower=tower)
+        pc.test_p34(e, tower=tower)
+        (f, _), *_ = (fe for fe in ratfunc._exps(tower.i3).items() if fe[1] < 0)
+        return weakref.ref(f)
+
+    decide()
+    gc.collect()
+    live = len(ratfunc._FACTORS)
+    ref = decide()
+    gc.collect()
+    assert ref() is None
+    assert len(ratfunc._FACTORS) == live
 
 
 def test_p34_piv_fails_on_i7():

@@ -18,6 +18,7 @@ from p34eq.expr import (
     is_zero,
     normalize,
     parse,
+    ratfunc,
     rf_to_expr,
     subst,
     to_ratfunc,
@@ -243,6 +244,83 @@ def test_sum_and_deriv_match_a_full_gcd_reference(a, b, var):
     else:
         for ours, ref in got:
             assert ours == ref
+
+
+def _ref_product(a, b):
+    c, num, den = _frac_mul(_frac(a), _frac(b))
+    return RatFunc(num, den, c)
+
+
+def _ref_power(a, n):
+    c, num, den = _frac(a) if n > 0 else (1 / a.coeff, a.den, a.num)
+    return RatFunc(num ** abs(n), den ** abs(n), c ** abs(n))
+
+
+_CHAIN_OPS = {
+    "+": (lambda a, b: a + b, _ref_sum),
+    "-": (lambda a, b: a - b, lambda a, b: _ref_sum(a, -b)),
+    "*": (lambda a, b: a * b, _ref_product),
+    "/": (lambda a, b: a / b, lambda a, b: _ref_product(a, RatFunc(b.den, b.num, 1 / b.coeff))),
+}
+
+
+def _assert_factored(rf):
+    """rf's factors are primitive, positive-lead, non-constant, pairwise
+    coprime, and expand to its num and den."""
+    fs = [(f.poly, e) for f, e in ratfunc._exps(rf).items()]
+    num = den = _ONE_POLY
+    for i, (p, e) in enumerate(fs):
+        assert e and not p.is_const and p.primitive() == (1, p)
+        if e > 0:
+            num = num * p**e
+        else:
+            den = den * p ** (-e)
+        for q, _ in fs[:i]:
+            assert poly_gcd(p, q).is_const
+    assert (num, den) == (rf.num, rf.den)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chains_match_the_full_gcd_reference(seed):
+    # Shared linear factors; a square that enters a denominator when the
+    # numerator holding it is inverted; y^(1/3), which rebases y; an x-free
+    # denominator factor that d/dx of the numerator can cancel.  Operands
+    # rebuilt from their expanded parts know no factors, so products split
+    # them, and (a + b) - b cancels back to a, up to a rebase.
+    texts = (
+        "(x + 2*y)/(x - y + k)",
+        "(x - y + k)*(3*x + 1)/(x + 2*y)^2",
+        "(x + 2*y)^2*(y - 1)/(3*x + 1)",
+        "k*y/((y - 1)*(x - y + k))",
+        "(y^(1/3) + x)/(x + 2*y)",
+        "x^2 - 4*y^2",
+        "(x*y - x + 1)/(k*(y - 1))",
+    )
+    pool = [to_ratfunc(parse(t)) for t in texts]
+    pool += [RatFunc(rf.num, rf.den, rf.coeff) for rf in pool]
+    rng = random.Random(seed)
+    for _ in range(24):
+        a, b = rng.sample(pool, 2)
+        op = rng.choice(("+", "-", "*", "/", "**", "d", "+-"))
+        if op == "**":
+            n = rng.choice((-2, -1, 2))
+            got, ref = a**n, _ref_power(a, n)
+        elif op == "d":
+            var = rng.choice(("x", "y"))
+            got, ref = a.deriv(var), _ref_deriv(a, var)
+        elif op == "+-":
+            c, num, den = _frac_add(_frac_add(_frac(a), _frac(b)), (-b.coeff, b.num, b.den))
+            got, ref = (a + b) - b, RatFunc(num, den, c)
+        else:
+            if op == "/" and b.is_zero:
+                continue
+            ours, theirs = _CHAIN_OPS[op]
+            got, ref = ours(a, b), theirs(a, b)
+        assert got == ref
+        if not got.is_zero:
+            _assert_factored(got)
+            if len(got.num.terms) + len(got.den.terms) < 120:
+                pool.append(got)
 
 
 # ----- normalize ------------------------------------------------------------
