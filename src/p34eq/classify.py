@@ -198,7 +198,10 @@ def _independent_pair(t: InvariantTower) -> tuple[str, str] | None:
 
 
 def _normalized(t: PointTransform) -> PointTransform:
-    return PointTransform(normalize(t.x_new), normalize(t.y_new))
+    """t in normal form: its parts u and v are to_ratfunc of x_new and
+    y_new, so this is normalize of each, without parsing them again."""
+    parts = t.parts
+    return PointTransform(rf_to_expr(parts["u"]), rf_to_expr(parts["v"]))
 
 
 def _sample_value(rf: RatFunc, env: ParamEnv, policy: SamplePolicy) -> float:

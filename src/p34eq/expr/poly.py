@@ -29,7 +29,9 @@ tries, in order:
 - constants: a constant argument, or no shared generator, gives 1;
 - divides: one argument divides the other;
 - coprime: modulo one prime, constant GCDs of univariate images in each
-  shared generator, the others at a random point, prove the inputs coprime;
+  shared generator prove the inputs coprime.  Each other generator is set
+  to a point derived from its name (univariate_image), and RatFunc's
+  factors keep their images to screen refinement pairs the same way;
 - modular: Brown's dense modular GCD (1971), images modulo primes just
   below 2^62 combined by Chinese remaindering and certified by exact
   division.  A constant first image proves the inputs coprime.
@@ -37,13 +39,14 @@ tries, in order:
 
 from __future__ import annotations
 
+import hashlib
 import random
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain, count
+from itertools import accumulate, count
 from math import gcd as int_gcd
 from operator import mul, or_
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .atoms import gen_sort_key
 
@@ -520,10 +523,72 @@ def _prime(i: int) -> int:
     return n
 
 
+# ----- univariate images at fixed points -------------------------------------
+#
+# Modulo the prime _prime(0), a polynomial's image in one of its generators v
+# sets every other generator g to _point(g).  A common factor of two
+# primitive polynomials with positive degree in v keeps that degree where
+# neither leading coefficient in v vanishes, as its own divides both, so its
+# image divides both images there: constant GCDs of usable images in every
+# shared generator prove the polynomials coprime.
+
+
+def _point(name: str) -> int:
+    """The nonzero residue mod _prime(0) that a generator takes in images
+    in other generators: a function of its name alone, kept nowhere."""
+    digest = hashlib.blake2b(name.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % (_prime(0) - 1) + 1
+
+
+def univariate_image(a: Poly, v: str) -> list[int] | None:
+    """a mod _prime(0) as a univariate polynomial in its generator v, every
+    other generator at its _point; None when the leading coefficient in v
+    vanishes there."""
+    p = _prime(0)
+    sh = _shifts(len(a.gens))
+    s = sh[a.gens.index(v)]
+    # (shift, powers of the point) of every other generator
+    others = [
+        (t, list(accumulate([_point(g)] * max(_field(a.terms, t)), lambda u, w: u * w % p,
+                            initial=1)))
+        for g, t in zip(a.gens, sh) if t != s
+    ]
+    out = [0] * (max(_field(a.terms, s)) + 1)
+    for k, c in a.terms.items():
+        for t, pw in others:
+            c *= pw[k >> t & _MASK]
+        out[k >> s & _MASK] += c
+    out = [c % p for c in out]
+    return out if out[-1] else None
+
+
+def coprime_images(
+    image_a: Callable[[str], list[int] | None],
+    image_b: Callable[[str], list[int] | None],
+    shared: Iterable[str],
+) -> bool:
+    """Whether the univariate images of two primitive polynomials, given by
+    generator, prove them coprime: in every generator in shared (those of
+    both), both are usable and their GCD is constant.  Nothing shared
+    proves it too."""
+    p = _prime(0)
+    for v in shared:
+        u = image_a(v)
+        if u is None:
+            return False
+        w = image_b(v)
+        if w is None or len(_ugcd(u, w, p)) > 1:
+            return False
+    return True
+
+
 def _modular_gcd(a: Poly, b: Poly) -> Poly:
     """GCD of primitive polynomials over the same generators."""
     sh = _shifts(len(a.gens))
     da, db = ([max(_field(x.terms, s)) for s in sh] for x in (a, b))
+    shared = (g for g, i, j in zip(a.gens, da, db) if i and j)
+    if coprime_images(partial(univariate_image, a), partial(univariate_image, b), shared):
+        return Poly.const(1)
     # Exponent tuples from here on, generators in this order: the one of
     # largest degree is the one Euclid's algorithm handles, and generators
     # of one operand go last, where one evaluation point does.
@@ -533,14 +598,11 @@ def _modular_gcd(a: Poly, b: Poly) -> Poly:
             for x in (a, b))
     lc_a, lc_b = A[max(A)], B[max(B)]
     primes = (p for p in map(_prime, count()) if lc_a % p and lc_b % p)
-    p = next(primes)
-    if _coprime(A, B, [da[i] for i in order], [db[i] for i in order], p, random.Random(p)):
-        return Poly.const(1)
     # The GCD's leading coefficient divides gamma, so gamma times the monic
     # image is the image of one integer polynomial for every lucky prime.
     gamma = int_gcd(lc_a, lc_b)
     lifted, modulus, lead = {}, 1, None
-    for p in chain((p,), primes):
+    for p in primes:
         ap, bp = ({m: c % p for m, c in X.items() if c % p} for X in (A, B))
         image = _gcd_mod(ap, bp, p, random.Random(p))
         m = max(image)
@@ -564,35 +626,6 @@ def _modular_gcd(a: Poly, b: Poly) -> Poly:
             g = g._compress().primitive()[1]
             if g.divides(a) and g.divides(b):
                 return g
-
-
-def _coprime(A: dict, B: dict, dA: list[int], dB: list[int], p: int, rng: random.Random) -> bool:
-    """Whether images mod p prove A and B coprime (n-tuple keys, degrees dA,
-    dB).  In each generator v of both, the others go to a random point where
-    no leading coefficient in v vanishes (three tries); a nonconstant GCD
-    keeps its degree in some v there, as lc_v(gcd) divides lc_v(A)."""
-    for v, shared in enumerate(map(min, dA, dB)):
-        if not shared:
-            continue
-        for _ in range(3):
-            pws = [list(accumulate([rng.randrange(1, p)] * max(d), lambda u, w: u * w % p,
-                                   initial=1)) for d in zip(dA, dB)]
-            pws[v] = [1] * len(pws[v])
-            images = []
-            for X, d in ((A, dA[v]), (B, dB[v])):
-                out = [0] * (d + 1)
-                for m, c in X.items():
-                    for pw, e in zip(pws, m):
-                        c *= pw[e]
-                    out[m[v]] += c
-                images.append([c % p for c in out])
-            if images[0][-1] and images[1][-1]:
-                break
-        else:
-            return False
-        if len(_ugcd(*images, p)) > 1:
-            return False
-    return True
 
 
 def _crt(h: dict, modulus: int, image: dict, p: int) -> dict:

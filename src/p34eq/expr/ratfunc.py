@@ -19,10 +19,17 @@ factor is one object per polynomial, shared by every RatFunc that holds it,
 and it remembers what was learnt of it: the factors it was proven coprime
 to, its split into pairwise coprime factors once a GCD found a proper
 divisor (factor refinement: Bach, Driscoll and Shallit 1993), and gcd(b,
-db/dg) per generator g.  A RatFunc reads its factors through these splits,
-so no pair of factors goes to a GCD twice.
+db/dg) and its image (below) per generator g.  A RatFunc reads its factors
+through these splits, so no pair of factors goes to a GCD twice.
 
-The only GCDs left refine one operand's factors against the other's:
+The only GCDs left refine one operand's factors against the other's.  A
+pair of factors is first screened by its images modulo one prime
+(poly.univariate_image, kept on each factor): it is coprime when the two
+share no generator, or when in every shared generator both images are
+usable and their GCD is constant.  Of the pairs left, which share a factor
+but for rare unlucky images, one factor mostly divides the other, and a
+trial division finds that with its quotient; poly_gcd takes the rest.
+Refinement happens where:
 
 - a product refines the two factor lists and adds exponents; a power
   multiplies them and an inverse negates them;
@@ -75,7 +82,7 @@ from .atoms import (
     make_name,
     parse_gen,
 )
-from .poly import Poly, poly_gcd
+from .poly import Poly, coprime_images, poly_gcd, univariate_image
 
 _POLE_EPS = 1e-12
 _ONE = Poly.const(1)
@@ -370,10 +377,11 @@ class _Factor:
     to it (a pair is kept on its younger factor, so a factor that lives long
     gathers nothing from the ones made after it); once a common factor was
     found, its split into pairwise coprime factors, as (factor, exponent)
-    pairs; and per generator g, gcd(b, db/dg) with the quotients of b and
-    db/dg by it."""
+    pairs; per generator g, gcd(b, db/dg) with the quotients of b and
+    db/dg by it; and per generator, its univariate image modulo one prime
+    (poly.univariate_image)."""
 
-    __slots__ = ("poly", "key", "split", "coprime", "dgcd", "__weakref__")
+    __slots__ = ("poly", "key", "split", "coprime", "dgcd", "images", "__weakref__")
 
     def __init__(self, poly: Poly):
         self.poly = poly
@@ -381,6 +389,14 @@ class _Factor:
         self.split: tuple[tuple[_Factor, int], ...] | None = None
         self.coprime: set[int] = set()
         self.dgcd: dict[str, tuple[Poly, Poly, Poly]] = {}
+        self.images: dict[str, list[int] | None] = {}
+
+    def image(self, v: str) -> list[int] | None:
+        try:
+            return self.images[v]
+        except KeyError:
+            out = self.images[v] = univariate_image(self.poly, v)
+            return out
 
 
 Exps = dict[_Factor, int]
@@ -463,11 +479,11 @@ def _refine(xs: Exps, ys: Exps) -> tuple[Exps, Exps]:
 def _split(a: _Factor, b: _Factor) -> bool:
     """Whether a and b have a common factor.  If so both are split into
     pairwise coprime factors, and otherwise they are remembered coprime."""
-    g = poly_gcd(a.poly, b.poly)
+    g, ag, bg = _cofactors(a, b)
     if g.is_const:
         _coprime(a, b)
         return False
-    base = [(_factor(p), i, j) for p, i, j in _coprime_base(a.poly, b.poly, g)]
+    base = _coprime_base(g, ag, bg)
     for k, (f, _, _) in enumerate(base):
         for h, _, _ in base[:k]:
             _coprime(f, h)
@@ -477,25 +493,42 @@ def _split(a: _Factor, b: _Factor) -> bool:
     return True
 
 
-def _coprime_base(u: Poly, v: Poly, g: Poly) -> list[tuple[Poly, int, int]]:
-    """(c, i, j) for pairwise coprime c with u = prod c^i and v = prod c^j,
-    given g = gcd(u, v), by splitting pairs at their GCD (Bach, Driscoll and
-    Shallit 1993)."""
-    out = [(p, i, j) for p, i, j in ((u.exact_div(g), 1, 0), (v.exact_div(g), 0, 1))
-           if not p.is_const]
-    todo = [(g, 1, 1)]
+def _cofactors(a: _Factor, b: _Factor) -> tuple[Poly, Poly, Poly]:
+    """(g, a / g, b / g) for the polynomials a and b and g = gcd(a, b): by
+    their images when they prove a and b coprime, by a trial division when
+    one divides the other, and by poly_gcd otherwise."""
+    pa, pb = a.poly, b.poly
+    bg = pb.gens
+    if coprime_images(a.image, b.image, (v for v in pa.gens if v in bg)):
+        return _ONE, pa, pb
+    q, r = pb.divmod_by(pa)
+    if r.is_zero:
+        return pa, _ONE, q
+    q, r = pa.divmod_by(pb)
+    if r.is_zero:
+        return pb, q, _ONE
+    g = poly_gcd(pa, pb)
+    return g, pa.exact_div(g), pb.exact_div(g)
+
+
+def _coprime_base(g: Poly, u: Poly, v: Poly) -> list[tuple[_Factor, int, int]]:
+    """(c, i, j) for pairwise coprime factors c with g * u = prod c^i and
+    g * v = prod c^j, for coprime u and v, by splitting pairs at their GCD
+    (Bach, Driscoll and Shallit 1993)."""
+    out = [(_factor(p), i, j) for p, i, j in ((u, 1, 0), (v, 0, 1)) if not p.is_const]
+    todo = [(_factor(g), 1, 1)]
     while todo:
-        p, i, j = todo.pop()
-        for k, (q, i2, j2) in enumerate(out):
-            h = poly_gcd(p, q)
+        f, i, j = todo.pop()
+        for k, (e, i2, j2) in enumerate(out):
+            h, fh, eh = _cofactors(f, e)
             if not h.is_const:
                 del out[k]
-                todo += [(r, s, t) for r, s, t in (
-                    (h, i + i2, j + j2), (p.exact_div(h), i, j), (q.exact_div(h), i2, j2)
+                todo += [(_factor(r), s, t) for r, s, t in (
+                    (h, i + i2, j + j2), (fh, i, j), (eh, i2, j2)
                 ) if not r.is_const]
                 break
         else:
-            out.append((p, i, j))
+            out.append((f, i, j))
     return out
 
 

@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 from fractions import Fraction as F
 
@@ -22,6 +23,7 @@ from p34eq.expr import (
     rf_to_expr,
     to_string,
 )
+from p34eq.expr import poly
 from p34eq.invariants import InvariantTower
 from p34eq.ode import OdeCubic, PointTransform, apply_transform, from_rhs
 from p34eq.oracle import ORACLE_REDRAWS, verify_transform
@@ -228,24 +230,90 @@ def test_p34_electrodiffusion_fully_symbolic():
     assert normalize(res.beta_squared - parse("1/4")) == Const(0)
 
 
+def _tables():
+    """Sizes of the tables and caches that poly and ratfunc own, but for the
+    factors, keyed by polynomial, and the evaluator code, keyed by its
+    source text.  (The generator-name caches of atoms grow with the names
+    by design.)"""
+    out = {}
+    for mod in (poly, ratfunc):
+        for name, obj in vars(mod).items():
+            if name.startswith("__") or name in ("_FACTORS", "_CODE", "_NAMES"):
+                continue
+            if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
+                out[mod.__name__, name] = obj.cache_info().currsize
+            elif isinstance(obj, (dict, set, list)):
+                out[mod.__name__, name] = len(obj)
+    return out
+
+
 def test_factors_die_with_their_decision():
-    # What a factor remembers lives on the factor, so a decision leaves
-    # nothing behind once its tower is gone.
-    def decide():
-        e = eqs.electrodiffusion_3b(2, 3, 5, 7)
+    # What a factor remembers lives on the factor, images included, so a
+    # decision leaves nothing behind once its tower is gone, and no table
+    # grows with the generators of the equations decided.
+    def decide(e):
         tower = InvariantTower(e)
         pc.test_pii(e, tower=tower)
         pc.test_p34(e, tower=tower)
         (f, _), *_ = (fe for fe in ratfunc._exps(tower.i3).items() if fe[1] < 0)
-        return weakref.ref(f)
+        images = [(v, f.image(v)) for v in f.poly.gens]
+        assert images and all(im is not None for _, im in images)
+        return weakref.ref(f), f.images, {g for h in ratfunc._FACTORS.values() for g in h.poly.gens}
 
-    decide()
+    decide(eqs.electrodiffusion_3b(2, 3, 5, 7))
     gc.collect()
-    live = len(ratfunc._FACTORS)
-    ref = decide()
+    live, tables = len(ratfunc._FACTORS), _tables()
+    ref, images, gens = decide(eqs.electrodiffusion_3b(2, 3, 5, 7))
     gc.collect()
     assert ref() is None
+    # Only this frame holds the images now (getrefcount adds its own).
+    assert sys.getrefcount(images) == 2
     assert len(ratfunc._FACTORS) == live
+    # The other equation's compound radicands are new generators.
+    _, _, other = decide(eqs.electrodiffusion_3b(3, 5, 7, 11))
+    gc.collect()
+    new = other - gens
+    assert any(g.startswith("@") for g in new)
+    assert _tables() == tables
+    assert not any(g in source for g in new for source in ratfunc._NAMES)
+
+
+def test_gcds_of_refinement_pairs_all_find_a_common_factor(monkeypatch):
+    # Within _split, outside _coprime_base, poly_gcd sees only pairs that
+    # share a factor: the factors' images prove every coprime pair so.
+    found, splits = [], []
+    inside = [0]
+    real_gcd, real_split, real_base = ratfunc.poly_gcd, ratfunc._split, ratfunc._coprime_base
+
+    def gcd(a, b):
+        g = real_gcd(a, b)
+        if inside[0]:
+            found.append(not g.is_const)
+        return g
+
+    def split(a, b):
+        splits.append((a, b))
+        inside[0] += 1
+        try:
+            return real_split(a, b)
+        finally:
+            inside[0] -= 1
+
+    def base(*args):
+        saved, inside[0] = inside[0], 0
+        try:
+            return real_base(*args)
+        finally:
+            inside[0] = saved
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", gcd)
+    monkeypatch.setattr(ratfunc, "_split", split)
+    monkeypatch.setattr(ratfunc, "_coprime_base", base)
+    e = eqs.electrodiffusion_3b(2, 3, 5, 7)
+    tower = InvariantTower(e)
+    pc.test_pii(e, tower=tower)
+    pc.test_p34(e, tower=tower)
+    assert len(splits) > 50 and all(found)
 
 
 def test_p34_piv_fails_on_i7():

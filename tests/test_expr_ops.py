@@ -323,6 +323,15 @@ def test_chains_match_the_full_gcd_reference(seed):
                 pool.append(got)
 
 
+def test_product_of_factors_in_distinct_generators_takes_no_gcd(monkeypatch):
+    calls = []
+    real = ratfunc.poly_gcd
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda a, b: calls.append((a, b)) or real(a, b))
+    rf = to_ratfunc(parse("(x + 1)*(y + 2)*(k + 3)"))
+    assert calls == []
+    assert len(ratfunc._exps(rf)) == 3
+
+
 # ----- normalize ------------------------------------------------------------
 
 

@@ -1,12 +1,23 @@
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from p34eq.expr.atoms import gen_sort_key
-from p34eq.expr.poly import _W, ExactDivisionError, Poly, _modular_gcd, _prime, poly_gcd
+from p34eq.expr.poly import (
+    _W,
+    ExactDivisionError,
+    Poly,
+    _modular_gcd,
+    _point,
+    _prime,
+    coprime_images,
+    poly_gcd,
+    univariate_image,
+)
 from p34eq.expr.ratfunc import RatFunc
 
 
@@ -143,6 +154,69 @@ def test_gcd_coprime_exit_skips_a_prime_dividing_a_leading_coefficient():
     x, z = Poly.gen("x"), Poly.gen("z")
     g = z.scale(_prime(0)) + Poly.const(1)
     assert poly_gcd(g * (x + Poly.const(2)), g * (x + Poly.const(3))) == g
+
+
+def screen(a, b):
+    """Whether the images of a and b prove them coprime."""
+    shared = [v for v in a.gens if v in b.gens]
+    return coprime_images(partial(univariate_image, a), partial(univariate_image, b), shared)
+
+
+def test_screen_never_proves_a_planted_factor_coprime():
+    rng = random.Random(4181)
+    gens = ("x", "y", "a", "b")
+    for n in range(1, 5):
+        done = 0
+        while done < 40:
+            g, u, w = (rand_poly(rng, gens[:n], 2, 3) for _ in range(3))
+            if g.is_const or u.is_zero or w.is_zero:
+                continue
+            assert not screen(g * u, g * w)
+            done += 1
+
+
+def test_screen_refuses_images_whose_leading_coefficient_vanishes():
+    # g = (x - px)(y - py) + 1 has its leading coefficient in x vanish at
+    # y = py, and the one in y at x = px, so its images in x and in y are
+    # both 1, and the cofactors' images are coprime: only the vanishing
+    # leading coefficients of g * u and g * w show that the images lost g.
+    x, y, one = Poly.gen("x"), Poly.gen("y"), Poly.const(1)
+    px, py = Poly.const(_point("x")), Poly.const(_point("y"))
+    g = (x - px) * (y - py) + one
+    u, w = x + y + Poly.const(2), x - y + Poly.const(3)
+    assert not screen(g * u, g * w)
+    assert poly_gcd(g * u, g * w) == g
+    assert univariate_image(g, "x") is None and univariate_image(g, "y") is None
+
+
+def test_screen_says_coprime_only_of_coprime_pairs():
+    rng = random.Random(6765)
+    gens = ("x", "y", "a", "b")
+    said = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a, b = (rand_poly(rng, gens[: rng.randint(1, n)], 2, rng.randint(1, 4), 3)
+                for _ in range(2))
+        if a.is_const or b.is_const:
+            continue
+        if rng.random() < 0.3:
+            g = rand_poly(rng, gens[:n], 1, 2, 3)
+            if not g.is_zero:
+                a, b = a * g, b * g
+        if screen(a, b):
+            said += 1
+            assert poly_gcd(a, b).is_const
+    assert said > 100
+
+
+def test_images_depend_on_generator_names_alone():
+    # A generator takes the same point in every polynomial, whatever else
+    # it holds and whenever it is built.
+    x, y, z = Poly.gen("x"), Poly.gen("y"), Poly.gen("z")
+    px = _point("x")
+    assert univariate_image(x * y + z, "y") == [_point("z"), px]
+    assert univariate_image(x * y + Poly.const(1), "y") == [1, px]
+    assert 0 < px < _prime(0) and px != _point("y")
 
 
 def test_exponents_never_wrap():
