@@ -18,12 +18,12 @@ from p34eq.expr import (
     is_zero,
     normalize,
     parse,
+    poly,
     ratfunc,
     rf_pow,
     rf_to_expr,
     to_string,
 )
-from p34eq.expr import poly
 from p34eq.invariants import InvariantTower
 from p34eq.ode import OdeCubic, PointTransform, apply_transform, from_rhs
 from p34eq.oracle import ORACLE_REDRAWS, verify_transform
