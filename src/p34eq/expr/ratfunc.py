@@ -14,13 +14,20 @@ A RatFunc also carries its factors: it is coeff * prod b_i^e_i, e_i > 0 for
 a factor of num and e_i < 0 for one of den, where the b_i are primitive,
 positive-lead, non-constant polynomials, pairwise coprime within one
 RatFunc, not necessarily squarefree or irreducible.  num and den are the
-expanded products, and only they are printed, compared and evaluated.  A
-factor is one object per polynomial, shared by every RatFunc that holds it,
-and it remembers what was learnt of it: the factors it was proven coprime
-to, its split into pairwise coprime factors once a GCD found a proper
-divisor (factor refinement: Bach, Driscoll and Shallit 1993), and gcd(b,
-db/dg) and its image (below) per generator g.  A RatFunc reads its factors
-through these splits, so no pair of factors goes to a GCD twice.
+expanded products, multiplied out of the factors when first read and then
+kept.  Products, powers, inverses and scalings, the common denominator of
+a sum and the denominator of a derivative are kept as factors alone; what
+reads num or den is the numerator of a sum or a derivative, printing,
+evaluation, equality and hashing, the monomial tests and the split of an
+equation by powers of y'.  Zero and constant tests and the generators
+answer from the factors.
+
+A factor is one object per polynomial, shared by every RatFunc that holds
+it, and it remembers what was learnt of it: the factors it was proven
+coprime to, its split into pairwise coprime factors once a GCD found a
+proper divisor (factor refinement: Bach, Driscoll and Shallit 1993), and
+gcd(b, db/dg) and its image (below) per generator g.  A RatFunc reads its
+factors through these splits, so no pair of factors goes to a GCD twice.
 
 The only GCDs left refine one operand's factors against the other's.  A
 pair of factors is first screened by its images modulo one prime
@@ -36,7 +43,8 @@ Refinement happens where:
 - a sum's common denominator is prod b^max(e_a, e_b) over the refined
   denominator factors.  Its numerator is the one new factor, and it can
   share a factor only with the b of equal exponent in both (Henrici 1956),
-  so it is refined against those alone;
+  so it is refined against those alone; a common factor lowers the
+  exponent of b and is divided out of the numerator;
 - a derivative is the sum over generators g of d(g)/d(var) *
   d(num/den)/dg.  Over den = prod b^e, h = gcd(den, d(den)/dg) is prod
   b^(e-1) * gcd(b, db/dg) (Horowitz 1971), read from the factors, and the
@@ -45,10 +53,11 @@ Refinement happens where:
 
 Every result then has its surd powers n^(e/q) with e >= q folded into the
 coefficients, keeping monomials in distinct prime radicals linearly
-independent.  A fold can merge monomials and leave any common factor, so
-after one the full GCD is taken and the factors restart as [num, den^-1];
-so does the constructor, given any num and den.  The integer contents go
-into coeff.
+independent.  Only a result with a prime surd among the generators of its
+factors can fold, so only such a result is expanded at once, to fold it.
+A fold can merge monomials and leave any common factor, so after one the
+full GCD is taken and the factors restart as [num, den^-1]; so does the
+constructor, given any num and den.  The integer contents go into coeff.
 
 Evaluation in floats is straight-line code that each RatFunc generates on
 its first evaluation and keeps.  It does the float operations of a
@@ -70,13 +79,14 @@ import weakref
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ..errors import EvalDomainError, EvalPole
 from .atoms import (
     KIND_OPAQUE,
     KIND_SURD,
     KIND_SYMBOL,
+    gen_sort_key,
     is_exact_gen,
     lookup_opaque,
     make_name,
@@ -115,10 +125,6 @@ def reduce_surds(p: Poly) -> Poly:
     return Poly.from_terms(p.gens, terms)
 
 
-def _base_roots(p: Poly) -> dict[str | int, int]:
-    return {info.base: info.q for info in map(parse_gen, p.gens)}
-
-
 def rebase_poly(p: Poly, targets: Mapping[str | int, int]) -> Poly:
     """Rebase every generator to the root denominator given per base."""
     for g in p.gens:
@@ -131,10 +137,14 @@ def rebase_poly(p: Poly, targets: Mapping[str | int, int]) -> Poly:
 
 
 def common_root_targets(*polys: Poly) -> dict[str | int, int]:
+    return _root_targets(g for p in polys for g in p.gens)
+
+
+def _root_targets(gens: Iterable[str]) -> dict[str | int, int]:
+    """The lcm of the root denominators of each base among gens."""
     targets: dict[str | int, int] = {}
-    for p in polys:
-        for base, q in _base_roots(p).items():
-            targets[base] = lcm(targets.get(base, 1), q)
+    for info in map(parse_gen, gens):
+        targets[info.base] = lcm(targets.get(info.base, 1), info.q)
     return targets
 
 
@@ -157,7 +167,7 @@ class Point(dict):
 class RatFunc:
     """Immutable reduced rational function coeff * num / den."""
 
-    __slots__ = ("coeff", "num", "den", "_fac", "_ev")
+    __slots__ = ("coeff", "_num", "_den", "_fac", "_ev")
 
     def __init__(
         self, num: Poly, den: Poly | None = None, coeff=_F1, *, reduced: bool = False
@@ -179,8 +189,8 @@ class RatFunc:
             num, den = rebase_poly(num, targets), rebase_poly(den, targets)
             num, den, coeff = _reduced(reduce_surds(num), reduce_surds(den), Fraction(coeff))
         object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_fac", None)
         object.__setattr__(self, "_ev", None)
 
@@ -198,18 +208,34 @@ class RatFunc:
         if exp == 0:
             return RatFunc.const(1)
         g = Poly.gen(name, abs(exp))
-        rf = RatFunc(g, reduced=True) if exp > 0 else RatFunc(_ONE, g, reduced=True)
-        return _with_factors(rf, {_factor(Poly.gen(name)): exp})
+        num, den = (g, _ONE) if exp > 0 else (_ONE, g)
+        return _factored(_F1, {_factor(Poly.gen(name)): exp}, num, den)
 
     # ----- inspection ---------------------------------------------------
 
     @property
+    def num(self) -> Poly:
+        """The expanded numerator, multiplied out of the factors on first read."""
+        if self._num is None:
+            object.__setattr__(self, "_num", _product(_part(self._fac, 1)))
+        return self._num
+
+    @property
+    def den(self) -> Poly:
+        """The expanded denominator, multiplied out of the factors on first read."""
+        if self._den is None:
+            object.__setattr__(self, "_den", _product(_part(self._fac, -1)))
+        return self._den
+
+    @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.coeff
 
     @property
     def is_const(self) -> bool:
-        return self.num.is_const and self.den.is_const
+        if self._fac is None:
+            return self._num.is_const and self._den.is_const
+        return not self._fac
 
     def const_value(self) -> Fraction:
         if not self.is_const:
@@ -236,9 +262,16 @@ class RatFunc:
         return self.coeff, {g: e for g, e in exps.items() if e}
 
     def gens(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(self.num.gens)
-        seen.update(dict.fromkeys(self.den.gens))
-        return tuple(seen)
+        """The generators of num in order, then those only den has."""
+        if self._num is not None and self._den is not None:
+            seen = dict.fromkeys(self._num.gens)
+            seen.update(dict.fromkeys(self._den.gens))
+            return tuple(seen)
+        # A product has the generators of its factors, each in one part.
+        num, den = set(), set()
+        for f, e in self._fac.items():
+            (num if e > 0 else den).update(f.poly.gens)
+        return tuple(sorted(num, key=gen_sort_key)) + tuple(sorted(den - num, key=gen_sort_key))
 
     def is_exact(self) -> bool:
         """Whether structural zero/nonzero equals functional zero/nonzero."""
@@ -275,15 +308,18 @@ class RatFunc:
             return other
         if other.is_zero:
             return self
-        (an, ad, fa), (bn, bd, fb) = _aligned(self, other)
+        targets, fa, fb = _aligned(self, other)
         c, ka, kb = _common_factor(self.coeff, other.coeff)
         da, db = _refine(_part(fa, -1), _part(fb, -1))
         common = {**db, **{f: max(e, db.get(f, 0)) for f, e in da.items()}}
-        ra = _product({f: e - da.get(f, 0) for f, e in common.items()})  # common / da
-        rb = _product({f: e - db.get(f, 0) for f, e in common.items()})
-        num = _times(an.scale(ka), ra) + _times(bn.scale(kb), rb)
+        # The cofactors common / da and common / db, from the other
+        # operand's denominator when it is expanded and fits.
+        ra = _product({f: e - da.get(f, 0) for f, e in common.items()}, _hint(other, targets, db))
+        rb = _product({f: e - db.get(f, 0) for f, e in common.items()}, _hint(self, targets, da))
+        an, bn = rebase_poly(self.num, targets), rebase_poly(other.num, targets)
+        num = _times(an, ra).scale(ka) + _times(bn, rb).scale(kb)
         shared = {f: e for f, e in da.items() if db.get(f) == e}
-        return _over(num, _times(ad, ra), c, common, shared)
+        return _over(num, c, common, shared)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -295,15 +331,12 @@ class RatFunc:
             return other.scale(self.coeff)
         if other.is_const:
             return self.scale(other.coeff)
-        (an, ad, fa), (bn, bd, fb) = _aligned(self, other)
+        _, fa, fb = _aligned(self, other)
         fa, fb = _refine(fa, fb)
         exps = dict(fa)
         for f, e in fb.items():
             exps[f] = exps.get(f, 0) + e
-        exps = {f: e for f, e in exps.items() if e}
-        num = _product(_part(exps, 1), ((an, _part(fa, 1)), (bn, _part(fb, 1))))
-        den = _product(_part(exps, -1), ((ad, _part(fa, -1)), (bd, _part(fb, -1))))
-        return _result(num, den, self.coeff * other.coeff, exps)
+        return _result(self.coeff * other.coeff, {f: e for f, e in exps.items() if e})
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inverse()
@@ -311,21 +344,28 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        out = RatFunc(self.den, self.num, 1 / self.coeff, reduced=True)
         fac = self._fac
-        return _with_factors(out, None if fac is None else {f: -e for f, e in fac.items()})
+        return _factored(
+            1 / self.coeff,
+            None if fac is None else {f: -e for f, e in fac.items()},
+            self._den,
+            self._num,
+        )
 
     def __pow__(self, n: int) -> "RatFunc":
         if n == 0:
             return RatFunc.const(1)
         base = self if n > 0 else self.inverse()
+        if base.is_zero:
+            return base
         n = abs(n)
-        exps = {f: e * n for f, e in _exps(base).items()}
-        return _result(base.num**n, base.den**n, base.coeff**n, exps)
+        return _result(base.coeff**n, {f: e * n for f, e in _exps(base).items()})
 
     def scale(self, c) -> "RatFunc":
-        out = RatFunc(self.num, self.den, self.coeff * Fraction(c), reduced=True)
-        return _with_factors(out, self._fac) if out.coeff else out
+        coeff = self.coeff * Fraction(c)
+        if not coeff:
+            return RatFunc.const(0)
+        return _factored(coeff, self._fac, self._num, self._den)
 
     # ----- differentiation ----------------------------------------------
 
@@ -381,11 +421,12 @@ class _Factor:
     db/dg by it; and per generator, its univariate image modulo one prime
     (poly.univariate_image)."""
 
-    __slots__ = ("poly", "key", "split", "coprime", "dgcd", "images", "__weakref__")
+    __slots__ = ("poly", "key", "surd", "split", "coprime", "dgcd", "images", "__weakref__")
 
     def __init__(self, poly: Poly):
         self.poly = poly
         self.key = next(_KEYS)
+        self.surd = _has_surd(poly.gens)
         self.split: tuple[tuple[_Factor, int], ...] | None = None
         self.coprime: set[int] = set()
         self.dgcd: dict[str, tuple[Poly, Poly, Poly]] = {}
@@ -413,8 +454,19 @@ def _factor(p: Poly) -> _Factor:
     return f
 
 
-def _with_factors(rf: RatFunc, fac: Exps | None) -> RatFunc:
-    object.__setattr__(rf, "_fac", fac)
+def _has_surd(gens: tuple[str, ...]) -> bool:
+    return any(parse_gen(g).kind == KIND_SURD for g in gens)
+
+
+def _factored(
+    coeff: Fraction, fac: Exps | None, num: Poly | None = None, den: Poly | None = None
+) -> RatFunc:
+    """The nonzero RatFunc coeff * prod f^e over fac, with num and den when
+    they are known expanded (both, when fac is None)."""
+    rf = object.__new__(RatFunc)
+    slots = {"coeff": coeff, "_num": num, "_den": den, "_fac": fac, "_ev": None}
+    for slot, value in slots.items():
+        object.__setattr__(rf, slot, value)
     return rf
 
 
@@ -423,10 +475,10 @@ def _exps(rf: RatFunc) -> Exps:
     fac = rf._fac
     if fac is None:
         fac = {}
-        if not rf.num.is_const:
-            fac[_factor(rf.num)] = 1
-        if not rf.den.is_const:
-            fac[_factor(rf.den)] = -1
+        if not rf._num.is_const:
+            fac[_factor(rf._num)] = 1
+        if not rf._den.is_const:
+            fac[_factor(rf._den)] = -1
         if len(fac) == 2:
             _coprime(*fac)
     leaves = _leaves(fac)
@@ -554,21 +606,27 @@ def _product(target: Exps, hints: tuple[tuple[Poly, Exps], ...] = ()) -> Poly:
     return _times(out, acc)
 
 
-def _aligned(a: RatFunc, b: RatFunc) -> tuple[tuple[Poly, Poly, Exps], ...]:
-    """(num, den, factors) of a and of b over common root generators."""
-    targets = common_root_targets(a.num, a.den, b.num, b.den)
-    return _rebased(a, targets), _rebased(b, targets)
+def _aligned(a: RatFunc, b: RatFunc) -> tuple[dict[str | int, int], Exps, Exps]:
+    """(targets, factors of a, factors of b) over common root generators."""
+    targets = _root_targets(a.gens() + b.gens())
+    return targets, _rebased(a, targets), _rebased(b, targets)
 
 
-def _rebased(rf: RatFunc, targets: Mapping[str | int, int]) -> tuple[Poly, Poly, Exps]:
-    num, den = rebase_poly(rf.num, targets), rebase_poly(rf.den, targets)
+def _rebased(rf: RatFunc, targets: Mapping[str | int, int]) -> Exps:
     fac = _exps(rf)
-    if num is rf.num and den is rf.den:
-        return num, den, fac
+    moved = {f: rebase_poly(f.poly, targets) for f in fac}
+    if all(p is f.poly for f, p in moved.items()):
+        return fac
     # Replacing a generator by a power of a new one that sorts in its place
     # keeps each factor's lex lead, so its sign, and keeps GCDs: the factors
     # stay primitive, positive-lead and pairwise coprime.
-    return num, den, {_factor(rebase_poly(f.poly, targets)): e for f, e in fac.items()}
+    return {_factor(moved[f]): e for f, e in fac.items()}
+
+
+def _hint(rf: RatFunc, targets: Mapping[str | int, int], dfac: Exps) -> tuple:
+    """((den, dfac),) for _product when rf's den = prod f^e over dfac is
+    expanded, else ()."""
+    return () if rf._den is None else ((rebase_poly(rf._den, targets), dfac),)
 
 
 # ----- results ----------------------------------------------------------------
@@ -598,26 +656,29 @@ def _folded(num: Poly, den: Poly, coeff: Fraction) -> RatFunc | None:
     return RatFunc(*_reduced(n, d, coeff), reduced=True)
 
 
-def _result(num: Poly, den: Poly, coeff: Fraction, fac: Exps) -> RatFunc:
-    """coeff * num / den for coprime num = prod f^e over fac's e > 0 and den
-    = prod f^-e over its e < 0."""
-    out = _folded(num, den, coeff)
-    return out if out is not None else _with_factors(RatFunc(num, den, coeff, reduced=True), fac)
+def _result(coeff: Fraction, fac: Exps) -> RatFunc:
+    """coeff * prod f^e over fac, expanded now only when a surd power may fold."""
+    if any(f.surd for f in fac):
+        num, den = _product(_part(fac, 1)), _product(_part(fac, -1))
+        out = _folded(num, den, coeff)
+        return out if out is not None else _factored(coeff, fac, num, den)
+    return _factored(coeff, fac)
 
 
-def _over(num: Poly, den: Poly, coeff: Fraction, dfac: Exps, shared: Exps) -> RatFunc:
-    """coeff * num / den for a new numerator num and den = prod f^e over
-    dfac, where num can have a factor in common with those in shared alone."""
-    out = _folded(num, den, coeff)
-    if out is not None:
-        return out
+def _over(num: Poly, coeff: Fraction, dfac: Exps, shared: Exps) -> RatFunc:
+    """coeff * num / prod f^e over dfac for a new numerator num that can
+    have a factor in common with those in shared alone."""
     if num.is_zero:
         return RatFunc.const(0)
+    if _has_surd(num.gens) or any(f.surd for f in dfac):
+        out = _folded(num, _product(dfac), coeff)
+        if out is not None:
+            return out
     cn, num = num.primitive()
     coeff = coeff * cn
     dfac = _leaves(dfac)
     if num.is_const:
-        return _with_factors(RatFunc(num, den, coeff, reduced=True), {f: -e for f, e in dfac.items()})
+        return _factored(coeff, {f: -e for f, e in dfac.items()}, _ONE)
     nf = _factor(num)
     for f in dfac:
         if f not in shared and f is not nf:
@@ -627,12 +688,13 @@ def _over(num: Poly, den: Poly, coeff: Fraction, dfac: Exps, shared: Exps) -> Ra
     fac = {f: -e for f, e in dfac.items()}
     for f, e in nfac.items():
         fac[f] = fac.get(f, 0) + e
+    # A common factor leaves num by a division and the denominator by
+    # lowering its exponent.
     cancel = {f: min(e, dfac[f]) for f, e in nfac.items() if f in dfac}
     if cancel:
-        k = _product(cancel)
-        num, den = num.exact_div(k), den.exact_div(k)
+        num = num.exact_div(_product(cancel))
         fac = {f: e for f, e in fac.items() if e}
-    return _with_factors(RatFunc(num, den, coeff, reduced=True), fac)
+    return _factored(coeff, fac, num)
 
 
 # ----- differentiation ----------------------------------------------------------
@@ -685,7 +747,7 @@ def _partial(rf: RatFunc, g: str) -> RatFunc:
     vanishes, and p divides none of its factors.  So it is refined against
     the b with c_b != 1 alone.
     """
-    n, d = rf.num, rf.den
+    n = rf.num
     dfac = _part(_exps(rf), -1)
     parts = [(f, e, *_dgcd(f, g)) for f, e in dfac.items()]
     d_h = _ONE
@@ -700,7 +762,6 @@ def _partial(rf: RatFunc, g: str) -> RatFunc:
                     term = _times(term, q)
             dd_h = dd_h + term
     num = _times(n.deriv(g), d_h) - _times(n, dd_h)
-    den = _times(d, d_h)
     # den * (den/h) over factors: b/c_b is b, 1, or a proper divisor of b
     # that splits b (it is coprime to every other b).
     out = dict(dfac)
@@ -715,7 +776,7 @@ def _partial(rf: RatFunc, g: str) -> RatFunc:
             _refine({qf: 1}, {f: 1})
             out[qf] = out.get(qf, 0) + 1
     shared = _leaves({f: 1 for f, _, c, _, _ in parts if not c.is_const})
-    return _over(num, den, _F1, out, shared)
+    return _over(num, _F1, out, shared)
 
 
 # ----- evaluation -----------------------------------------------------------

@@ -378,6 +378,19 @@ def test_first_case_decision_zero_tests_each_invariant_once(monkeypatch):
     assert len({id(rf) for rf in tested}) == len(tested)
 
 
+def test_recovered_beta2_cancels_on_factors_without_a_product(monkeypatch):
+    # Products and powers of the recovered y and I9 keep their factors, and
+    # the quotient cancels to a constant without multiplying any out.
+    tower = InvariantTower(eqs.electrodiffusion_3b(2, 3, 5, 7))
+    for rf in (tower.recovered_y, tower.i9):
+        rf.num, rf.den
+    products = []
+    real = poly.Poly.__mul__
+    monkeypatch.setattr(poly.Poly, "__mul__", lambda p, q: products.append(1) or real(p, q))
+    assert tower.recovered_beta2 == RatFunc.const(F(1, 4))
+    assert products == []
+
+
 def test_p34_differentiates_the_recovered_transform_once(monkeypatch):
     # The Jacobian check and the oracle read one table of partials.
     calls = []

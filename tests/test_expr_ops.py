@@ -26,7 +26,7 @@ from p34eq.expr import (
 )
 from p34eq.expr.atoms import KIND_SURD, KIND_SYMBOL, lookup_opaque, parse_gen
 from p34eq.expr.poly import Poly, poly_gcd
-from p34eq.expr.ratfunc import RatFunc, common_root_targets, rebase_poly
+from p34eq.expr.ratfunc import RatFunc, common_root_targets, rebase_poly, reduce_surds
 from conftest import random_expr, random_rational_expr, sample_xyb
 
 
@@ -280,13 +280,31 @@ def _assert_factored(rf):
     assert (num, den) == (rf.num, rf.den)
 
 
+def _assert_matches(got, ref, rng):
+    """got is ref, or for a surd normal form, which depends on the path, a
+    reduced RatFunc of the same values with its surd powers folded; either
+    way its factors fit."""
+    if any(parse_gen(g).kind == KIND_SURD for g in got.gens()):
+        assert poly_gcd(got.num, got.den).is_const
+        assert (reduce_surds(got.num), reduce_surds(got.den)) == (got.num, got.den)
+        _same_values(got, ref, rng)
+    else:
+        assert got == ref
+    if not got.is_zero:
+        _assert_factored(got)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_chains_match_the_full_gcd_reference(seed):
     # Shared linear factors; a square that enters a denominator when the
     # numerator holding it is inverted; y^(1/3), which rebases y; an x-free
-    # denominator factor that d/dx of the numerator can cancel.  Operands
-    # rebuilt from their expanded parts know no factors, so products split
-    # them, and (a + b) - b cancels back to a, up to a rebase.
+    # denominator factor that d/dx of the numerator can cancel; a prime surd
+    # whose square folds.  Operands rebuilt from their expanded parts know
+    # no factors, so products split them, and (a + b) - b cancels back to a,
+    # up to a rebase.  Each result is paired with its reference, computed
+    # from the references of its operands; about half of the results are
+    # checked, so expanded, when made and the rest only at the end, after
+    # they were operands of later steps unexpanded.
     texts = (
         "(x + 2*y)/(x - y + k)",
         "(x - y + k)*(3*x + 1)/(x + 2*y)^2",
@@ -295,32 +313,68 @@ def test_chains_match_the_full_gcd_reference(seed):
         "(y^(1/3) + x)/(x + 2*y)",
         "x^2 - 4*y^2",
         "(x*y - x + 1)/(k*(y - 1))",
+        "(2^(1/2)*x + 1)/(x + 2*y)",
+        "(x - y + k)/(2^(1/2)*x + 1)^2",
     )
-    pool = [to_ratfunc(parse(t)) for t in texts]
-    pool += [RatFunc(rf.num, rf.den, rf.coeff) for rf in pool]
+    refs = [to_ratfunc(parse(t)) for t in texts]
+    refs = [RatFunc(rf.num, rf.den, rf.coeff) for rf in refs]
+    pool = [(to_ratfunc(parse(t)), ref) for t, ref in zip(texts, refs)]
+    pool += [(RatFunc(ref.num, ref.den, ref.coeff), ref) for ref in refs]
     rng = random.Random(seed)
+    deferred = []
     for _ in range(24):
-        a, b = rng.sample(pool, 2)
+        (a, ra), (b, rb) = rng.sample(pool, 2)
         op = rng.choice(("+", "-", "*", "/", "**", "d", "+-"))
         if op == "**":
             n = rng.choice((-2, -1, 2))
-            got, ref = a**n, _ref_power(a, n)
+            got, ref = a**n, _ref_power(ra, n)
         elif op == "d":
             var = rng.choice(("x", "y"))
-            got, ref = a.deriv(var), _ref_deriv(a, var)
+            got, ref = a.deriv(var), _ref_deriv(ra, var)
         elif op == "+-":
-            c, num, den = _frac_add(_frac_add(_frac(a), _frac(b)), (-b.coeff, b.num, b.den))
+            c, num, den = _frac_add(_frac_add(_frac(ra), _frac(rb)), (-rb.coeff, rb.num, rb.den))
             got, ref = (a + b) - b, RatFunc(num, den, c)
         else:
-            if op == "/" and b.is_zero:
+            if op == "/" and rb.is_zero:
                 continue
             ours, theirs = _CHAIN_OPS[op]
-            got, ref = ours(a, b), theirs(a, b)
-        assert got == ref
-        if not got.is_zero:
-            _assert_factored(got)
-            if len(got.num.terms) + len(got.den.terms) < 120:
-                pool.append(got)
+            got, ref = ours(a, b), theirs(ra, rb)
+        if rng.random() < 0.5:
+            _assert_matches(got, ref, rng)
+        else:
+            deferred.append((got, ref))
+        if not ref.is_zero and len(ref.num.terms) + len(ref.den.terms) < 120:
+            pool.append((got, ref))
+    for got, ref in deferred:
+        _assert_matches(got, ref, rng)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        lambda a, b, c: (a**5 * b) / a,
+        lambda a, b, c: (b * a**-2) ** 3 / b**2,
+        lambda a, b, c: a / a,
+        lambda a, b, c: c * b**-1 * a**2,
+        lambda a, b, c: (c / a) ** -2 * -b,
+    ],
+    ids=["a^5*b/a", "(b/a^2)^3/b^2", "a/a", "c/b*a^2", "-(c/a)^-2*b"],
+)
+def test_products_and_powers_expand_nothing_until_read(monkeypatch, chain):
+    a = to_ratfunc(parse("(x + 1)/(y + 2)"))
+    b = to_ratfunc(parse("(x - y)^3/(x + 1)"))
+    c = to_ratfunc(parse("(x + 1)/(k*(y + 2))"))
+    # The full-GCD reduction of the same value, from the expanded operands.
+    ref = chain(*(RatFunc(rf.num, rf.den, rf.coeff) for rf in (a, b, c)))
+    ref = RatFunc(ref.num, ref.den, ref.coeff)
+    products = []
+    real = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or real(p, q))
+    got = chain(a, b, c)
+    inspected = (got.is_zero, got.is_const, got.gens())
+    assert products == []
+    assert inspected == (ref.is_zero, ref.is_const, ref.gens())
+    assert (got.coeff, got.num, got.den) == (ref.coeff, ref.num, ref.den)
 
 
 def test_product_of_factors_in_distinct_generators_takes_no_gcd(monkeypatch):
