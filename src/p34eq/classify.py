@@ -250,7 +250,8 @@ def _build_pii_transform(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
     the walk over both signs reached the +a one first.
     """
     for _, transform, target in _pii_candidates(t, a_rf):
-        report = verify_transform(ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy)
+        report = verify_transform(ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy,
+                                  fail_fast=True)
         if report.passed:
             return transform, report
     return None

@@ -2,7 +2,10 @@
 
 Nodes mirror the surface grammar: rational constants, symbols, n-ary sums
 and products, rational powers, and negation.  Trees are plain frozen data;
-all simplification lives in the normal-form engine.
+all simplification lives in the normal-form engine.  A node keeps the
+Fraction it is given (only other numbers are converted), and the printer
+reads signs and unit exponents from a Fraction's integer numerator and
+denominator rather than comparing Fractions.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class Const(Expr):
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        if not isinstance(self.value, Fraction):
+            object.__setattr__(self, "value", Fraction(self.value))
 
 
 @dataclass(frozen=True, eq=True)
@@ -82,7 +86,8 @@ class Pow(Expr):
     exp: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "exp", Fraction(self.exp))
+        if not isinstance(self.exp, Fraction):
+            object.__setattr__(self, "exp", Fraction(self.exp))
 
 
 @dataclass(frozen=True, eq=True)
@@ -158,13 +163,11 @@ def _render(e: Expr, memo: dict) -> tuple[str, int]:
     in this call, so a compound radicand shared by many powers renders once.
     """
     if isinstance(e, Const):
-        v = e.value
-        if v < 0:
-            inner, _ = _render(Const(-v), memo)
-            return f"-{inner}", _PREC_UNARY
-        if v.denominator == 1:
-            return str(v.numerator), _PREC_ATOM
-        return f"{v.numerator}/{v.denominator}", _PREC_MUL
+        n, d = e.value.numerator, e.value.denominator
+        text = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+        if n < 0:
+            return f"-{text}", _PREC_UNARY
+        return text, _PREC_ATOM if d == 1 else _PREC_MUL
     if isinstance(e, Sym):
         return e.name, _PREC_ATOM
     if isinstance(e, Neg):
@@ -191,14 +194,14 @@ def _signed(e: Expr, memo: dict) -> tuple[int, str]:
     if isinstance(e, Neg):
         s, body = _signed(e.arg, memo)
         return -s, body
-    if isinstance(e, Const) and e.value < 0:
+    if isinstance(e, Const) and e.value.numerator < 0:
         return -1, _paren(Const(-e.value), _PREC_ADD + 1, memo)
     if isinstance(e, Mul) and e.factors:
         head = e.factors[0]
         if isinstance(head, Neg):
             s, body = _signed(mul((head.arg,) + e.factors[1:]), memo)
             return -s, body
-        if isinstance(head, Const) and head.value < 0:
+        if isinstance(head, Const) and head.value.numerator < 0:
             if head.value == -1 and len(e.factors) > 1:
                 rest = mul(e.factors[1:])
             else:
@@ -209,20 +212,20 @@ def _signed(e: Expr, memo: dict) -> tuple[int, str]:
 
 
 def _render_pow(e: Pow, memo: dict) -> tuple[str, int]:
-    exp = e.exp
-    if exp == 1:
+    n, d = e.exp.numerator, e.exp.denominator
+    if n == 1 and d == 1:
         return _render(e.base, memo)
     base = _paren_base(e.base, memo)
-    if exp.denominator == 1:
-        return f"{base}^{exp.numerator}", _PREC_POW
-    return f"{base}^({exp.numerator}/{exp.denominator})", _PREC_POW
+    if d == 1:
+        return f"{base}^{n}", _PREC_POW
+    return f"{base}^({n}/{d})", _PREC_POW
 
 
 def _paren_base(e: Expr, memo: dict) -> str:
     # Power bases must be grammar atoms: symbol, unsigned integer, or parens.
     if isinstance(e, Sym):
         return e.name
-    if isinstance(e, Const) and e.value >= 0 and e.value.denominator == 1:
+    if isinstance(e, Const) and e.value.denominator == 1 and e.value.numerator >= 0:
         return str(e.value.numerator)
     # The memo keeps e alive, so its id cannot be reused within the call.
     hit = memo.get(id(e))
@@ -243,7 +246,7 @@ def _render_mul(e: Mul, memo: dict) -> tuple[str, int]:
     nums: list[str] = []
     dens: list[str] = []
     for f in _flat_factors(e):
-        if isinstance(f, Pow) and f.exp < 0:
+        if isinstance(f, Pow) and f.exp.numerator < 0:
             inv = Pow(f.base, -f.exp) if f.exp != -1 else f.base
             dens.append(_paren(inv, _PREC_MUL + 1, memo))
         else:

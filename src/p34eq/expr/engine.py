@@ -170,18 +170,16 @@ def _poly_to_expr(p: Poly, coeff: Fraction = Fraction(1)) -> Expr:
     """coeff * p as a sum of terms, each with its rational coefficient."""
     if p.is_zero:
         return ast.ZERO
-    terms = []
+    scaled = coeff != 1
+    terms: list[Expr] = []
     for mono, c in p.sorted_terms():
-        if coeff != 1:
+        if scaled:
             c = coeff * c
-        factors: list[Expr] = []
-        if c != 1 or all(e == 0 for e in mono):
-            factors.append(Const(c))
-        for g, e in zip(p.gens, mono):
-            if e:
-                factors.append(_gen_to_expr(g, e))
-        terms.append(ast.mul(factors))
-    return ast.add(terms)
+        factors = [_gen_to_expr(g, e) for g, e in zip(p.gens, mono) if e]
+        if c != 1 or not any(mono):
+            factors.insert(0, Const(c))
+        terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
+    return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
 @lru_cache(maxsize=None)
@@ -193,6 +191,9 @@ def _opaque_expr(tag: str) -> Expr:
     return rf_to_expr(lookup_opaque(tag))  # type: ignore[arg-type]
 
 
+# Generator names are immutable and nodes frozen, so one node serves every
+# term, and the printer's memo of power bases hits on a shared radicand.
+@lru_cache(maxsize=None)
 def _gen_to_expr(gen: str, e: int) -> Expr:
     info = parse_gen(gen)
     exp = Fraction(e, info.q)

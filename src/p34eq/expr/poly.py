@@ -527,26 +527,31 @@ def _prime(i: int) -> int:
 
 # ----- univariate images at fixed points -------------------------------------
 #
-# Modulo the prime _prime(0), a polynomial's image in one of its generators v
-# sets every other generator g to _point(g).  A common factor of two
-# primitive polynomials with positive degree in v keeps that degree where
+# Modulo the prime _SCREEN_PRIME, a polynomial's image in one of its
+# generators v sets every other generator g to _point(g).  A common factor of
+# two primitive polynomials with positive degree in v keeps that degree where
 # neither leading coefficient in v vanishes, as its own divides both, so its
 # image divides both images there: constant GCDs of usable images in every
-# shared generator prove the polynomials coprime.
+# shared generator prove the polynomials coprime.  No prime makes that
+# unsound: an unlucky one only leaves a pair to trial division or poly_gcd.
+
+# The largest prime below 2^30: residues are one-digit CPython ints, and so
+# is every product once reduced as it is formed.
+_SCREEN_PRIME = 1073741789
 
 
 def _point(name: str) -> int:
-    """The nonzero residue mod _prime(0) that a generator takes in images
+    """The nonzero residue mod _SCREEN_PRIME that a generator takes in images
     in other generators: a function of its name alone, kept nowhere."""
     digest = hashlib.blake2b(name.encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % (_prime(0) - 1) + 1
+    return int.from_bytes(digest, "big") % (_SCREEN_PRIME - 1) + 1
 
 
 def univariate_image(a: Poly, v: str) -> list[int] | None:
-    """a mod _prime(0) as a univariate polynomial in its generator v, every
-    other generator at its _point; None when the leading coefficient in v
-    vanishes there."""
-    p = _prime(0)
+    """a mod _SCREEN_PRIME as a univariate polynomial in its generator v,
+    every other generator at its _point; None when the leading coefficient
+    in v vanishes there."""
+    p = _SCREEN_PRIME
     sh = _shifts(len(a.gens))
     s = sh[a.gens.index(v)]
     # (shift, powers of the point) of every other generator
@@ -557,8 +562,9 @@ def univariate_image(a: Poly, v: str) -> list[int] | None:
     ]
     out = [0] * (max(_field(a.terms, s)) + 1)
     for k, c in a.terms.items():
+        c %= p
         for t, pw in others:
-            c *= pw[k >> t & _MASK]
+            c = c * pw[k >> t & _MASK] % p
         out[k >> s & _MASK] += c
     out = [c % p for c in out]
     return out if out[-1] else None
@@ -573,7 +579,7 @@ def coprime_images(
     generator, prove them coprime: in every generator in shared (those of
     both), both are usable and their GCD is constant.  Nothing shared
     proves it too."""
-    p = _prime(0)
+    p = _SCREEN_PRIME
     for v in shared:
         u = image_a(v)
         if u is None:

@@ -112,12 +112,17 @@ def _cubic_through(q, w):
     return tuple(c)
 
 
+class _Failed(Exception):
+    """A residual at which a quadrant can no longer pass."""
+
+
 def verify_transform(
     src: OdeCubic,
     dst: OdeCubic,
     t: PointTransform,
     n: int = 20,
     policy: SamplePolicy | None = None,
+    fail_fast: bool = False,
 ) -> ResidualReport:
     """Check that t maps solutions of src onto solutions of dst.
 
@@ -125,7 +130,9 @@ def verify_transform(
     transforms with radicals are often real on only some of them; the first
     quadrant that yields a passing report wins, otherwise the best report
     (most samples, then smallest residual) is returned.  A point where the
-    jets degenerate counts as a pole.
+    jets degenerate counts as a pole.  With fail_fast, for callers that read
+    only whether the check passed, a quadrant stops at its first residual of
+    PASS_RESIDUAL or more and gives no report; the passing report is the same.
     """
     policy = policy or SamplePolicy()
     parts = t.parts
@@ -147,13 +154,19 @@ def verify_transform(
         dv = tuple(rf.eval(image) for rf in dst_rfs)
         eff = _jet_coefficients((sv[0], 3 * sv[1], 3 * sv[2], sv[3]), pv, jets)
         dst_vals = (dv[0], 3 * dv[1], 3 * dv[2], dv[3])
-        return max(abs(e - d) / max(1.0, abs(e), abs(d)) for e, d in zip(eff, dst_vals))
+        r = max(abs(e - d) / max(1.0, abs(e), abs(d)) for e, d in zip(eff, dst_vals))
+        if fail_fast and r >= PASS_RESIDUAL:
+            raise _Failed
+        return r
 
     best: ResidualReport | None = None
     for quadrant in QUADRANTS:
-        residuals, skipped = sample(
-            residual, symbols, src.env.merged(dst.env), policy, n, quadrant, ORACLE_REDRAWS
-        )
+        try:
+            residuals, skipped = sample(
+                residual, symbols, src.env.merged(dst.env), policy, n, quadrant, ORACLE_REDRAWS
+            )
+        except _Failed:
+            continue
         report = ResidualReport(
             samples_used=len(residuals), poles_skipped=skipped, quadrant=quadrant
         )
@@ -167,7 +180,7 @@ def verify_transform(
             -best.max_residual,
         ):
             best = report
-    return best
+    return best or ResidualReport()
 
 
 def verify_weight_law(

@@ -7,7 +7,7 @@ import pytest
 
 from p34eq import classify as pc
 from p34eq import equations as eqs
-from p34eq import invariants
+from p34eq import invariants, oracle
 from p34eq.classify import ORACLE_SAMPLES, CaseTag, Outcome
 from p34eq.expr import (
     Const,
@@ -138,6 +138,25 @@ def test_pii_searches_only_the_plus_a_candidates(monkeypatch):
     )
     assert [to_string(a) for a in res.a_candidates] == ["12345", "-12345"]
     assert res.a_values == (12345.0, -12345.0)
+
+
+def test_pii_search_stops_a_quadrant_at_its_first_failing_residual(monkeypatch):
+    # the candidate search reads only whether a transform passed, so each
+    # quadrant stops at its first residual of PASS_RESIDUAL or more: 4
+    # candidates in 4 quadrants of 24 samples would take 384 residuals.
+    # test_p34 shows its report, so it keeps every sample.
+    residuals = []
+    cubic = oracle._cubic_through
+    monkeypatch.setattr(oracle, "_cubic_through", lambda q, w: residuals.append(q) or cubic(q, w))
+    res = pc.test_pii(eqs.painleve_ii("a"))
+    assert res.outcome is Outcome.INCONCLUSIVE
+    assert len(residuals) < 100
+    res = pc.test_p34(eqs.electrodiffusion_3a(101, 997, 7919, 1009, 4001), SamplePolicy(seed=1))
+    assert (res.residual.samples_used, f"{res.residual.max_residual:.3g}") == (24, "7.05e-07")
+    # a passing check is the same either way
+    e = eqs.p34_rational(1)
+    t = PointTransform(Sym("x"), Sym("y"))
+    assert verify_transform(e, e, t, n=12, fail_fast=True) == verify_transform(e, e, t, n=12)
 
 
 @pytest.mark.parametrize("a", ["a", 3, 12345])

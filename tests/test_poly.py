@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from p34eq.expr.atoms import gen_sort_key
 from p34eq.expr.poly import (
+    _SCREEN_PRIME,
     _W,
     ExactDivisionError,
     Poly,
@@ -150,9 +151,10 @@ def test_gcd_coprime_exit_checks_every_shared_generator():
 
 
 def test_gcd_coprime_exit_skips_a_prime_dividing_a_leading_coefficient():
-    # Modulo the first prime p, g = p*z + 1 is 1, so both images are coprime.
+    # Modulo the prime p of the images, g = p*z + 1 is 1, so both images
+    # are coprime.
     x, z = Poly.gen("x"), Poly.gen("z")
-    g = z.scale(_prime(0)) + Poly.const(1)
+    g = z.scale(_SCREEN_PRIME) + Poly.const(1)
     assert poly_gcd(g * (x + Poly.const(2)), g * (x + Poly.const(3))) == g
 
 
@@ -216,7 +218,7 @@ def test_images_depend_on_generator_names_alone():
     px = _point("x")
     assert univariate_image(x * y + z, "y") == [_point("z"), px]
     assert univariate_image(x * y + Poly.const(1), "y") == [1, px]
-    assert 0 < px < _prime(0) and px != _point("y")
+    assert 0 < px < _SCREEN_PRIME and px != _point("y")
 
 
 def test_exponents_never_wrap():
