@@ -2,14 +2,17 @@
 
 Conditions are checked in the theorems' order; the first failure
 short-circuits and is named in the result.  Every Equivalent outcome
-carries a transform that passed the numeric jet oracle.  Parameters and
-transforms are reported in normal form, normalized once after the oracle
-ran on them as the tower built them.
+carries a transform that passed the numeric jet oracle.  The candidate
+transforms, the recovered P34 transform, the parameters and both target
+equations are built from tower RatFuncs, and a decision neither prints nor
+parses them.  A parameter is reported root-reduced (rf_reduce_roots), as a
+transform holds its variables, and is rendered as an Expr only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from fractions import Fraction
 
@@ -20,8 +23,8 @@ from .expr import (
     RatFunc,
     SamplePolicy,
     is_zero,
-    normalize,
     rf_pow,
+    rf_reduce_roots,
     rf_to_expr,
     sample_any_quadrant,
 )
@@ -72,9 +75,9 @@ class EquivalenceResult:
     outcome: Outcome
     detail: str = ""
     failed_condition: str | None = None
-    a_candidates: tuple[Expr, ...] | None = None
+    a_rfs: tuple[RatFunc, ...] | None = None
     a_values: tuple[float, ...] | None = None
-    beta_squared: Expr | None = None
+    beta2_rf: RatFunc | None = None
     beta_squared_value: float | None = None
     transform: PointTransform | None = None
     residual: ResidualReport | None = None
@@ -82,6 +85,14 @@ class EquivalenceResult:
     @property
     def equivalent(self) -> bool:
         return self.outcome in (Outcome.EQUIVALENT_PII, Outcome.EQUIVALENT_P34)
+
+    @cached_property
+    def a_candidates(self) -> tuple[Expr, ...] | None:
+        return None if self.a_rfs is None else tuple(map(rf_to_expr, self.a_rfs))
+
+    @cached_property
+    def beta_squared(self) -> Expr | None:
+        return None if self.beta2_rf is None else rf_to_expr(self.beta2_rf)
 
 
 def classify(
@@ -159,7 +170,7 @@ def test_pii(
     if zero_j:
         a_rf = RatFunc.const(0)
     candidates = (a_rf,) if zero_j else (a_rf, -a_rf)
-    a_exprs = tuple(normalize(rf_to_expr(c)) for c in candidates)
+    a_rfs = tuple(map(rf_reduce_roots, candidates))
     a_values = tuple(_sample_value(c, ode.env, t.policy) for c in candidates)
 
     result = _build_pii_transform(ode, t, a_rf)
@@ -168,17 +179,17 @@ def test_pii(
             Outcome.INCONCLUSIVE,
             detail="all theorem conditions hold but no candidate transform "
             "passed the numeric oracle",
-            a_candidates=a_exprs,
+            a_rfs=a_rfs,
             a_values=a_values,
         )
     transform, report = result
     return EquivalenceResult(
         Outcome.EQUIVALENT_PII,
-        a_candidates=a_exprs,
+        a_rfs=a_rfs,
         a_values=a_values,
-        transform=_normalized(transform),
+        transform=transform,
         residual=report,
-        detail=f"verified against parameter a = {a_exprs[0]}",
+        detail=f"verified against parameter a = {rf_to_expr(a_rfs[0])}",
     )
 
 
@@ -195,13 +206,6 @@ def _independent_pair(t: InvariantTower) -> tuple[str, str] | None:
     if unknown:
         raise UnknownVerdictError("functional independence of I3, I6, I9")
     return None
-
-
-def _normalized(t: PointTransform) -> PointTransform:
-    """t in normal form: its parts u and v are to_ratfunc of x_new and
-    y_new, so this is normalize of each, without parsing them again."""
-    parts = t.parts
-    return PointTransform(rf_to_expr(parts["u"]), rf_to_expr(parts["v"]))
 
 
 def _sample_value(rf: RatFunc, env: ParamEnv, policy: SamplePolicy) -> float:
@@ -229,16 +233,15 @@ def _pii_candidates(t: InvariantTower, a_rf: RatFunc):
     """((sigma, tau, eps), transform, PII(a_rf)) in search order: x_new =
     5 sigma I6 w^-2 - (3/2) tau a w, y_new = eps / w, w = (2500 sigma I9)^(1/6).
     """
-    target = painleve_ii(rf_to_expr(a_rf))
+    target = painleve_ii(a_rf)
     for sigma in _pii_sigmas(t):
         w = rf_pow(t.i9.scale(2500 * sigma), Fraction(1, 6))
         w_inv = w ** (-1)
         base_x = t.i6.scale(5 * sigma) * w_inv * w_inv
         for tau in (1,) if a_rf.is_zero else (1, -1):
-            x_new = rf_to_expr(base_x - (a_rf * w).scale(Fraction(3, 2) * tau))
+            x_new = base_x - (a_rf * w).scale(Fraction(3, 2) * tau)
             for eps in (1, -1):
-                y_new = rf_to_expr(w_inv.scale(eps))
-                yield (sigma, tau, eps), PointTransform(x_new, y_new), target
+                yield (sigma, tau, eps), PointTransform(x_new, w_inv.scale(eps)), target
 
 
 def _build_pii_transform(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
@@ -279,7 +282,7 @@ def test_p34(
             )
         if not t.require("K", t.k_invariant).is_zero:
             return EquivalenceResult(Outcome.NOT_EQUIVALENT, failed_condition="K = 0")
-        transform = PointTransform(rf_to_expr(t.recovered_x), rf_to_expr(t.recovered_y))
+        transform = PointTransform(t.recovered_x, t.recovered_y)
         if not t.require("recovered transform Jacobian", transform.jacobian()).is_nonzero:
             return EquivalenceResult(
                 Outcome.NOT_EQUIVALENT,
@@ -298,24 +301,23 @@ def test_p34(
     except (UnknownVerdictError, CaseError) as exc:
         return EquivalenceResult(Outcome.INCONCLUSIVE, detail=str(exc))
 
-    b2_expr = rf_to_expr(b2)
-    target = p34_cuberoot(b2_expr)
+    b2_shown = rf_reduce_roots(b2)
+    target = p34_cuberoot(b2_shown)
     report = verify_transform(ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy)
-    b2_shown, transform_shown = normalize(b2_expr), _normalized(transform)
     if not report.passed:
         return EquivalenceResult(
             Outcome.INCONCLUSIVE,
             detail=f"all theorem conditions hold but the recovered transform "
             f"did not pass the oracle ({report!r})",
-            beta_squared=b2_shown,
-            transform=transform_shown,
+            beta2_rf=b2_shown,
+            transform=transform,
             residual=report,
         )
     return EquivalenceResult(
         Outcome.EQUIVALENT_P34,
-        beta_squared=b2_shown,
+        beta2_rf=b2_shown,
         beta_squared_value=_sample_value(b2, ode.env, t.policy),
-        transform=transform_shown,
+        transform=transform,
         residual=report,
     )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .classify import Outcome, classify, test_p34, test_pii
 from .errors import P34Error, UnknownVerdictError
-from .expr import ParamEnv, SamplePolicy, parse, rf_to_expr, to_string
+from .expr import ParamEnv, SamplePolicy, parse, rf_to_expr, to_ratfunc, to_string
 from .invariants import InvariantTower, compute_invariants
 from .ode import OdeCubic, from_rhs, normalize_implicit
 from .oracle import verify_transform
@@ -59,7 +59,7 @@ def _build_equation(cfg: RunConfig) -> OdeCubic:
     if cfg.rhs is not None:
         return from_rhs(parse(cfg.rhs), env, label="cli")
     if cfg.coeffs is not None:
-        p, q, r, s = (parse(c) for c in cfg.coeffs)
+        p, q, r, s = (to_ratfunc(parse(c)) for c in cfg.coeffs)
         return OdeCubic(p, q, r, s, env, label="cli")
     assert cfg.implicit is not None
     lead, rest = cfg.implicit
@@ -126,7 +126,7 @@ def run(cfg: RunConfig) -> tuple[int, dict, str]:
     p34 = test_p34(ode, policy, tower=tower)
     invariants = compute_invariants(tower)
 
-    p, q, r, s = (to_string(rf_to_expr(c)) for c in ode.coeff_rfs())
+    p, q, r, s = (to_string(rf_to_expr(c)) for c in ode.coeffs())
     report = {
         "input": {
             "rhs": cfg.rhs,
@@ -200,13 +200,13 @@ def _verification_block(ode, pii, p34, policy) -> dict:
     out: dict = {}
     from .equations import p34_cuberoot, painleve_ii
 
-    if pii.equivalent and pii.transform is not None and pii.a_candidates:
-        target = painleve_ii(pii.a_candidates[0])
+    if pii.equivalent and pii.transform is not None and pii.a_rfs:
+        target = painleve_ii(pii.a_rfs[0])
         rep = verify_transform(ode, target, pii.transform, n=40, policy=policy)
         out["pii"] = {"max_residual": rep.max_residual, "samples": rep.samples_used,
                       "passed": rep.passed}
-    if p34.equivalent and p34.transform is not None and p34.beta_squared is not None:
-        target = p34_cuberoot(p34.beta_squared)
+    if p34.equivalent and p34.transform is not None and p34.beta2_rf is not None:
+        target = p34_cuberoot(p34.beta2_rf)
         rep = verify_transform(ode, target, p34.transform, n=40, policy=policy)
         out["p34"] = {"max_residual": rep.max_residual, "samples": rep.samples_used,
                       "passed": rep.passed}

@@ -3,14 +3,34 @@
 Parameters may be given as numbers (pinned exactly) or as symbol names
 (declared in the returned equation's environment with the stated
 constraint).  All builders return OdeCubic values in the variables x, y.
+The two target forms, painleve_ii and p34_cuberoot, also take a RatFunc
+parameter, and build their coefficients from RatFuncs alone: a decision
+builds its targets from tower RatFuncs without printing or parsing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import Const, Expr, ParamEnv, Sym, as_expr, free_symbols, parse
+from .expr import (
+    Const,
+    Expr,
+    ParamEnv,
+    RatFunc,
+    Sym,
+    free_symbols,
+    parse,
+    rf_reduce_roots,
+    to_ratfunc,
+)
 from .ode import OdeCubic, from_rhs, normalize_implicit
+
+_X, _Y = RatFunc.from_gen("x"), RatFunc.from_gen("y")
+_ZERO = RatFunc.const(0)
+# y^(1/3) (6y + 3x y^(2/3) + 3/2), the factor of beta^2 in the P34 cube-root form
+_CUBEROOT = RatFunc.from_gen("y^(1/3)") * (
+    _Y.scale(6) + (_X * RatFunc.from_gen("y^(1/3)", 2)).scale(3) + RatFunc.const(Fraction(3, 2))
+)
 
 
 def _param(value, name_constraints: dict[str, str], constraint: str):
@@ -25,12 +45,22 @@ def _param(value, name_constraints: dict[str, str], constraint: str):
     return Const(Fraction(value))
 
 
+def _param_rf(value, name_constraints: dict[str, str], constraint: str) -> RatFunc:
+    """_param as a RatFunc, root-reduced as a parsed one would be; a RatFunc
+    declares its symbols free."""
+    if not isinstance(value, RatFunc):
+        return to_ratfunc(_param(value, name_constraints, constraint))
+    for s in value.free_symbols():
+        name_constraints.setdefault(s, "free")
+    return rf_reduce_roots(value)
+
+
 def painleve_ii(a="a") -> OdeCubic:
     """y'' = 2 y^3 + x y + a."""
     decls: dict[str, str] = {}
-    a_e = _param(a, decls, "free")
-    rhs = 2 * Sym("y") ** 3 + Sym("x") * Sym("y") + a_e
-    return from_rhs(rhs, ParamEnv(decls), label="Painleve II")
+    a_rf = _param_rf(a, decls, "free")
+    p = rf_reduce_roots((_Y**3).scale(2) + _X * _Y + a_rf)
+    return OdeCubic(p, _ZERO, _ZERO, _ZERO, ParamEnv(decls), label="Painleve II")
 
 
 def p34_rational(beta="b") -> OdeCubic:
@@ -49,12 +79,12 @@ def p34_cuberoot(beta_squared="b") -> OdeCubic:
     shorthand for s^2 with s declared nonzero.
     """
     decls: dict[str, str] = {}
+    b2 = _param_rf(beta_squared, decls, "nonzero")
     if isinstance(beta_squared, str):
-        b2 = _param(beta_squared, decls, "nonzero") ** 2
-    else:
-        b2 = _param(beta_squared, decls, "nonzero")
-    rhs = parse("5*p^2/(6*y)") - b2 * parse("y^(1/3)*(6*y + 3*x*y^(2/3) + 3/2)")
-    return from_rhs(rhs, ParamEnv(decls), label="P34 cube-root normal form")
+        b2 = b2**2
+    p = rf_reduce_roots(-(b2 * _CUBEROOT))
+    r = _Y.inverse().scale(Fraction(5, 18))
+    return OdeCubic(p, _ZERO, r, _ZERO, ParamEnv(decls), label="P34 cube-root normal form")
 
 
 def ince_xxxiv(a="a") -> OdeCubic:

@@ -1,4 +1,4 @@
-"""Normal form, differentiation, substitution, evaluation, zero-testing.
+"""Normal form, rational powers, sampling and zero-testing.
 
 The workhorse representation is RatFunc (a reduced ratio of polynomials in
 atoms); Expr trees are the parse/print surface.  Fractional powers become
@@ -14,12 +14,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Iterable, Mapping, TypeVar
 
 from ..errors import EvalDomainError, EvalPole, UndeclaredSymbolError
 from . import ast
 from .ast import Add, Const, Expr, Mul, Neg, Pow, Sym
 from .atoms import (
+    KIND_OPAQUE,
     KIND_SURD,
     KIND_SYMBOL,
     factor_int,
@@ -30,17 +32,15 @@ from .atoms import (
     register_opaque,
 )
 from .poly import Poly
-from .ratfunc import Point, RatFunc, _real_root
+from .ratfunc import Point, RatFunc
 
 __all__ = [
     "normalize",
-    "diff",
-    "subst",
-    "eval_expr",
     "is_zero",
     "to_ratfunc",
     "rf_to_expr",
     "rf_pow",
+    "rf_reduce_roots",
     "Constraint",
     "ParamEnv",
     "SamplePolicy",
@@ -208,74 +208,100 @@ def _gen_to_expr(gen: str, e: int) -> Expr:
     return Pow(base, exp)
 
 
+# ----- the root rewrite of a print and parse -----------------------------------
+
+
+def rf_reduce_roots(rf: RatFunc) -> RatFunc:
+    """rf with each power g^e of a root generator g = b^(1/q) whose e shares
+    a factor with q rewritten as rf_pow(b, e/q): to_ratfunc(rf_to_expr(rf))
+    without printing and parsing.
+
+    A printed term reads back as the product of its generator powers, and
+    the sum of the terms rebases the roots of one base to their lcm index.
+    So a root of a symbol or of a surd changes only when every power of it
+    shares a factor with q (y^(1/3)^3 alone becomes y), but a compound
+    radicand changes wherever one power does: (@(3y - 1)^(1/3))^6 becomes
+    the polynomial (3y - 1)^2, and so does every power of a compound root
+    that reads back as another (its radicand changes, or it is an odd root
+    of a monomial).  When nothing changes, rf is returned.
+    """
+    if not _reducible(rf):
+        return rf
+    out = _read_back(rf.num, rf.coeff)
+    if rf.den.is_const:
+        return out
+    return out * _read_back(rf.den, Fraction(1)) ** -1
+
+
+def _reducible(rf: RatFunc) -> bool:
+    gens = rf.gens()
+    if all(parse_gen(g).q == 1 for g in gens):
+        return False
+    if any(map(_reads_changed, gens)):
+        return True
+    shared: dict[str, int] = {}  # gcd of q and every power of a symbol or surd root
+    for p in (rf.num, rf.den):
+        roots = [(i, g, info) for i, (g, info) in enumerate(zip(p.gens, map(parse_gen, p.gens)))
+                 if info.q > 1]
+        if not roots:
+            continue
+        monos = [mono for mono, _ in p.monomials()]
+        for i, g, info in roots:
+            for mono in monos:
+                e = mono[i]
+                if not e:
+                    continue
+                if info.kind == KIND_OPAQUE:
+                    if gcd(e, info.q) > 1:
+                        return True
+                else:
+                    shared[g] = gcd(shared.get(g, info.q), e)
+    return any(d > 1 for d in shared.values())
+
+
+def _read_back(p: Poly, coeff: Fraction) -> RatFunc:
+    """coeff * p summed term by term, as to_ratfunc reads its printed form."""
+    out = RatFunc.const(0)
+    for mono, c in p.sorted_terms():
+        term = RatFunc.const(coeff * c)
+        for g, e in zip(p.gens, mono):
+            if e:
+                term = term * _read_power(g, e)
+        out = out + term
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reads_changed(gen: str) -> bool:
+    """Whether gen, a compound root b^(1/q), reads back as other than itself:
+    rf_pow of its read-back radicand b to 1/q is a new radicand, or
+    distributes over a monomial b when q is odd.  Then so does every power."""
+    info = parse_gen(gen)
+    if info.kind != KIND_OPAQUE:
+        return False
+    radicand = rf_reduce_roots(lookup_opaque(str(info.base)))  # type: ignore[arg-type]
+    return rf_pow(radicand, Fraction(1, info.q)) != RatFunc.from_gen(gen)
+
+
+def _read_power(gen: str, e: int) -> RatFunc:
+    info = parse_gen(gen)
+    if gcd(e, info.q) == 1 and not _reads_changed(gen):
+        return RatFunc.from_gen(gen, e)
+    if info.kind == KIND_SYMBOL:
+        base = RatFunc.from_gen(str(info.base))
+    elif info.kind == KIND_SURD:
+        base = RatFunc.const(int(info.base))
+    else:
+        base = rf_reduce_roots(lookup_opaque(str(info.base)))  # type: ignore[arg-type]
+    return rf_pow(base, Fraction(e, info.q))
+
+
 # ----- public operations ----------------------------------------------------
 
 
 def normalize(e: Expr) -> Expr:
     """Canonical form: a single reduced ratio of polynomials in atoms."""
     return rf_to_expr(to_ratfunc(e))
-
-
-def diff(e: Expr, x: int = 0, y: int = 0) -> Expr:
-    """Partial derivative d^(x+y) e / dx^x dy^y, exact."""
-    rf = to_ratfunc(e)
-    for _ in range(x):
-        rf = rf.deriv("x")
-    for _ in range(y):
-        rf = rf.deriv("y")
-    return rf_to_expr(rf)
-
-
-def subst(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    """Simultaneous substitution of symbols by expressions."""
-    if isinstance(e, Sym):
-        return bindings.get(e.name, e)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Neg):
-        return Neg(subst(e.arg, bindings))
-    if isinstance(e, Pow):
-        return Pow(subst(e.base, bindings), e.exp)
-    if isinstance(e, Add):
-        return Add(tuple(subst(t, bindings) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(subst(f, bindings) for f in e.factors))
-    raise TypeError(f"unknown node {e!r}")
-
-
-def eval_expr(e: Expr, assignment: Mapping[str, float]) -> float:
-    """Direct tree evaluation, an independent path from the normal form.
-
-    Raises EvalPole on division by (numerically) zero and EvalDomainError
-    on an even root of a negative base.
-    """
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return float(assignment[e.name])
-        except KeyError:
-            raise UndeclaredSymbolError(f"no value for symbol {e.name!r}") from None
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, assignment)
-    if isinstance(e, Add):
-        return sum(eval_expr(t, assignment) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= eval_expr(f, assignment)
-        return out
-    if isinstance(e, Pow):
-        base = eval_expr(e.base, assignment)
-        p, q = e.exp.numerator, e.exp.denominator
-        if p < 0 and abs(base) < 1e-300:
-            raise EvalPole("negative power of zero")
-        root = _real_root(base, q)
-        try:
-            return root**p
-        except OverflowError:
-            raise EvalPole("overflow in power evaluation") from None
-    raise TypeError(f"unknown node {e!r}")
 
 
 # ----- parameter environments and sampling ----------------------------------

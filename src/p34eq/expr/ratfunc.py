@@ -176,7 +176,8 @@ class RatFunc:
 
         With reduced=True the caller guarantees the invariant of the module
         docstring and that coeff is a Fraction; otherwise the ratio is
-        reduced here.  Either way the factors start as [num, den^-1].
+        reduced here, and a den whose surd powers fold to zero raises
+        ZeroDivisionError.  Either way the factors start as [num, den^-1].
         """
         if den is None:
             den = _ONE
@@ -186,8 +187,11 @@ class RatFunc:
             num, den, coeff = Poly.zero(), _ONE, _F0
         elif not reduced:
             targets = common_root_targets(num, den)
-            num, den = rebase_poly(num, targets), rebase_poly(den, targets)
-            num, den, coeff = _reduced(reduce_surds(num), reduce_surds(den), Fraction(coeff))
+            num = reduce_surds(rebase_poly(num, targets))
+            den = reduce_surds(rebase_poly(den, targets))
+            if den.is_zero:  # such as 2^(1/2)^2 - 2
+                raise ZeroDivisionError("denominator folds to zero over its surds")
+            num, den, coeff = _reduced(num, den, Fraction(coeff))
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)

@@ -165,7 +165,7 @@ class InvariantTower:
         self.policy = policy or SamplePolicy()
         self._verdicts: dict[str, ZeroVerdict] = {}
         self._derivs: dict[tuple[str, int, int], RatFunc] = {
-            (name, 0, 0): rf for name, rf in zip("PQRS", ode.coeff_rfs())
+            (name, 0, 0): rf for name, rf in zip("PQRS", ode.coeffs())
         }
 
     # ----- derivative cache ----------------------------------------------

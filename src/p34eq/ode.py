@@ -1,34 +1,36 @@
 """Equations y'' = P + 3Q y' + 3R y'^2 + S y'^3 and point transformations.
 
-The class is closed under invertible changes of both variables.  The
-transformed coefficients are obtained by substituting the source equation
-into the chain rule and re-extracting the cubic; this pullback writes them
-as functions of the old variables and needs no inverse.  Rewriting them in
-the new variables (`apply_transform`) takes the inverse map from the caller.
+An equation holds its coefficients P, Q, R and S, and a transform its new
+variables u = x_new(x, y) and v = y_new(x, y), as RatFuncs from the moment
+they are built; Exprs appear only when one is printed (``x_new``, ``y_new``,
+``repr``).  The class is closed under invertible changes of both variables:
+`pullback_coefficients` substitutes the source equation into the chain rule
+and re-extracts the cubic, which writes the transformed coefficients as
+functions of the old variables and needs no inverse.
 `PointTransform.parts` is the one derivative table of a transform: the
 Jacobian check, the pullback and the numeric oracle all read it.
+
+The coefficients split from a right-hand side and the variables of a
+transform pass through rf_reduce_roots once, when they are built: a power of
+a root generator whose exponent shares a factor with the root index becomes
+a power of its radicand, as it would if the RatFunc were printed and read
+back.  So the cube of (3y - 1)^(1/3) is the polynomial 3y - 1, and a
+recovered x_new that equals 2x + 1 is held, and printed, as 2*x + 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import DegenerateTransformError, NotCubicError
 from .expr import (
-    Const,
     Expr,
     ParamEnv,
     RatFunc,
-    SamplePolicy,
-    Sym,
-    as_expr,
-    free_symbols,
     is_zero,
-    normalize,
+    rf_reduce_roots,
     rf_to_expr,
-    subst,
     to_ratfunc,
     to_string,
 )
@@ -40,64 +42,50 @@ DERIV = "p"
 
 
 class OdeCubic:
-    """One equation of the cubic-in-derivative class."""
+    """One equation of the cubic-in-derivative class, its coefficients RatFuncs."""
 
-    def __init__(self, p, q, r, s, env: ParamEnv | None = None, label: str = ""):
-        self.p = as_expr(p)
-        self.q = as_expr(q)
-        self.r = as_expr(r)
-        self.s = as_expr(s)
+    def __init__(self, p: RatFunc, q: RatFunc, r: RatFunc, s: RatFunc,
+                 env: ParamEnv | None = None, label: str = ""):
+        self.p, self.q, self.r, self.s = p, q, r, s
         self.env = env or ParamEnv()
         self.label = label
-        self._rfs: tuple[RatFunc, ...] | None = None
-        syms = self.free_symbols()
-        self.env.check_symbols(syms)
+        self.env.check_symbols(self.free_symbols())
 
-    def coeffs(self) -> tuple[Expr, Expr, Expr, Expr]:
+    def coeffs(self) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
         return self.p, self.q, self.r, self.s
-
-    def coeff_rfs(self) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
-        if self._rfs is None:
-            self._rfs = tuple(to_ratfunc(c) for c in self.coeffs())
-        return self._rfs  # type: ignore[return-value]
 
     def free_symbols(self) -> set[str]:
         out: set[str] = set()
         for c in self.coeffs():
-            out |= free_symbols(c)
+            out |= c.free_symbols()
         return out
-
-    def rhs(self) -> Expr:
-        """P + 3Q p + 3R p^2 + S p^3 with p the formal derivative symbol."""
-        d = Sym(DERIV)
-        return (
-            self.p
-            + Const(Fraction(3)) * self.q * d
-            + Const(Fraction(3)) * self.r * d**2
-            + self.s * d**3
-        )
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
-        return (
-            f"OdeCubic{tag}(P={to_string(normalize(self.p))}, "
-            f"Q={to_string(normalize(self.q))}, R={to_string(normalize(self.r))}, "
-            f"S={to_string(normalize(self.s))})"
-        )
+        p, q, r, s = (to_string(rf_to_expr(c)) for c in self.coeffs())
+        return f"OdeCubic{tag}(P={p}, Q={q}, R={r}, S={s})"
 
 
-@dataclass(frozen=True)
 class PointTransform:
-    """x_new(x, y), y_new(x, y)."""
+    """x_new(x, y) and y_new(x, y), held as the RatFuncs u and v."""
 
-    x_new: Expr
-    y_new: Expr
+    def __init__(self, u: RatFunc, v: RatFunc):
+        self.u = rf_reduce_roots(u)
+        self.v = rf_reduce_roots(v)
+
+    @cached_property
+    def x_new(self) -> Expr:
+        return rf_to_expr(self.u)
+
+    @cached_property
+    def y_new(self) -> Expr:
+        return rf_to_expr(self.v)
 
     @cached_property
     def parts(self) -> dict[str, RatFunc]:
         """u = x_new and v = y_new with their first and second partials,
         keyed u, v, ux, uy, vx, vy, uxx, uxy, uyy, vxx, vxy, vyy."""
-        u, v = to_ratfunc(self.x_new), to_ratfunc(self.y_new)
+        u, v = self.u, self.v
         ux, uy = u.deriv("x"), u.deriv("y")
         vx, vy = v.deriv("x"), v.deriv("y")
         return {
@@ -118,12 +106,6 @@ class PointTransform:
     def jacobian(self) -> RatFunc:
         p = self.parts
         return p["ux"] * p["vy"] - p["uy"] * p["vx"]
-
-    def check_nondegenerate(self, env: ParamEnv, policy: SamplePolicy | None = None) -> None:
-        if is_zero(self.jacobian(), env, policy).is_zero:
-            raise DegenerateTransformError(
-                f"transform ({to_string(self.x_new)}, {to_string(self.y_new)}) has zero Jacobian"
-            )
 
     def __repr__(self):
         return f"PointTransform(x_new={to_string(self.x_new)}, y_new={to_string(self.y_new)})"
@@ -172,14 +154,8 @@ def _from_ratfunc(rf: RatFunc, env: ParamEnv | None, label: str) -> OdeCubic:
     """The OdeCubic of y'' = rf(x, y, p): P, 3Q, 3R and S are rf's coefficients in p."""
     c0, c1, c2, c3 = _coeffs_in_symbol(rf, DERIV, 3)
     third = Fraction(1, 3)
-    return OdeCubic(
-        rf_to_expr(c0),
-        rf_to_expr(c1.scale(third)),
-        rf_to_expr(c2.scale(third)),
-        rf_to_expr(c3),
-        env,
-        label,
-    )
+    coeffs = (c0, c1.scale(third), c2.scale(third), c3)
+    return OdeCubic(*(rf_reduce_roots(c) for c in coeffs), env, label)
 
 
 def from_rhs(rhs: Expr, env: ParamEnv | None = None, label: str = "") -> OdeCubic:
@@ -215,7 +191,7 @@ def pullback_coefficients(
     y'' by the source equation and y' by its expression through the new
     first derivative, and re-extracts the cubic in the latter.
     """
-    taken = e.free_symbols() | free_symbols(t.x_new) | free_symbols(t.y_new) | {"x", "y"}
+    taken = e.free_symbols() | t.u.free_symbols() | t.v.free_symbols() | {"x", "y"}
     psym = _fresh_symbol("p", taken)
     qsym = _fresh_symbol("q", taken | {psym})
     p = RatFunc.from_gen(psym)
@@ -226,7 +202,7 @@ def pullback_coefficients(
     uxx, uxy, uyy = parts["uxx"], parts["uxy"], parts["uyy"]
     vxx, vxy, vyy = parts["vxx"], parts["vxy"], parts["vyy"]
 
-    cp, cq, cr, cs = e.coeff_rfs()
+    cp, cq, cr, cs = e.coeffs()
     three = RatFunc.const(3)
     ypp = cp + three * cq * p + three * cr * p**2 + cs * p**3
 
@@ -259,24 +235,3 @@ def pullback_coefficients(
         q_coeffs[2].scale(third),
         q_coeffs[3],
     )
-
-
-def apply_transform(
-    e: OdeCubic,
-    t: PointTransform,
-    inverse: tuple[Expr, Expr],
-    policy: SamplePolicy | None = None,
-) -> OdeCubic:
-    """The equation satisfied by y_new(x_new) when y(x) solves e.
-
-    The coefficients of the result are written in the new variables by
-    composing the pullback with ``inverse``, the old variables as functions
-    of the new ones, written in the same two symbols: x = inverse[0](x, y),
-    y = inverse[1](x, y).  The inverse is not checked against t.
-    """
-    t.check_nondegenerate(e.env, policy)
-    binding = {"x": inverse[0], "y": inverse[1]}
-    pb = pullback_coefficients(e, t)
-    coeffs = [normalize(subst(rf_to_expr(c), binding)) for c in pb]
-    label = f"{e.label}|transformed" if e.label else "transformed"
-    return OdeCubic(*coeffs, env=e.env, label=label)

@@ -1,4 +1,4 @@
-"""Independent numeric verification of transforms and of the weight law.
+"""Independent numeric verification of transforms.
 
 The transform check propagates second-order jets (y, y', y'') of the source
 equation through the map pointwise.  The effective cubic coefficients at the
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EvalPole
-from .expr import QUADRANTS, ParamEnv, Point, RatFunc, SamplePolicy, sample, to_ratfunc
+from .expr import QUADRANTS, Point, SamplePolicy, sample
 from .ode import OdeCubic, PointTransform
 
 PASS_RESIDUAL = 1e-7
@@ -136,8 +136,8 @@ def verify_transform(
     """
     policy = policy or SamplePolicy()
     parts = t.parts
-    src_rfs = src.coeff_rfs()
-    dst_rfs = dst.coeff_rfs()
+    src_rfs = src.coeffs()
+    dst_rfs = dst.coeffs()
     symbols = (
         src.free_symbols()
         | dst.free_symbols()
@@ -181,50 +181,3 @@ def verify_transform(
         ):
             best = report
     return best or ResidualReport()
-
-
-def verify_weight_law(
-    src_components: tuple,
-    dst_components: tuple,
-    t: PointTransform,
-    weight: int,
-    n: int = 12,
-    policy: SamplePolicy | None = None,
-    env: ParamEnv | None = None,
-    tol: float = 1e-6,
-) -> tuple[bool, float]:
-    """Numerically check the pseudotensor law at corresponding points.
-
-    For scalars: f_src = det(Jf)^m * f_dst(image).  For two-component
-    fields with an upper index: f_src = det(Jf)^m * Jf^(-1) f_dst(image),
-    where Jf is the forward Jacobian matrix of t at the source point.
-    Points where Jf is singular are skipped.
-    Returns (law holds within tol at >= MIN_SAMPLES points, max deviation).
-    """
-    policy = policy or SamplePolicy()
-    env = env or ParamEnv()
-    parts = t.parts
-    src_rfs = [to_ratfunc(c) if not isinstance(c, RatFunc) else c for c in src_components]
-    dst_rfs = [to_ratfunc(c) if not isinstance(c, RatFunc) else c for c in dst_components]
-    symbols = set().union(*(c.free_symbols() for c in src_rfs + dst_rfs + list(parts.values())))
-
-    def deviation(a: dict[str, float]) -> float:
-        ux, uy = parts["ux"].eval(a), parts["uy"].eval(a)
-        vx, vy = parts["vx"].eval(a), parts["vy"].eval(a)
-        det = ux * vy - uy * vx
-        if abs(det) < 1e-9:
-            raise EvalPole("singular Jacobian at the sample point")
-        image = Point(a)
-        image["x"], image["y"] = parts["u"].eval(a), parts["v"].eval(a)
-        src_vals = [c.eval(a) for c in src_rfs]
-        dst_vals = [c.eval(image) for c in dst_rfs]
-        if len(src_rfs) > 1:
-            f, g = dst_vals
-            dst_vals = [(vy * f - uy * g) / det, (ux * g - vx * f) / det]
-        predicted = [det**weight * d for d in dst_vals]
-        scale = max(1.0, *map(abs, src_vals), *map(abs, predicted))
-        return max(abs(s - p) for s, p in zip(src_vals, predicted)) / scale
-
-    deviations, _ = sample(deviation, symbols, env, policy, n, redraws=ORACLE_REDRAWS)
-    worst = max((0.0, *deviations))
-    return len(deviations) >= MIN_SAMPLES and worst < tol, worst

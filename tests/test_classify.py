@@ -1,6 +1,7 @@
 import gc
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -15,23 +16,26 @@ from p34eq.expr import (
     RatFunc,
     SamplePolicy,
     Sym,
+    engine,
     is_zero,
     normalize,
     parse,
+    parser,
     poly,
     ratfunc,
     rf_pow,
-    rf_to_expr,
     to_string,
 )
 from p34eq.invariants import InvariantTower
-from p34eq.ode import OdeCubic, PointTransform, apply_transform, from_rhs
+from p34eq.ode import PointTransform, from_rhs
 from p34eq.oracle import ORACLE_REDRAWS, verify_transform
+import helpers
+from helpers import apply_transform, transform
 
 
 def neg_square(ode):
     """ode under x -> x, y -> -y^2 (new in terms of old), real for y < 0."""
-    t = PointTransform(Sym("x"), normalize(parse("-y^2")))
+    t = transform("x", "-y^2")
     return apply_transform(ode, t, (Sym("x"), parse("(-y)^(1/2)")))
 
 
@@ -155,7 +159,7 @@ def test_pii_search_stops_a_quadrant_at_its_first_failing_residual(monkeypatch):
     assert (res.residual.samples_used, f"{res.residual.max_residual:.3g}") == (24, "7.05e-07")
     # a passing check is the same either way
     e = eqs.p34_rational(1)
-    t = PointTransform(Sym("x"), Sym("y"))
+    t = transform("x", "y")
     assert verify_transform(e, e, t, n=12, fail_fast=True) == verify_transform(e, e, t, n=12)
 
 
@@ -168,12 +172,12 @@ def test_pii_skipped_sigma_draws_no_sample(a):
     t = InvariantTower(ode)
     assert pc._pii_sigmas(t) == (1,)
     a_rf = rf_pow(t.j_squared, F(1, 2))
-    target = eqs.painleve_ii(rf_to_expr(a_rf))
+    target = eqs.painleve_ii(a_rf)
     w = rf_pow(t.i9.scale(-2500), F(1, 6))
     for tau in (1, -1):
         x_new = t.i6.scale(-5) / (w * w) - (a_rf * w).scale(F(3, 2) * tau)
         for eps in (1, -1):
-            tr = PointTransform(rf_to_expr(x_new), rf_to_expr(w.inverse().scale(eps)))
+            tr = PointTransform(x_new, w.inverse().scale(eps))
             report = verify_transform(ode, target, tr, n=ORACLE_SAMPLES, policy=t.policy)
             assert report.samples_used == 0
             assert report.poles_skipped == ORACLE_SAMPLES + ORACLE_REDRAWS
@@ -188,10 +192,68 @@ def test_pii_keeps_both_sigmas_when_i9_changes_sign():
         assert pc._pii_sigmas(tower) == (tower.i9_sign, -tower.i9_sign)
 
 
+def p34_cuberoot_4_affine():
+    """p34_cuberoot(4) under x -> 2x + 1, y -> 3y - 1 (old in terms of new),
+    as the golden case of that name gives its coefficients."""
+    return helpers.ode(
+        "-96*x*y + 32*x - 96*y*(3*y - 1)^(1/3) - 48*y + 24*(3*y - 1)^(1/3) + 16",
+        "0", "5/(18*y - 6)", "0",
+    )
+
+
+def _count_calls(monkeypatch, functions) -> Counter:
+    """Calls of each function, by name, wherever a p34eq module holds it."""
+    calls: Counter = Counter()
+    for fn in functions:
+        def counting(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("p34eq") and mod is not None:
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: eqs.painleve_ii(3),
+        p34_cuberoot_4_affine,
+        lambda: eqs.electrodiffusion_3b(2, 3, 5, 7),
+    ],
+    ids=["painleve_ii_3", "p34_cuberoot_4_affine", "electrodiffusion_3b_2_3_5_7"],
+)
+def test_a_decision_neither_parses_nor_reads_an_expr(monkeypatch, build):
+    # candidate and recovered transforms, parameters and target equations
+    # are built from tower RatFuncs; nothing is printed to be parsed again
+    ode = build()
+    calls = _count_calls(monkeypatch, (engine.to_ratfunc, parser.parse))
+    tower = InvariantTower(ode)
+    pc.classify(ode, tower=tower)
+    results = pc.test_pii(ode, tower=tower), pc.test_p34(ode, tower=tower)
+    assert any(r.equivalent for r in results)
+    assert calls == {}
+
+
+def test_recovered_affine_transform_reads_as_a_polynomial():
+    # the recovered x holds powers of (3y - 1)^(1/3) whose exponents share
+    # the factor 3 with the index; the root rewrite makes them polynomials
+    res = pc.test_p34(p34_cuberoot_4_affine())
+    assert res.outcome is Outcome.EQUIVALENT_P34
+    assert (to_string(res.transform.x_new), to_string(res.transform.y_new)) == (
+        "2*x + 1",
+        "3*y - 1",
+    )
+    assert to_string(res.beta_squared) == "4"
+
+
 def test_pii_prunes_sigma_on_even_i9_of_the_golden_neg_square():
     # the golden painleve_ii_3_neg_square gives old in terms of new, y -> -y^2,
     # where I9 = 1/(2500 y^12); its transform is found at sigma = 1
-    ode = OdeCubic(*(parse(c) for c in ("(2*y^6 + x*y^2 - 3)/(2*y)", "0", "-1/(3*y)", "0")))
+    ode = helpers.ode("(2*y^6 + x*y^2 - 3)/(2*y)", "0", "-1/(3*y)", "0")
     tower = InvariantTower(ode)
     assert pc._pii_sigmas(tower) == (1,)
     assert pc.test_pii(ode, tower=tower).outcome is Outcome.EQUIVALENT_PII
@@ -343,7 +405,7 @@ def test_p34_piv_fails_on_i7():
 
 def test_p34_verdict_invariant_under_point_transform():
     base = eqs.p34_rational(1)
-    t = PointTransform(normalize(parse("x + y/2")), normalize(parse("x/3 + y")))
+    t = transform("x + y/2", "x/3 + y")
     inverse = (normalize(parse("(6*x - 3*y)/5")), normalize(parse("(-2*x + 6*y)/5")))
     moved = apply_transform(base, t, inverse)
     r0 = pc.test_p34(base)

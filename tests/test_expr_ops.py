@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from p34eq.errors import EvalDomainError, EvalPole, UndeclaredSymbolError
@@ -13,14 +13,13 @@ from p34eq.expr import (
     SamplePolicy,
     Sym,
     ZeroStatus,
-    diff,
-    eval_expr,
     is_zero,
     normalize,
     parse,
     ratfunc,
+    rf_pow,
+    rf_reduce_roots,
     rf_to_expr,
-    subst,
     to_ratfunc,
     to_string,
 )
@@ -28,6 +27,7 @@ from p34eq.expr.atoms import KIND_SURD, KIND_SYMBOL, lookup_opaque, parse_gen
 from p34eq.expr.poly import Poly, poly_gcd
 from p34eq.expr.ratfunc import RatFunc, common_root_targets, rebase_poly, reduce_surds
 from conftest import random_expr, random_rational_expr, sample_xyb
+from helpers import diff, eval_expr, subst
 
 
 # ----- diff -----------------------------------------------------------------
@@ -205,7 +205,8 @@ _COMPOUND = to_ratfunc(parse("(x^2 + k*y)^(1/2)")).num.gens[0]
 @st.composite
 def _operands(draw):
     """A RatFunc over a few of x, y or y^(1/3), k, two prime surds and a
-    compound radicand, reduced by the constructor."""
+    compound radicand, reduced by the constructor; a denominator that folds
+    to zero over the surds, such as 2^(1/2)^2 - 2, is not drawn."""
     y = draw(st.sampled_from(("y", "y^(1/3)")))
     pool = ("x", y, "k", "2^(1/2)", "3^(1/3)", _COMPOUND)
     gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
@@ -216,7 +217,17 @@ def _operands(draw):
         return Poly.from_terms(gens, draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3)))
 
     coeff = draw(st.fractions(-9, 9, max_denominator=9).filter(bool))
-    return RatFunc(poly(), poly(), coeff)
+    num, den = poly(), poly()
+    try:
+        return RatFunc(num, den, coeff)
+    except ZeroDivisionError:
+        reject()
+
+
+def test_a_denominator_folding_to_zero_raises():
+    den = Poly.from_terms(("2^(1/2)",), {(2,): 1, (0,): -2})
+    with pytest.raises(ZeroDivisionError):
+        RatFunc(Poly.gen("x"), den)
 
 
 def _same_values(f, g, rng):
@@ -384,6 +395,72 @@ def test_product_of_factors_in_distinct_generators_takes_no_gcd(monkeypatch):
     rf = to_ratfunc(parse("(x + 1)*(y + 2)*(k + 3)"))
     assert calls == []
     assert len(ratfunc._exps(rf)) == 3
+
+
+# ----- rf_reduce_roots ------------------------------------------------------
+
+
+def _root_atoms():
+    """Powers of roots whose exponent shares a factor with the index, and
+    others: of a symbol, of a surd, of compound radicands (polynomial,
+    monomial and one whose radicand holds a reducible power itself)."""
+    minus_y = rf_pow(to_ratfunc(parse("-y")), F(1, 2))
+    radicands = [
+        to_ratfunc(parse(t)) for t in ("3*y - 1", "x + y", "1/y^6", "x^2 + k*y", "2*y^3")
+    ] + [minus_y**2 * to_ratfunc(parse("-9/y")), minus_y**2 + to_ratfunc(parse("x"))]
+    atoms = [(to_ratfunc(parse("y^(1/3)")), 3), (to_ratfunc(parse("k^(1/5)")), 5),
+             (to_ratfunc(parse("2^(1/4)")), 4), (to_ratfunc(parse("3^(1/6)")), 6)]
+    for r in radicands:
+        atoms += [(rf_pow(r, F(1, q)), q) for q in (2, 3, 6)]
+    return atoms
+
+
+_ROOT_ATOMS = _root_atoms()
+
+
+@st.composite
+def _rooted(draw):
+    """A sum of one to three terms, each a small polynomial in x and y
+    times one or two root atoms raised to exponents drawn mostly from the
+    multiples of a divisor of their index."""
+    out = RatFunc.const(0)
+    for _ in range(draw(st.integers(1, 3))):
+        text = draw(st.sampled_from(("1", "x", "y - 2", "x*y + 3", "1/(x + 1)")))
+        term = to_ratfunc(parse(text))
+        for _ in range(draw(st.integers(1, 2))):
+            atom, q = draw(st.sampled_from(_ROOT_ATOMS))
+            d = draw(st.sampled_from([d for d in range(1, q + 1) if q % d == 0]))
+            term = term * atom ** (d * draw(st.sampled_from((1, 2, -1))))
+        out = out + term.scale(draw(st.integers(-3, 3).filter(bool)))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rooted())
+def test_reduce_roots_is_the_print_parse_round_trip(rf):
+    got, want = rf_reduce_roots(rf), to_ratfunc(rf_to_expr(rf))
+    assert (got.coeff, got.num, got.den) == (want.coeff, want.num, want.den)
+    rng = random.Random(3)
+    for _ in range(3):
+        point = {"x": rng.uniform(0.5, 2), "y": -rng.uniform(0.5, 2), "k": rng.uniform(0.5, 2)}
+        values = []
+        for f in (got, want):
+            try:
+                values.append(repr(f.eval(point)))
+            except (EvalPole, EvalDomainError) as exc:
+                values.append(type(exc).__name__)
+        assert values[0] == values[1]
+
+
+def test_reduce_roots_rewrites_only_powers_that_share_a_factor():
+    cube = rf_pow(to_ratfunc(parse("3*y - 1")), F(1, 3))
+    assert rf_reduce_roots(cube**6) == to_ratfunc(parse("(3*y - 1)^2"))
+    sixth = rf_pow(to_ratfunc(parse("1/y^6")), F(1, 6))
+    assert rf_reduce_roots(sixth**-2) == to_ratfunc(parse("y^2"))
+    # y^(1/3) cubed stays a power of y^(1/3) beside y^(1/3) itself
+    mixed = to_ratfunc(parse("y + y^(1/3)"))
+    assert rf_reduce_roots(mixed) is mixed
+    assert rf_reduce_roots(sixth) is sixth
 
 
 # ----- normalize ------------------------------------------------------------

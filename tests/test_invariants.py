@@ -12,16 +12,12 @@ from p34eq.expr import (
     normalize,
     parse,
     rf_to_expr,
-    subst,
     to_ratfunc,
     to_string,
 )
 from p34eq.invariants import InvariantTower, compute_invariants
-from p34eq.ode import PointTransform, apply_transform, from_rhs
-
-
-def rf(text: str):
-    return to_ratfunc(parse(text))
+from p34eq.ode import from_rhs
+from helpers import apply_transform, rf, subst, transform
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +176,7 @@ def test_f5_nonzero_fixture():
 @pytest.fixture(scope="module")
 def mixed_equation():
     # a linear mix of the rational form puts weight on both A and B
-    t = PointTransform(normalize(parse("x + y/2")), normalize(parse("x/3 + y")))
+    t = transform("x + y/2", "x/3 + y")
     inverse = (normalize(parse("(6*x - 3*y)/5")), normalize(parse("(-2*x + 6*y)/5")))
     return apply_transform(eqs.p34_rational(1), t, inverse)
 
@@ -202,7 +198,7 @@ def test_branch_agreement_exact(mixed_equation):
     assert (g_a[1] - g_b[1]).is_zero
 
 
-XY_SWAP = PointTransform(Sym("y"), Sym("x"))
+XY_SWAP = transform("y", "x")
 
 
 def _swapped(rf):

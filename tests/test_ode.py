@@ -5,23 +5,15 @@ import pytest
 
 from p34eq import equations as eqs
 from p34eq.errors import NotCubicError
-from p34eq.expr import Const, ParamEnv, RatFunc, Sym, is_zero, normalize, parse, to_string
-from p34eq.ode import (
-    OdeCubic,
-    PointTransform,
-    apply_transform,
-    from_rhs,
-    normalize_implicit,
-    pullback_coefficients,
-)
+from p34eq.expr import Const, ParamEnv, RatFunc, Sym, is_zero, normalize, parse
+from p34eq.ode import OdeCubic, from_rhs, normalize_implicit, pullback_coefficients
 from p34eq.oracle import verify_transform
+from helpers import apply_transform, rf, rhs, transform
 
 
 def coeffs_equal(e1: OdeCubic, e2: OdeCubic, env=None) -> bool:
     env = env or e1.env.merged(e2.env)
-    return all(
-        is_zero(normalize(a - b), env).is_zero for a, b in zip(e1.coeffs(), e2.coeffs())
-    )
+    return all(is_zero(a - b, env).is_zero for a, b in zip(e1.coeffs(), e2.coeffs()))
 
 
 # ----- from_rhs ---------------------------------------------------------------
@@ -29,28 +21,39 @@ def coeffs_equal(e1: OdeCubic, e2: OdeCubic, env=None) -> bool:
 
 def test_from_rhs_rational_p34():
     e = from_rhs(parse("p^2/(2*y) - 2*y^2 - x*y - b^2/(2*y)"), ParamEnv({"b": "nonzero"}))
-    assert normalize(e.p - parse("-2*y^2 - x*y - b^2/(2*y)")) == Const(0)
-    assert normalize(e.q) == Const(0)
-    assert normalize(e.r - parse("1/(6*y)")) == Const(0)
-    assert normalize(e.s) == Const(0)
+    assert (e.p - rf("-2*y^2 - x*y - b^2/(2*y)")).is_zero
+    assert e.q.is_zero
+    assert (e.r - rf("1/(6*y)")).is_zero
+    assert e.s.is_zero
 
 
 def test_from_rhs_cuberoot_form():
     e = from_rhs(parse("5*p^2/(6*y) - b^2*y^(1/3)*(6*y + 3*x*y^(2/3) + 3/2)"),
                  ParamEnv({"b": "nonzero"}))
-    assert normalize(e.p + parse("b^2*y^(1/3)*(6*y + 3*x*y^(2/3) + 3/2)")) == Const(0)
-    assert normalize(e.r - parse("5/(18*y)")) == Const(0)
+    assert (e.p + rf("b^2*y^(1/3)*(6*y + 3*x*y^(2/3) + 3/2)")).is_zero
+    assert (e.r - rf("5/(18*y)")).is_zero
+
+
+def test_p34_cuberoot_builds_the_coefficients_a_parsed_rhs_gives():
+    # the target form is built from RatFuncs; it must be the equation that
+    # its printed right-hand side gives, coefficient for coefficient
+    for b2, text in (("b", "b^2"), (4, "4"), (rf("a^2*2^(1/2)/(a + 1)"), "a^2*2^(1/2)/(a + 1)")):
+        built = eqs.p34_cuberoot(b2)
+        parsed = from_rhs(
+            parse(f"5*p^2/(6*y) - ({text})*y^(1/3)*(6*y + 3*x*y^(2/3) + 3/2)"), built.env
+        )
+        for a, b in zip(built.coeffs(), parsed.coeffs()):
+            assert (a.coeff, a.num, a.den) == (b.coeff, b.num, b.den)
 
 
 def test_from_rhs_zero():
     e = from_rhs(Const(0))
-    assert all(normalize(c) == Const(0) for c in e.coeffs())
+    assert all(c.is_zero for c in e.coeffs())
 
 
 def test_from_rhs_reconstruction_round_trip():
-    rhs = parse("p^3*y - 3*p^2/x + p*(x + y) - 1/y")
-    e = from_rhs(rhs)
-    assert normalize(e.rhs() - rhs) == Const(0)
+    given = parse("p^3*y - 3*p^2/x + p*(x + y) - 1/y")
+    assert normalize(rhs(from_rhs(given)) - given) == Const(0)
 
 
 @pytest.mark.parametrize(
@@ -93,10 +96,10 @@ def test_normalize_implicit_zero_lead_rejected():
 
 def test_electrodiffusion_3b_coefficients():
     e = eqs.electrodiffusion_3b(1, 1, 1, 0)
-    assert normalize(e.p - parse("2*y*(y + x)")) == Const(0)
-    assert normalize(e.q - parse("1/(3*(y + x))")) == Const(0)
-    assert normalize(e.r - parse("1/(6*(y + x))")) == Const(0)
-    assert normalize(e.s) == Const(0)
+    assert (e.p - rf("2*y*(y + x)")).is_zero
+    assert (e.q - rf("1/(3*(y + x))")).is_zero
+    assert (e.r - rf("1/(6*(y + x))")).is_zero
+    assert e.s.is_zero
 
 
 # ----- apply_transform ----------------------------------------------------------
@@ -105,24 +108,21 @@ def test_electrodiffusion_3b_coefficients():
 def test_identity_transform():
     e = eqs.p34_rational("b")
     xy = (Sym("x"), Sym("y"))
-    assert coeffs_equal(apply_transform(e, PointTransform(*xy), xy), e)
+    assert coeffs_equal(apply_transform(e, transform(*xy), xy), e)
 
 
 def test_swap_maps_lines_to_lines():
-    z = OdeCubic(0, 0, 0, 0)
+    zero = RatFunc.const(0)
+    z = OdeCubic(zero, zero, zero, zero)
     yx = (Sym("y"), Sym("x"))
-    assert all(
-        normalize(c) == Const(0) for c in apply_transform(z, PointTransform(*yx), yx).coeffs()
-    )
+    assert all(c.is_zero for c in apply_transform(z, transform(*yx), yx).coeffs())
 
 
 def test_ince_to_cuberoot_form_symbolic():
     # y_new = -2a y^3, x_new = x / (2a)^(2/3) carries Ince XXXIV to the
     # cube-root normal form with beta^2 = 4 a^2.
     e = eqs.ince_xxxiv("a")
-    t = PointTransform(
-        normalize(parse("x/(2*a)^(2/3)")), normalize(parse("-2*a*y^3"))
-    )
+    t = transform("x/(2*a)^(2/3)", "-2*a*y^3")
     inverse = (normalize(parse("x*(2*a)^(2/3)")), normalize(parse("(-y/(2*a))^(1/3)")))
     got = apply_transform(e, t, inverse)
     want = eqs.p34_cuberoot(parse("4*a^2"))
@@ -139,23 +139,21 @@ def test_composition_of_affine_transforms():
         x1_inv = normalize((Sym("x") - Const(b1)) / Const(a1))
         y2 = normalize(Const(c2) * Sym("y") + Const(d2))
         y2_inv = normalize((Sym("y") - Const(d2)) / Const(c2))
-        t1 = PointTransform(x1, Sym("y"))
-        t2 = PointTransform(Sym("x"), y2)
+        t1 = transform(x1, Sym("y"))
+        t2 = transform(Sym("x"), y2)
         chained = apply_transform(
             apply_transform(e, t1, (x1_inv, Sym("y"))), t2, (Sym("x"), y2_inv)
         )
         # t1 then t2, composed by hand
-        direct = apply_transform(e, PointTransform(x1, y2), (x1_inv, y2_inv))
+        direct = apply_transform(e, transform(x1, y2), (x1_inv, y2_inv))
         assert coeffs_equal(chained, direct)
 
 
 def test_affine_round_trip():
     e = eqs.p34_rational(1)
-    t = PointTransform(
-        normalize(parse("2*x + y + 1")), normalize(parse("x + y")),
-    )
+    t = transform("2*x + y + 1", "x + y")
     inverse = (normalize(parse("x - y - 1")), normalize(parse("-x + 2*y + 1")))
-    back = PointTransform(*inverse)
+    back = transform(*inverse)
     there = apply_transform(e, t, inverse)
     assert coeffs_equal(apply_transform(there, back, (t.x_new, t.y_new)), e)
 
@@ -172,10 +170,7 @@ def test_transform_oracle_cross_validates_symbolic_path():
         )
         a, b = F(rng.randint(1, 3)), F(rng.randint(0, 2))
         c, d = F(rng.randint(1, 3)), F(rng.randint(0, 2))
-        t = PointTransform(
-            normalize(Const(a) * Sym("x") + Const(b)),
-            normalize(Const(c) * Sym("y") + Const(d)),
-        )
+        t = transform(Const(a) * Sym("x") + Const(b), Const(c) * Sym("y") + Const(d))
         inverse = (
             normalize((Sym("x") - Const(b)) / Const(a)),
             normalize((Sym("y") - Const(d)) / Const(c)),
@@ -195,7 +190,7 @@ def test_apply_transform_differentiates_the_transform_once(monkeypatch):
         return deriv(self, var)
 
     monkeypatch.setattr(RatFunc, "deriv", counting)
-    t = PointTransform(normalize(parse("2*x + y + 1")), normalize(parse("x + y^2")))
+    t = transform("2*x + y + 1", "x + y^2")
     inverse = (normalize(parse("x - y - 1")), normalize(parse("-x + 2*y + 1")))
     apply_transform(eqs.p34_rational(1), t, inverse)
     assert len(calls) == 10
@@ -203,6 +198,6 @@ def test_apply_transform_differentiates_the_transform_once(monkeypatch):
 
 def test_pullback_is_cubic():
     e = eqs.p34_rational(1)
-    t = PointTransform(normalize(parse("x + y^2/7")), normalize(parse("y - x^3/9")))
+    t = transform("x + y^2/7", "y - x^3/9")
     pb = pullback_coefficients(e, t)  # no inverse needed for pullbacks
     assert len(pb) == 4

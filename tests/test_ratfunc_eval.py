@@ -13,8 +13,8 @@ from p34eq import oracle
 from p34eq.errors import EvalDomainError, EvalPole
 from p34eq.expr import Point, Poly, RatFunc, engine, parse, to_ratfunc
 from p34eq.expr.atoms import KIND_SURD, KIND_SYMBOL, lookup_opaque, parse_gen
-from p34eq.ode import OdeCubic, PointTransform
 from p34eq.oracle import MIN_SAMPLES, verify_transform
+import helpers
 
 
 def ref_poly(p, gv, coeff=F(1), absolute=False):
@@ -168,10 +168,11 @@ def test_point_copies_and_writes_drop_generator_values():
 
 
 def _fresh_points(monkeypatch):
-    """Make sample() and the oracle hand out plain dicts, so that every
-    evaluation computes its generator values afresh."""
+    """Make sample(), the oracle and the weight law hand out plain dicts, so
+    that every evaluation computes its generator values afresh."""
     monkeypatch.setattr(engine, "Point", dict)
     monkeypatch.setattr(oracle, "Point", dict)
+    monkeypatch.setattr(helpers, "Point", dict)
 
 
 def test_oracle_never_reads_source_generator_values_at_the_image(monkeypatch):
@@ -179,9 +180,9 @@ def test_oracle_never_reads_source_generator_values_at_the_image(monkeypatch):
     # generator (1 + x^2)^(1/2), which the image point x + (1 + x^2)^(1/2)
     # gives another value than the source point
     root = "(1 + x^2)^(1/2)"
-    src = OdeCubic(*(parse(c) for c in (f"y*{root}", "x", f"1/{root}", "0")))
-    dst = OdeCubic(*(parse(c) for c in (f"y*{root} - x", f"2*{root}", "y", "1")))
-    t = PointTransform(parse(f"x + {root}"), parse(f"y + x*{root}"))
+    src = helpers.ode(f"y*{root}", "x", f"1/{root}", "0")
+    dst = helpers.ode(f"y*{root} - x", f"2*{root}", "y", "1")
+    t = helpers.transform(f"x + {root}", f"y + x*{root}")
     shared = verify_transform(src, dst, t, n=MIN_SAMPLES)
     assert shared.samples_used >= MIN_SAMPLES
     _fresh_points(monkeypatch)
@@ -197,12 +198,12 @@ def test_oracle_never_reads_source_generator_values_at_the_image(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_weight_law_never_reads_source_generator_values_at_the_image(monkeypatch, seed):
     root = "(1 + x^2)^(1/2)"
-    src = (parse(f"x*{root} + y"),)
-    dst = (parse(f"{root} - y^2"),)
-    t = PointTransform(parse(f"2*x + {root}"), parse("y"))
+    src = (helpers.rf(f"x*{root} + y"),)
+    dst = (helpers.rf(f"{root} - y^2"),)
+    t = helpers.transform(f"2*x + {root}", "y")
     policy = engine.SamplePolicy(seed=seed)
-    shared = oracle.verify_weight_law(src, dst, t, 1, policy=policy)
+    shared = helpers.verify_weight_law(src, dst, t, 1, policy=policy)
     _fresh_points(monkeypatch)
-    fresh = oracle.verify_weight_law(src, dst, t, 1, policy=policy)
+    fresh = helpers.verify_weight_law(src, dst, t, 1, policy=policy)
     assert repr(shared) == repr(fresh)
     assert shared[1] > 0
