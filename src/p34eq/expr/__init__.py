@@ -15,7 +15,6 @@ from .ast import (
     as_expr,
     free_symbols,
     mul,
-    add,
     to_string,
 )
 from .engine import (
@@ -57,7 +56,6 @@ __all__ = [
     "Y",
     "ZeroStatus",
     "ZeroVerdict",
-    "add",
     "as_expr",
     "free_symbols",
     "is_zero",

@@ -109,15 +109,6 @@ def as_expr(v) -> Expr:
     raise TypeError(f"cannot interpret {v!r} as an expression")
 
 
-def add(terms: Iterable) -> Expr:
-    ts = tuple(as_expr(t) for t in terms)
-    if not ts:
-        return ZERO
-    if len(ts) == 1:
-        return ts[0]
-    return Add(ts)
-
-
 def mul(factors: Iterable) -> Expr:
     fs = tuple(as_expr(f) for f in factors)
     if not fs:

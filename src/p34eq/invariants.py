@@ -390,14 +390,12 @@ class InvariantTower:
 
     @cached_property
     def k_invariant(self) -> RatFunc:
-        """The syzygy polynomial in I1, I4 that vanishes for the target family,
-        in Horner form in I1, which keeps the rational functions summed small."""
-        i1, i4 = self.i1, self.i4
-        c = RatFunc.const
-        k = i1.scale(500) - c(7275)
-        k = k * i1 + i4.scale(500) + c(32940)
-        k = k * i1 - i4.scale(5475) - c(47628)
-        return k * i1 + i4 * (i4.scale(125) + c(13230))
+        """The syzygy in I1, I4 that vanishes for the target family, factored as
+        (5 I1 - 18)(20 I1 - 147)(I1 (5 I1 - 18) + 5 I4) + 125 I4^2, so that it
+        takes two sums; at I4 = 0 it has a double root at the PII value 18/5."""
+        i1, i4, c = self.i1, self.i4, RatFunc.const
+        pii = i1.scale(5) - c(18)
+        return pii * (i1.scale(20) - c(147)) * (i1 * pii + i4.scale(5)) + (i4**2).scale(125)
 
     @cached_property
     def recovered_y(self) -> RatFunc:
@@ -416,16 +414,12 @@ class InvariantTower:
 
     @cached_property
     def recovered_x(self) -> RatFunc:
-        """Independent-variable recovery from I3 and the recovered y."""
-        yt = self.recovered_y
-        i3 = self.i3
-        num = (
-            (i3.scale(120) - RatFunc.const(8)) * yt**3
-            + (i3.scale(180) + RatFunc.const(138)) * yt**2
-            + (i3.scale(90) + RatFunc.const(35)) * yt
-            + i3.scale(15)
-        )
-        den = rf_pow(yt, Fraction(5, 3)) * (yt.scale(2) - RatFunc.const(35)).scale(2)
+        """Independent-variable recovery from I3 and the recovered y.  Its
+        numerator 15 I3 (2y + 1)^3 - y (2y - 35)(4y + 1) takes one sum."""
+        yt, c = self.recovered_y, RatFunc.const
+        shifted = yt.scale(2) - c(35)
+        num = self.i3.scale(15) * (yt.scale(2) + c(1)) ** 3 - yt * shifted * (yt.scale(4) + c(1))
+        den = rf_pow(yt, Fraction(5, 3)) * shifted.scale(2)
         if den.is_zero:
             raise VanishingRecoveryError("coordinate recovery")
         return num / den

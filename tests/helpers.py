@@ -53,6 +53,15 @@ def ode(p, q, r, s, env: ParamEnv | None = None) -> OdeCubic:
                     env)
 
 
+def p34_cuberoot_4_affine() -> OdeCubic:
+    """p34_cuberoot(4) under x -> 2x + 1, y -> 3y - 1 (old in terms of new),
+    as the golden case of that name gives its coefficients."""
+    return ode(
+        "-96*x*y + 32*x - 96*y*(3*y - 1)^(1/3) - 48*y + 24*(3*y - 1)^(1/3) + 16",
+        "0", "5/(18*y - 6)", "0",
+    )
+
+
 def diff(e: Expr, x: int = 0, y: int = 0) -> Expr:
     """Partial derivative d^(x+y) e / dx^x dy^y, exact."""
     out = to_ratfunc(e)

@@ -192,15 +192,6 @@ def test_pii_keeps_both_sigmas_when_i9_changes_sign():
         assert pc._pii_sigmas(tower) == (tower.i9_sign, -tower.i9_sign)
 
 
-def p34_cuberoot_4_affine():
-    """p34_cuberoot(4) under x -> 2x + 1, y -> 3y - 1 (old in terms of new),
-    as the golden case of that name gives its coefficients."""
-    return helpers.ode(
-        "-96*x*y + 32*x - 96*y*(3*y - 1)^(1/3) - 48*y + 24*(3*y - 1)^(1/3) + 16",
-        "0", "5/(18*y - 6)", "0",
-    )
-
-
 def _count_calls(monkeypatch, functions) -> Counter:
     """Calls of each function, by name, wherever a p34eq module holds it."""
     calls: Counter = Counter()
@@ -221,7 +212,7 @@ def _count_calls(monkeypatch, functions) -> Counter:
     "build",
     [
         lambda: eqs.painleve_ii(3),
-        p34_cuberoot_4_affine,
+        helpers.p34_cuberoot_4_affine,
         lambda: eqs.electrodiffusion_3b(2, 3, 5, 7),
     ],
     ids=["painleve_ii_3", "p34_cuberoot_4_affine", "electrodiffusion_3b_2_3_5_7"],
@@ -241,7 +232,7 @@ def test_a_decision_neither_parses_nor_reads_an_expr(monkeypatch, build):
 def test_recovered_affine_transform_reads_as_a_polynomial():
     # the recovered x holds powers of (3y - 1)^(1/3) whose exponents share
     # the factor 3 with the index; the root rewrite makes them polynomials
-    res = pc.test_p34(p34_cuberoot_4_affine())
+    res = pc.test_p34(helpers.p34_cuberoot_4_affine())
     assert res.outcome is Outcome.EQUIVALENT_P34
     assert (to_string(res.transform.x_new), to_string(res.transform.y_new)) == (
         "2*x + 1",

@@ -7,17 +7,20 @@ from p34eq.classify import Outcome, classify, test_p34, test_pii
 from p34eq.errors import CaseError
 from p34eq.expr import (
     Const,
+    Poly,
+    RatFunc,
     SamplePolicy,
     Sym,
     normalize,
     parse,
+    rf_pow,
     rf_to_expr,
     to_ratfunc,
     to_string,
 )
 from p34eq.invariants import InvariantTower, compute_invariants
 from p34eq.ode import from_rhs
-from helpers import apply_transform, rf, subst, transform
+from helpers import apply_transform, p34_cuberoot_4_affine, rf, subst, transform
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +99,67 @@ def test_syzygy_numeric_at_sample(cuberoot_tower):
         - 5475 * i4 * i1 - 47628 * i1 + 125 * i4**2 + 13230 * i4
     )
     assert k == 0
+
+
+def _horner_k(t: InvariantTower) -> RatFunc:
+    """The paper's syzygy polynomial in Horner form in I1."""
+    i1, i4, c = t.i1, t.i4, RatFunc.const
+    k = i1.scale(500) - c(7275)
+    k = k * i1 + i4.scale(500) + c(32940)
+    k = k * i1 - i4.scale(5475) - c(47628)
+    return k * i1 + i4 * (i4.scale(125) + c(13230))
+
+
+def _expanded_x(t: InvariantTower) -> RatFunc:
+    """The paper's x recovery with its numerator expanded in the recovered y."""
+    yt, i3, c = t.recovered_y, t.i3, RatFunc.const
+    num = (
+        (i3.scale(120) - c(8)) * yt**3
+        + (i3.scale(180) + c(138)) * yt**2
+        + (i3.scale(90) + c(35)) * yt
+        + i3.scale(15)
+    )
+    return num / (rf_pow(yt, F(5, 3)) * (yt.scale(2) - c(35)).scale(2))
+
+
+@pytest.mark.parametrize(
+    "build, on_the_family",
+    [
+        (lambda: eqs.electrodiffusion_3b(2, 3, 5, 7), True),
+        (lambda: eqs.electrodiffusion_3b(1, "k1", 1, 0), True),
+        (eqs.electrodiffusion_3a, True),
+        (lambda: eqs.ince_xxxiv(2), True),
+        (p34_cuberoot_4_affine, True),
+        (lambda: eqs.painleve_iv(1, 2), False),
+    ],
+    ids=["electrodiffusion_3b_2_3_5_7", "electrodiffusion_3b_k1", "electrodiffusion_3a",
+         "ince_xxxiv_2", "p34_cuberoot_4_affine", "painleve_iv_1_2"],
+)
+def test_factored_k_and_x_equal_the_reference_forms(build, on_the_family):
+    t = InvariantTower(build())
+    assert t.k_invariant.is_zero is on_the_family
+    for got, ref in ((t.k_invariant, _horner_k(t)), (t.recovered_x, _expanded_x(t))):
+        assert (got.coeff, got.num, got.den) == (ref.coeff, ref.num, ref.den)
+
+
+def test_factored_k_and_x_take_few_poly_products(monkeypatch):
+    # the factored forms keep their products as factor powers: the Horner K
+    # and the expanded x numerator take 39 and 30 Poly products here
+    t = InvariantTower(eqs.electrodiffusion_3b(2, 3, 5, 7))
+    t.i1, t.i4, t.i3, t.recovered_y
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    t.k_invariant
+    k_products = len(calls)
+    t.recovered_x
+    assert k_products <= 24
+    assert len(calls) - k_products <= 12
 
 
 # ----- the zero-parameter branch ------------------------------------------------

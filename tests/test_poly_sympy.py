@@ -143,3 +143,19 @@ def test_ratfunc_arithmetic_keeps_integer_primitive_parts(n1, d1, n2, d2, s1, s2
         assert_primitive_positive(out.den)
     assert sp.cancel(rf_to_sympy(r1 + r2) - (rf_to_sympy(r1) + rf_to_sympy(r2))) == 0
     assert sp.cancel(rf_to_sympy(r1 * r2) - rf_to_sympy(r1) * rf_to_sympy(r2)) == 0
+
+
+def test_factored_syzygy_and_x_numerator_expand_to_the_paper_polynomials():
+    # the factored forms InvariantTower.k_invariant and recovered_x build,
+    # against the paper's expanded polynomials over Q[I1, I4, I3, y]
+    i1, i4, i3, y = sp.symbols("I1 I4 I3 y")
+    k = (
+        500 * i1**4 - 7275 * i1**3 + 500 * i4 * i1**2 + 32940 * i1**2
+        - 5475 * i4 * i1 - 47628 * i1 + 125 * i4**2 + 13230 * i4
+    )
+    factored_k = (5 * i1 - 18) * (20 * i1 - 147) * (i1 * (5 * i1 - 18) + 5 * i4) + 125 * i4**2
+    assert sp.expand(factored_k - k) == 0
+    assert sp.roots(k.subs(i4, 0), i1)[sp.Rational(18, 5)] == 2
+    x_num = (120 * i3 - 8) * y**3 + (180 * i3 + 138) * y**2 + (90 * i3 + 35) * y + 15 * i3
+    factored_x_num = 15 * i3 * (2 * y + 1) ** 3 - y * (2 * y - 35) * (4 * y + 1)
+    assert sp.expand(factored_x_num - x_num) == 0
