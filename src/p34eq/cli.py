@@ -57,13 +57,13 @@ def _parse_param(spec: str) -> tuple[str, str]:
 def _build_equation(cfg: RunConfig) -> OdeCubic:
     env = ParamEnv(dict(_parse_param(p) for p in cfg.params))
     if cfg.rhs is not None:
-        return from_rhs(parse(cfg.rhs), env, label="cli")
+        return from_rhs(to_ratfunc(parse(cfg.rhs)), env, label="cli")
     if cfg.coeffs is not None:
         p, q, r, s = (to_ratfunc(parse(c)) for c in cfg.coeffs)
         return OdeCubic(p, q, r, s, env, label="cli")
     assert cfg.implicit is not None
-    lead, rest = cfg.implicit
-    return normalize_implicit(parse(lead), parse(rest), env, label="cli")
+    lead, rest = (to_ratfunc(parse(t)) for t in cfg.implicit)
+    return normalize_implicit(lead, rest, env, label="cli")
 
 
 def _transform_dict(result) -> dict | None:

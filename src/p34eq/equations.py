@@ -1,64 +1,46 @@
 """Catalog of the equations this package classifies against.
 
-Parameters may be given as numbers (pinned exactly) or as symbol names
+Parameters may be given as numbers (pinned exactly), as symbol names
 (declared in the returned equation's environment with the stated
-constraint).  All builders return OdeCubic values in the variables x, y.
-The two target forms, painleve_ii and p34_cuberoot, also take a RatFunc
-parameter, and build their coefficients from RatFuncs alone: a decision
-builds its targets from tower RatFuncs without printing or parsing.
+constraint) or as RatFuncs (their symbols declared free).  All builders
+return OdeCubic values in the variables x, y, and write their right-hand
+sides in RatFunc arithmetic: no builder parses or prints, so a decision
+builds its targets from tower RatFuncs directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import (
-    Const,
-    Expr,
-    ParamEnv,
-    RatFunc,
-    Sym,
-    free_symbols,
-    parse,
-    rf_reduce_roots,
-    to_ratfunc,
-)
+from .expr import ParamEnv, RatFunc, rf_reduce_roots
 from .ode import OdeCubic, from_rhs, normalize_implicit
 
-_X, _Y = RatFunc.from_gen("x"), RatFunc.from_gen("y")
-_ZERO = RatFunc.const(0)
+_X, _Y, _P = RatFunc.from_gen("x"), RatFunc.from_gen("y"), RatFunc.from_gen("p")
+_ZERO, _ONE = RatFunc.const(0), RatFunc.const(1)
 # y^(1/3) (6y + 3x y^(2/3) + 3/2), the factor of beta^2 in the P34 cube-root form
 _CUBEROOT = RatFunc.from_gen("y^(1/3)") * (
     _Y.scale(6) + (_X * RatFunc.from_gen("y^(1/3)", 2)).scale(3) + RatFunc.const(Fraction(3, 2))
 )
 
 
-def _param(value, name_constraints: dict[str, str], constraint: str):
-    """Turn a number-or-name into an Expr, recording declarations."""
+def _param(value, name_constraints: dict[str, str], constraint: str) -> RatFunc:
+    """Turn a number, a name or a RatFunc into a RatFunc, recording
+    declarations; a RatFunc declares its symbols free and is root-reduced
+    as a parsed one would be."""
     if isinstance(value, str):
         name_constraints[value] = constraint
-        return Sym(value)
-    if isinstance(value, Expr):
-        for s in free_symbols(value):
+        return RatFunc.from_gen(value)
+    if isinstance(value, RatFunc):
+        for s in value.free_symbols():
             name_constraints.setdefault(s, "free")
-        return value
-    return Const(Fraction(value))
-
-
-def _param_rf(value, name_constraints: dict[str, str], constraint: str) -> RatFunc:
-    """_param as a RatFunc, root-reduced as a parsed one would be; a RatFunc
-    declares its symbols free."""
-    if not isinstance(value, RatFunc):
-        return to_ratfunc(_param(value, name_constraints, constraint))
-    for s in value.free_symbols():
-        name_constraints.setdefault(s, "free")
-    return rf_reduce_roots(value)
+        return rf_reduce_roots(value)
+    return RatFunc.const(Fraction(value))
 
 
 def painleve_ii(a="a") -> OdeCubic:
     """y'' = 2 y^3 + x y + a."""
     decls: dict[str, str] = {}
-    a_rf = _param_rf(a, decls, "free")
+    a_rf = _param(a, decls, "free")
     p = rf_reduce_roots((_Y**3).scale(2) + _X * _Y + a_rf)
     return OdeCubic(p, _ZERO, _ZERO, _ZERO, ParamEnv(decls), label="Painleve II")
 
@@ -66,8 +48,8 @@ def painleve_ii(a="a") -> OdeCubic:
 def p34_rational(beta="b") -> OdeCubic:
     """y'' = y'^2/(2y) - 2y^2 - x y - beta^2/(2y), the rational P34 form."""
     decls: dict[str, str] = {}
-    b_e = _param(beta, decls, "nonzero")
-    rhs = parse("p^2/(2*y) - 2*y^2 - x*y") - b_e**2 / (2 * Sym("y"))
+    b = _param(beta, decls, "nonzero")
+    rhs = (_P**2 - b**2) / _Y.scale(2) - (_Y**2).scale(2) - _X * _Y
     return from_rhs(rhs, ParamEnv(decls), label="P34 rational form")
 
 
@@ -79,7 +61,7 @@ def p34_cuberoot(beta_squared="b") -> OdeCubic:
     shorthand for s^2 with s declared nonzero.
     """
     decls: dict[str, str] = {}
-    b2 = _param_rf(beta_squared, decls, "nonzero")
+    b2 = _param(beta_squared, decls, "nonzero")
     if isinstance(beta_squared, str):
         b2 = b2**2
     p = rf_reduce_roots(-(b2 * _CUBEROOT))
@@ -90,8 +72,8 @@ def p34_cuberoot(beta_squared="b") -> OdeCubic:
 def ince_xxxiv(a="a") -> OdeCubic:
     """y'' = y'^2/(2y) + 4 a y^2 - x y - 1/(2y)  (Ince's equation XXXIV)."""
     decls: dict[str, str] = {}
-    a_e = _param(a, decls, "nonzero")
-    rhs = parse("p^2/(2*y) - x*y - 1/(2*y)") + 4 * a_e * Sym("y") ** 2
+    a_rf = _param(a, decls, "nonzero")
+    rhs = (_P**2 - _ONE) / _Y.scale(2) - _X * _Y + (a_rf * _Y**2).scale(4)
     return from_rhs(rhs, ParamEnv(decls), label="Ince XXXIV")
 
 
@@ -101,9 +83,10 @@ def painleve_iv(alpha="alpha", beta="beta") -> OdeCubic:
     al = _param(alpha, decls, "free")
     be = _param(beta, decls, "free")
     rhs = (
-        parse("p^2/(2*y) + 3*y^3/2 + 4*x*y^2 + 2*x^2*y")
-        - 2 * al * Sym("y")
-        - be**3 / (2 * Sym("y"))
+        (_P**2 - be**3) / _Y.scale(2)
+        + (_Y**3).scale(Fraction(3, 2))
+        + (_X * _Y**2).scale(4)
+        + ((_X**2 - al) * _Y).scale(2)
     )
     return from_rhs(rhs, ParamEnv(decls), label="Painleve IV")
 
@@ -116,13 +99,12 @@ def electrodiffusion_3a(nu1="nu1", k1="k1", k2="k2", C="C", K="K") -> OdeCubic:
     """
     decls: dict[str, str] = {}
     nu = _param(nu1, decls, "nonzero")
-    k1_e = _param(k1, decls, "nonzero")
-    k2_e = _param(k2, decls, "free")
-    c_e = _param(C, decls, "nonzero")
-    k_e = _param(K, decls, "free")
-    y = Sym("y")
-    rhs = parse("p^2/(2*y)") + nu**2 * (
-        2 * k1_e * y**2 + (c_e * Sym("x") + k_e) * y - k2_e / y
+    k1_rf = _param(k1, decls, "nonzero")
+    k2_rf = _param(k2, decls, "free")
+    c_rf = _param(C, decls, "nonzero")
+    k_rf = _param(K, decls, "free")
+    rhs = _P**2 / _Y.scale(2) + nu**2 * (
+        (k1_rf * _Y**2).scale(2) + (c_rf * _X + k_rf) * _Y - k2_rf / _Y
     )
     return from_rhs(rhs, ParamEnv(decls), label="electrodiffusion 3-ion (a)")
 
@@ -135,17 +117,16 @@ def electrodiffusion_3b(nu1="nu1", k1="k1", C="C", K="K") -> OdeCubic:
     """
     decls: dict[str, str] = {}
     nu = _param(nu1, decls, "nonzero")
-    k1_e = _param(k1, decls, "nonzero")
-    c_e = _param(C, decls, "nonzero")
-    k_e = _param(K, decls, "free")
-    x, y, p = Sym("x"), Sym("y"), Sym("p")
-    line = c_e * x + k_e
-    lead = y + line / k1_e
+    k1_rf = _param(k1, decls, "nonzero")
+    c_rf = _param(C, decls, "nonzero")
+    k_rf = _param(K, decls, "free")
+    line = c_rf * _X + k_rf
+    lead = _Y + line / k1_rf
     rest = (
-        p**2 / 2
-        + c_e * p / k1_e
-        + 2 * k1_e * nu**2 * y**3
-        + 4 * nu**2 * line * y**2
-        + 2 * nu**2 * line**2 * y / k1_e
+        (_P**2).scale(Fraction(1, 2))
+        + c_rf * _P / k1_rf
+        + (k1_rf * nu**2 * _Y**3).scale(2)
+        + (nu**2 * line * _Y**2).scale(4)
+        + (nu**2 * line**2 * _Y / k1_rf).scale(2)
     )
     return normalize_implicit(lead, rest, ParamEnv(decls), label="electrodiffusion 3-ion (b)")

@@ -10,11 +10,6 @@ from .ast import (
     Neg,
     Pow,
     Sym,
-    X,
-    Y,
-    as_expr,
-    free_symbols,
-    mul,
     to_string,
 )
 from .engine import (
@@ -52,14 +47,9 @@ __all__ = [
     "RatFunc",
     "SamplePolicy",
     "Sym",
-    "X",
-    "Y",
     "ZeroStatus",
     "ZeroVerdict",
-    "as_expr",
-    "free_symbols",
     "is_zero",
-    "mul",
     "normalize",
     "parse",
     "poly_gcd",

@@ -1,8 +1,10 @@
 """Immutable expression trees and the canonical printer.
 
 Nodes mirror the surface grammar: rational constants, symbols, n-ary sums
-and products, rational powers, and negation.  Trees are plain frozen data;
-all simplification lives in the normal-form engine.  A node keeps the
+and products, rational powers, and negation.  Trees are plain frozen data
+at the two edges of the package: the parser builds them from text and
+rf_to_expr from a RatFunc, and to_ratfunc and the printer read them.  All
+arithmetic and simplification happen on RatFuncs.  A node keeps the
 Fraction it is given (only other numbers are converted), and the printer
 reads signs and unit exponents from a Fraction's integer numerator and
 denominator rather than comparing Fractions.
@@ -12,45 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
-
-Number = Union[int, Fraction]
 
 
 class Expr:
-    """Base class; supports operator syntax for building trees in code."""
+    """Base class of the nodes; it defines no arithmetic."""
 
     __slots__ = ()
-
-    def __add__(self, other):
-        return Add((self, as_expr(other)))
-
-    def __radd__(self, other):
-        return Add((as_expr(other), self))
-
-    def __sub__(self, other):
-        return Add((self, Neg(as_expr(other))))
-
-    def __rsub__(self, other):
-        return Add((as_expr(other), Neg(self)))
-
-    def __mul__(self, other):
-        return Mul((self, as_expr(other)))
-
-    def __rmul__(self, other):
-        return Mul((as_expr(other), self))
-
-    def __truediv__(self, other):
-        return Mul((self, Pow(as_expr(other), Fraction(-1))))
-
-    def __rtruediv__(self, other):
-        return Mul((as_expr(other), Pow(self, Fraction(-1))))
-
-    def __pow__(self, exponent):
-        return Pow(self, Fraction(exponent))
-
-    def __neg__(self):
-        return Neg(self)
 
     def __str__(self):
         return to_string(self)
@@ -95,43 +64,11 @@ class Neg(Expr):
     arg: Expr
 
 
-X = Sym("x")
-Y = Sym("y")
 ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
 
 
-def as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return Const(Fraction(v))
-    raise TypeError(f"cannot interpret {v!r} as an expression")
-
-
-def mul(factors: Iterable) -> Expr:
-    fs = tuple(as_expr(f) for f in factors)
-    if not fs:
-        return ONE
-    if len(fs) == 1:
-        return fs[0]
-    return Mul(fs)
-
-
-def free_symbols(e: Expr) -> set[str]:
-    if isinstance(e, Sym):
-        return {e.name}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Neg):
-        return free_symbols(e.arg)
-    if isinstance(e, Pow):
-        return free_symbols(e.base)
-    if isinstance(e, Add):
-        return set().union(*(free_symbols(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return set().union(*(free_symbols(f) for f in e.factors))
-    raise TypeError(f"unknown node {e!r}")
+def mul(factors: tuple[Expr, ...]) -> Expr:
+    return factors[0] if len(factors) == 1 else Mul(factors)
 
 
 # ----- printing -------------------------------------------------------------

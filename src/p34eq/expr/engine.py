@@ -462,11 +462,11 @@ class ZeroVerdict:
 
 
 def is_zero(
-    e: Expr | RatFunc,
+    rf: RatFunc,
     env: ParamEnv | None = None,
     policy: SamplePolicy | None = None,
 ) -> ZeroVerdict:
-    """Two-tier zero test: exact normal form first, then random sampling.
+    """Two-tier zero test of a RatFunc: exact normal form, then sampling.
 
     Zero comes from a vanishing normal form or from all samples vanishing
     within tolerance; NonZero always carries at least one sample above the
@@ -474,7 +474,6 @@ def is_zero(
     """
     env = env or ParamEnv()
     policy = policy or SamplePolicy()
-    rf = e if isinstance(e, RatFunc) else to_ratfunc(e)
     env.check_symbols(rf.free_symbols())
     if rf.is_zero:
         return ZeroVerdict(ZeroStatus.ZERO, normal_form="0")

@@ -31,7 +31,6 @@ from .expr import (
     is_zero,
     rf_reduce_roots,
     rf_to_expr,
-    to_ratfunc,
     to_string,
 )
 from .expr.atoms import KIND_OPAQUE, KIND_SYMBOL, lookup_opaque, parse_gen
@@ -150,26 +149,21 @@ def _coeffs_in_symbol(rf: RatFunc, symbol: str, max_degree: int) -> list[RatFunc
     return [RatFunc(b, den, rf.coeff) for b in buckets]
 
 
-def _from_ratfunc(rf: RatFunc, env: ParamEnv | None, label: str) -> OdeCubic:
-    """The OdeCubic of y'' = rf(x, y, p): P, 3Q, 3R and S are rf's coefficients in p."""
-    c0, c1, c2, c3 = _coeffs_in_symbol(rf, DERIV, 3)
+def from_rhs(rhs: RatFunc, env: ParamEnv | None = None, label: str = "") -> OdeCubic:
+    """Build an OdeCubic from y'' = rhs(x, y, p) with p the derivative:
+    P, 3Q, 3R and S are rhs's coefficients in p."""
+    c0, c1, c2, c3 = _coeffs_in_symbol(rhs, DERIV, 3)
     third = Fraction(1, 3)
     coeffs = (c0, c1.scale(third), c2.scale(third), c3)
     return OdeCubic(*(rf_reduce_roots(c) for c in coeffs), env, label)
 
 
-def from_rhs(rhs: Expr, env: ParamEnv | None = None, label: str = "") -> OdeCubic:
-    """Build an OdeCubic from y'' = rhs(x, y, p) with p the derivative."""
-    return _from_ratfunc(to_ratfunc(rhs), env, label)
-
-
-def normalize_implicit(lead: Expr, rest: Expr, env: ParamEnv | None = None,
+def normalize_implicit(lead: RatFunc, rest: RatFunc, env: ParamEnv | None = None,
                        label: str = "") -> OdeCubic:
     """Build from lead(x,y) * y'' = rest(x, y, p) by dividing through."""
-    lead_rf = to_ratfunc(lead)
-    if is_zero(lead_rf, env).is_zero:
+    if is_zero(lead, env).is_zero:
         raise NotCubicError("leading factor is identically zero")
-    return _from_ratfunc(to_ratfunc(rest) / lead_rf, env, label)
+    return from_rhs(rest / lead, env, label)
 
 
 # ----- applying point transformations ----------------------------------------

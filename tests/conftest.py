@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from p34eq.expr import Const, ParamEnv, SamplePolicy, Sym, parse
+from p34eq.expr import Add, Const, Mul, Neg, ParamEnv, Pow, SamplePolicy, Sym
 
 
 @pytest.fixture(scope="session")
@@ -26,19 +26,19 @@ def random_expr(rng: random.Random, depth: int = 3, symbols=("x", "y", "b")):
     a = random_expr(rng, depth - 1, symbols)
     b = random_expr(rng, depth - 1, symbols)
     if op == 0:
-        return a + b
+        return Add((a, b))
     if op == 1:
-        return a - b
+        return Add((a, Neg(b)))
     if op == 2:
-        return a * b
-    return a ** Fraction(rng.randint(1, 3))
+        return Mul((a, b))
+    return Pow(a, Fraction(rng.randint(1, 3)))
 
 
 def random_rational_expr(rng: random.Random, symbols=("x", "y")):
     """Random expression including one division, poles possible."""
     num = random_expr(rng, 3, symbols)
-    den = random_expr(rng, 2, symbols) + Const(Fraction(rng.randint(1, 3)))
-    return num / den
+    den = Add((random_expr(rng, 2, symbols), Const(Fraction(rng.randint(1, 3)))))
+    return Mul((num, Pow(den, Fraction(-1))))
 
 
 def sample_xyb(rng: random.Random):

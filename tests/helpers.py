@@ -8,7 +8,6 @@ coefficients and check the pseudotensor weight law; those paths live here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from p34eq.errors import DegenerateTransformError, EvalPole, UndeclaredSymbolError
@@ -36,21 +35,28 @@ from p34eq.ode import DERIV, OdeCubic, PointTransform, pullback_coefficients
 from p34eq.oracle import MIN_SAMPLES, ORACLE_REDRAWS
 
 
+X, Y = RatFunc.from_gen("x"), RatFunc.from_gen("y")
+
+
 def rf(text: str) -> RatFunc:
     """The RatFunc of an expression text."""
     return to_ratfunc(parse(text))
 
 
-def transform(x_new: str | Expr, y_new: str | Expr) -> PointTransform:
-    """The PointTransform of two expression texts or trees."""
-    return PointTransform(*(rf(e) if isinstance(e, str) else to_ratfunc(e)
-                            for e in (x_new, y_new)))
+def _as_rf(e: str | Expr | RatFunc) -> RatFunc:
+    if isinstance(e, RatFunc):
+        return e
+    return rf(e) if isinstance(e, str) else to_ratfunc(e)
+
+
+def transform(x_new: str | Expr | RatFunc, y_new: str | Expr | RatFunc) -> PointTransform:
+    """The PointTransform of two expression texts, trees or RatFuncs."""
+    return PointTransform(_as_rf(x_new), _as_rf(y_new))
 
 
 def ode(p, q, r, s, env: ParamEnv | None = None) -> OdeCubic:
-    """The OdeCubic of four coefficient texts or trees."""
-    return OdeCubic(*(rf(c) if isinstance(c, str) else to_ratfunc(c) for c in (p, q, r, s)),
-                    env)
+    """The OdeCubic of four coefficient texts, trees or RatFuncs."""
+    return OdeCubic(*(_as_rf(c) for c in (p, q, r, s)), env)
 
 
 def p34_cuberoot_4_affine() -> OdeCubic:
@@ -126,12 +132,14 @@ def eval_expr(e: Expr, assignment: Mapping[str, float]) -> float:
 
 def rhs(e: OdeCubic) -> Expr:
     """P + 3Q p + 3R p^2 + S p^3 with p the formal derivative symbol."""
-    p, q, r, s = (rf_to_expr(c) for c in e.coeffs())
-    d = Sym(DERIV)
-    return p + Const(Fraction(3)) * q * d + Const(Fraction(3)) * r * d**2 + s * d**3
+    p, q, r, s = e.coeffs()
+    d = RatFunc.from_gen(DERIV)
+    return rf_to_expr(p + (q * d).scale(3) + (r * d**2).scale(3) + s * d**3)
 
 
-def apply_transform(e: OdeCubic, t: PointTransform, inverse: tuple[Expr, Expr]) -> OdeCubic:
+def apply_transform(
+    e: OdeCubic, t: PointTransform, inverse: tuple[Expr | RatFunc, Expr | RatFunc]
+) -> OdeCubic:
     """The equation satisfied by y_new(x_new) when y(x) solves e.
 
     The coefficients of the result are written in the new variables by
@@ -142,7 +150,7 @@ def apply_transform(e: OdeCubic, t: PointTransform, inverse: tuple[Expr, Expr]) 
     """
     if is_zero(t.jacobian(), e.env).is_zero:
         raise DegenerateTransformError(f"{t!r} has zero Jacobian")
-    binding = {"x": inverse[0], "y": inverse[1]}
+    binding = {v: rf_to_expr(w) if isinstance(w, RatFunc) else w for v, w in zip("xy", inverse)}
     coeffs = [
         rf_reduce_roots(to_ratfunc(subst(rf_to_expr(c), binding)))
         for c in pullback_coefficients(e, t)

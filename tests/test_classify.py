@@ -11,7 +11,6 @@ from p34eq import equations as eqs
 from p34eq import invariants, oracle
 from p34eq.classify import ORACLE_SAMPLES, CaseTag, Outcome
 from p34eq.expr import (
-    Const,
     ParamEnv,
     RatFunc,
     SamplePolicy,
@@ -30,7 +29,7 @@ from p34eq.invariants import InvariantTower
 from p34eq.ode import PointTransform, from_rhs
 from p34eq.oracle import ORACLE_REDRAWS, verify_transform
 import helpers
-from helpers import apply_transform, transform
+from helpers import apply_transform, rf, transform
 
 
 def neg_square(ode):
@@ -51,7 +50,7 @@ def test_classify_rational_form_is_case_1_4():
 
 
 def test_classify_zero_equation():
-    cls = pc.classify(from_rhs(Const(0)))
+    cls = pc.classify(from_rhs(rf("0")))
     assert cls.tag is CaseTag.MAXIMAL_DEGENERATION
 
 
@@ -63,18 +62,18 @@ def test_classify_piv_first_case_i7_nonzero():
 
 
 def test_classify_general_case():
-    cls = pc.classify(from_rhs(parse("y^2 + p^3*x^2")))
+    cls = pc.classify(from_rhs(rf("y^2 + p^3*x^2")))
     assert cls.tag is CaseTag.GENERAL_CASE
 
 
 def test_classify_second_case():
-    cls = pc.classify(from_rhs(parse("y^2")))
+    cls = pc.classify(from_rhs(rf("y^2")))
     assert cls.tag is CaseTag.SECOND_CASE
 
 
 def test_classify_deterministic_on_normalized_input():
-    raw = from_rhs(parse("p^2/(2*y) - 2*y^2 - x*y"))
-    massaged = from_rhs(parse("(p^2 - 4*y^3 - 2*x*y^2)/(2*y)"))
+    raw = from_rhs(rf("p^2/(2*y) - 2*y^2 - x*y"))
+    massaged = from_rhs(rf("(p^2 - 4*y^3 - 2*x*y^2)/(2*y)"))
     a = pc.classify(raw)
     b = pc.classify(massaged)
     assert a.tag is b.tag and a.flags == b.flags
@@ -108,7 +107,7 @@ def test_pii_rejects_nonzero_parameter_family():
 
 
 def test_pii_on_pii_itself_recovers_parameter():
-    res = pc.test_pii(eqs.painleve_ii(Const(1) / Const(2)))
+    res = pc.test_pii(eqs.painleve_ii(rf("1/2")))
     assert res.outcome is Outcome.EQUIVALENT_PII
     assert res.a_values is not None
     assert sorted(res.a_values) == [-0.5, 0.5]
@@ -251,8 +250,8 @@ def test_pii_prunes_sigma_on_even_i9_of_the_golden_neg_square():
 
 
 def test_pii_out_of_scope_cases():
-    assert pc.test_pii(from_rhs(Const(0))).outcome is Outcome.OUT_OF_SCOPE
-    res = pc.test_pii(from_rhs(parse("y^2 + p^3*x^2")))
+    assert pc.test_pii(from_rhs(rf("0"))).outcome is Outcome.OUT_OF_SCOPE
+    res = pc.test_pii(from_rhs(rf("y^2 + p^3*x^2")))
     assert res.outcome is Outcome.NOT_EQUIVALENT
     assert "intermediate degeneration" in res.failed_condition
 
@@ -263,7 +262,7 @@ def test_pii_out_of_scope_cases():
 def test_p34_rational_family_symbolic():
     res = pc.test_p34(eqs.p34_rational("b"))
     assert res.outcome is Outcome.EQUIVALENT_P34
-    assert normalize(res.beta_squared - parse("b^2")) == Const(0)
+    assert res.beta2_rf == rf("b^2")
     assert res.residual is not None and res.residual.passed
     assert to_string(normalize(res.transform.y_new)) == "y^3/b^2"
 
@@ -299,7 +298,7 @@ def test_p34_electrodiffusion_fully_symbolic():
     assert pc.test_pii(e, tower=tower).outcome is Outcome.NOT_EQUIVALENT
     res = pc.test_p34(e, tower=tower)
     assert res.outcome is Outcome.EQUIVALENT_P34
-    assert normalize(res.beta_squared - parse("1/4")) == Const(0)
+    assert res.beta2_rf == rf("1/4")
 
 
 def _tables():
@@ -419,7 +418,7 @@ def test_equivalent_results_always_carry_verified_transforms():
 
 
 def test_second_case_is_out_of_scope_for_both():
-    e = from_rhs(parse("y^2"))
+    e = from_rhs(rf("y^2"))
     assert pc.test_p34(e).outcome is Outcome.OUT_OF_SCOPE
     assert pc.test_pii(e).outcome is Outcome.OUT_OF_SCOPE
 

@@ -224,13 +224,13 @@ def test_pii_reference_values():
 def test_f5_zero_whenever_b_vanishes_identically():
     # With Q = R = S = 0 the second field has G = 0 and B = 0, so F^5 = 0
     # regardless of P; a genuinely general-case equation needs more coupling.
-    t = InvariantTower(from_rhs(parse("y^5")))
+    t = InvariantTower(from_rhs(rf("y^5")))
     assert t.F5.is_zero
     assert t.verdict("A", t.A).is_nonzero
 
 
 def test_f5_nonzero_fixture():
-    t = InvariantTower(from_rhs(parse("y^2 + p^3*x^2")))
+    t = InvariantTower(from_rhs(rf("y^2 + p^3*x^2")))
     assert t.verdict("F5", t.F5).is_nonzero
 
 
@@ -272,7 +272,7 @@ def _swapped(rf):
 
 @pytest.mark.parametrize(
     "ode",
-    [eqs.painleve_iv(1, 2), eqs.p34_rational(3), from_rhs(parse("y*p + x*y"))],
+    [eqs.painleve_iv(1, 2), eqs.p34_rational(3), from_rhs(rf("y*p + x*y"))],
     ids=["painleve_iv_1_2", "p34_rational_3", "yp_xy"],
 )
 def test_swap_symmetry(ode):
@@ -299,11 +299,11 @@ def test_branch_agreement_asserted_by_default(mixed_equation):
 
 
 def test_case_errors():
-    zero = from_rhs(Const(0))
+    zero = from_rhs(rf("0"))
     t = InvariantTower(zero)
     with pytest.raises(CaseError):
         _ = t.branch
-    second_case = from_rhs(parse("y^2"))
+    second_case = from_rhs(rf("y^2"))
     t2 = InvariantTower(second_case)
     assert t2.verdict("M", t2.m_pseudo).is_zero
     with pytest.raises(CaseError):
@@ -357,10 +357,10 @@ def test_compute_invariants_j_zero_branch():
 
 
 def test_compute_invariants_stops_on_degenerate_cases():
-    _, pii, _, rep = _decided_report(from_rhs(Const(0)))
+    _, pii, _, rep = _decided_report(from_rhs(rf("0")))
     assert pii.outcome is Outcome.OUT_OF_SCOPE
     assert rep["A"] == rep["B"] == "0"
     assert all(v is None for k, v in rep.items() if k not in ("A", "B"))
-    _, pii, _, rep2 = _decided_report(from_rhs(parse("y^2 + p^3*x^2")))
+    _, pii, _, rep2 = _decided_report(from_rhs(rf("y^2 + p^3*x^2")))
     assert pii.failed_condition == "intermediate degeneration (F = 0)"
     assert rep2["F5"] is not None and rep2["Omega"] is None

@@ -7,11 +7,11 @@ import pytest
 from p34eq import equations as eqs
 from p34eq import oracle
 from p34eq.classify import ORACLE_SAMPLES, _pii_candidates
-from p34eq.expr import QUADRANTS, Const, Sym, normalize, parse, rf_pow, sample, to_string
+from p34eq.expr import QUADRANTS, RatFunc, parse, rf_pow, sample, to_string
 from p34eq.invariants import InvariantTower
 from p34eq.ode import from_rhs
 from p34eq.oracle import ORACLE_REDRAWS, verify_transform
-from helpers import apply_transform, transform, verify_weight_law
+from helpers import X, Y, apply_transform, rf, transform, verify_weight_law
 
 
 def identity():
@@ -103,16 +103,14 @@ def test_mirrored_pii_candidates_agree(a):
 def test_oracle_agrees_with_symbolic_transformer():
     rng = random.Random(2718)
     for _ in range(4):
-        e = from_rhs(parse("p^2/(2*y) - 2*y^2 - x*y"))
+        e = from_rhs(rf("p^2/(2*y) - 2*y^2 - x*y"))
         a1 = F(rng.randint(1, 3))
         b1 = F(rng.randint(-2, 2))
         c1 = F(rng.randint(1, 2))
         d1 = F(rng.randint(0, 2))
-        t = transform(
-            Const(a1) * Sym("x") + Const(b1) * Sym("y"), Const(c1) * Sym("y") + Const(d1)
-        )
-        y_old = (Sym("y") - Const(d1)) / Const(c1)
-        inverse = (normalize((Sym("x") - Const(b1) * y_old) / Const(a1)), normalize(y_old))
+        t = transform(X.scale(a1) + Y.scale(b1), Y.scale(c1) + RatFunc.const(d1))
+        y_old = (Y - RatFunc.const(d1)).scale(1 / c1)
+        inverse = ((X - y_old.scale(b1)).scale(1 / a1), y_old)
         dst = apply_transform(e, t, inverse)
         report = verify_transform(e, dst, t, n=14)
         assert report.passed, report
@@ -194,11 +192,8 @@ def test_weight_law_gamma_under_random_affine():
     for _ in range(2):
         a1, c1 = F(rng.randint(1, 3)), F(rng.choice([1, 8]))
         b1 = F(rng.randint(-2, 2))
-        t = transform(Const(a1) * Sym("x") + Const(b1), Const(c1) * Sym("y"))
-        inverse = (
-            normalize((Sym("x") - Const(b1)) / Const(a1)),
-            normalize(Sym("y") / Const(c1)),
-        )
+        t = transform(X.scale(a1) + RatFunc.const(b1), Y.scale(c1))
+        inverse = ((X - RatFunc.const(b1)).scale(1 / a1), Y.scale(1 / c1))
         te = apply_transform(e, t, inverse)
         dst = InvariantTower(te)
         g1, g2 = src.gamma
