@@ -31,7 +31,8 @@ tries, in order:
 - coprime: modulo one prime, constant GCDs of univariate images in each
   shared generator prove the inputs coprime.  Each other generator is set
   to a point derived from its name (univariate_image), and RatFunc's
-  factors keep their images to screen refinement pairs the same way;
+  factors keep their images to screen refinement pairs the same way, in
+  one generator where unit_gens allows;
 - modular: Brown's dense modular GCD (1971), images modulo primes just
   below 2^62 combined by Chinese remaindering and certified by exact
   division.  A constant first image proves the inputs coprime.
@@ -534,6 +535,12 @@ def _prime(i: int) -> int:
 # image divides both images there: constant GCDs of usable images in every
 # shared generator prove the polynomials coprime.  No prime makes that
 # unsound: an unlucky one only leaves a pair to trial division or poly_gcd.
+#
+# One generator is enough where a primitive polynomial has a nonzero integer
+# coefficient as a polynomial in v (unit_gens): its content in v is then 1
+# (Gauss), so every nonconstant divisor of it involves v, and a constant GCD
+# of the images in v proves the pair coprime.  If the other polynomial lacks
+# v, no image is needed.
 
 # The largest prime below 2^30: residues are one-digit CPython ints, and so
 # is every product once reduced as it is formed.
@@ -568,6 +575,19 @@ def univariate_image(a: Poly, v: str) -> list[int] | None:
         out[k >> s & _MASK] += c
     out = [c % p for c in out]
     return out if out[-1] else None
+
+
+def unit_gens(a: Poly) -> tuple[str, ...]:
+    """The generators v of a in which a, as a polynomial in v over the
+    others, has a nonzero integer coefficient: some v^d (d >= 0) is the only
+    term of a whose degree in v is d."""
+    out = []
+    for v, s in zip(a.gens, _shifts(len(a.gens))):
+        degrees = list(_field(a.terms, s))
+        powers = [d for k, d in zip(a.terms, degrees) if d << s == k]
+        if any(degrees.count(d) == 1 for d in powers):
+            out.append(v)
+    return tuple(out)
 
 
 def coprime_images(

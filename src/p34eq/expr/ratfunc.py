@@ -16,35 +16,45 @@ positive-lead, non-constant polynomials, pairwise coprime within one
 RatFunc, not necessarily squarefree or irreducible.  num and den are the
 expanded products, multiplied out of the factors when first read and then
 kept.  Products, powers, inverses and scalings, the common denominator of
-a sum and the denominator of a derivative are kept as factors alone; what
-reads num or den is the numerator of a sum or a derivative, printing,
-evaluation, equality and hashing, the monomial tests and the split of an
-equation by powers of y'.  Zero and constant tests and the generators
-answer from the factors.
+a sum, the numerator factors both terms of a sum share and the denominator
+of a derivative are kept as factors alone; what reads num or den is the
+numerator of a derivative and of a sum whose terms share no numerator
+factor, printing, evaluation, equality and hashing, the monomial tests and
+the split of an equation by powers of y'.  Zero and constant tests and the
+generators answer from the factors.
 
 A factor is one object per polynomial, shared by every RatFunc that holds
 it, and it remembers what was learnt of it: the factors it was proven
 coprime to, its split into pairwise coprime factors once a GCD found a
-proper divisor (factor refinement: Bach, Driscoll and Shallit 1993), and
-gcd(b, db/dg) and its image (below) per generator g.  A RatFunc reads its
-factors through these splits, so no pair of factors goes to a GCD twice.
+proper divisor (factor refinement: Bach, Driscoll and Shallit 1993),
+gcd(b, db/dg) and its image (below) per generator g, and its unit
+generators (below).  A RatFunc reads its factors through these splits, so
+no pair of factors goes to a GCD twice.
 
 The only GCDs left refine one operand's factors against the other's.  A
 pair of factors is first screened by its images modulo one prime
-(poly.univariate_image, kept on each factor): it is coprime when the two
-share no generator, or when in every shared generator both images are
-usable and their GCD is constant.  Of the pairs left, which share a factor
-but for rare unlucky images, one factor mostly divides the other, and a
-trial division finds that with its quotient; poly_gcd takes the rest.
+(poly.univariate_image, kept on each factor).  A unit generator v of a
+factor is one in which it has a nonzero integer coefficient
+(poly.unit_gens); its content in v is then 1, so every nonconstant divisor
+of it involves v.  The pair is coprime when one factor has a unit
+generator the other lacks; else, when either has one, when both images in
+that generator are usable and their GCD is constant; else when in every
+shared generator they are.  Of the pairs left, which share a factor but
+for rare unlucky images, one factor mostly divides the other, and a trial
+division finds that with its quotient; poly_gcd takes the rest.
 Refinement happens where:
 
 - a product refines the two factor lists and adds exponents; a power
   multiplies them and an inverse negates them;
 - a sum's common denominator is prod b^max(e_a, e_b) over the refined
-  denominator factors.  Its numerator is the one new factor, and it can
-  share a factor only with the b of equal exponent in both (Henrici 1956),
-  so it is refined against those alone; a common factor lowers the
-  exponent of b and is divided out of the numerator;
+  denominator factors, and the numerator factors both terms hold, g =
+  prod f^min(e_a, e_b), stay factors of the sum: only what is left of
+  each numerator is expanded, times its cofactor.  That new numerator is
+  one new factor.  It can share a factor only with g and with the b of
+  equal exponent in both (Henrici 1956), so it is refined against those
+  alone; a common factor with b lowers the exponent of b and is divided
+  out of the numerator.  g needs no refinement, as its factors are
+  numerator factors of both terms and so coprime to every b;
 - a derivative is the sum over generators g of d(g)/d(var) *
   d(num/den)/dg.  Over den = prod b^e, h = gcd(den, d(den)/dg) is prod
   b^(e-1) * gcd(b, db/dg) (Horowitz 1971), read from the factors, and the
@@ -54,10 +64,11 @@ Refinement happens where:
 Every result then has its surd powers n^(e/q) with e >= q folded into the
 coefficients, keeping monomials in distinct prime radicals linearly
 independent.  Only a result with a prime surd among the generators of its
-factors can fold, so only such a result is expanded at once, to fold it.
-A fold can merge monomials and leave any common factor, so after one the
-full GCD is taken and the factors restart as [num, den^-1]; so does the
-constructor, given any num and den.  The integer contents go into coeff.
+factors can fold, so only such a result is expanded at once, to fold it;
+a sum multiplies g back into its new numerator first.  A fold can merge
+monomials and leave any common factor, so after one the full GCD is taken
+and the factors restart as [num, den^-1]; so does the constructor, given
+any num and den.  The integer contents go into coeff.
 
 Evaluation in floats is straight-line code that each RatFunc generates on
 its first evaluation and keeps.  It does the float operations of a
@@ -92,7 +103,7 @@ from .atoms import (
     make_name,
     parse_gen,
 )
-from .poly import Poly, coprime_images, poly_gcd, univariate_image
+from .poly import Poly, coprime_images, poly_gcd, unit_gens, univariate_image
 
 _POLE_EPS = 1e-12
 _ONE = Poly.const(1)
@@ -320,10 +331,18 @@ class RatFunc:
         # operand's denominator when it is expanded and fits.
         ra = _product({f: e - da.get(f, 0) for f, e in common.items()}, _hint(other, targets, db))
         rb = _product({f: e - db.get(f, 0) for f, e in common.items()}, _hint(self, targets, da))
-        an, bn = rebase_poly(self.num, targets), rebase_poly(other.num, targets)
+        # The numerator factors both hold, g = prod f^min(e_a, e_b), stay
+        # factors: only what is left of each numerator is expanded.
+        na, nb = _leaves(_part(fa, 1)), _leaves(_part(fb, 1))
+        g = {f: min(e, nb[f]) for f, e in na.items() if f in nb}
+        if g:
+            an = _product({f: e - g.get(f, 0) for f, e in na.items()})
+            bn = _product({f: e - g.get(f, 0) for f, e in nb.items()})
+        else:
+            an, bn = rebase_poly(self.num, targets), rebase_poly(other.num, targets)
         num = _times(an, ra).scale(ka) + _times(bn, rb).scale(kb)
         shared = {f: e for f, e in da.items() if db.get(f) == e}
-        return _over(num, c, common, shared)
+        return _over(num, c, common, shared, g)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -422,10 +441,13 @@ class _Factor:
     gathers nothing from the ones made after it); once a common factor was
     found, its split into pairwise coprime factors, as (factor, exponent)
     pairs; per generator g, gcd(b, db/dg) with the quotients of b and
-    db/dg by it; and per generator, its univariate image modulo one prime
-    (poly.univariate_image)."""
+    db/dg by it; per generator, its univariate image modulo one prime
+    (poly.univariate_image); and its unit generators (poly.unit_gens),
+    found when it is first screened, as most factors never are."""
 
-    __slots__ = ("poly", "key", "surd", "split", "coprime", "dgcd", "images", "__weakref__")
+    __slots__ = (
+        "poly", "key", "surd", "split", "coprime", "dgcd", "images", "units", "__weakref__"
+    )
 
     def __init__(self, poly: Poly):
         self.poly = poly
@@ -435,6 +457,7 @@ class _Factor:
         self.coprime: set[int] = set()
         self.dgcd: dict[str, tuple[Poly, Poly, Poly]] = {}
         self.images: dict[str, list[int] | None] = {}
+        self.units: tuple[str, ...] | None = None
 
     def image(self, v: str) -> list[int] | None:
         try:
@@ -442,6 +465,11 @@ class _Factor:
         except KeyError:
             out = self.images[v] = univariate_image(self.poly, v)
             return out
+
+    def unit_gens(self) -> tuple[str, ...]:
+        if self.units is None:
+            self.units = unit_gens(self.poly)
+        return self.units
 
 
 Exps = dict[_Factor, int]
@@ -554,8 +582,16 @@ def _cofactors(a: _Factor, b: _Factor) -> tuple[Poly, Poly, Poly]:
     their images when they prove a and b coprime, by a trial division when
     one divides the other, and by poly_gcd otherwise."""
     pa, pb = a.poly, b.poly
-    bg = pb.gens
-    if coprime_images(a.image, b.image, (v for v in pa.gens if v in bg)):
+    shared = [v for v in pa.gens if v in pb.gens]
+    if shared:
+        # Every nonconstant divisor of a involves each of a's unit
+        # generators, and likewise for b: one the other lacks proves the
+        # pair coprime, and else one image GCD in one of them decides.
+        units = a.unit_gens() + b.unit_gens()
+        if any(v not in shared for v in units):
+            return _ONE, pa, pb
+        shared = units[:1] or shared
+    if coprime_images(a.image, b.image, shared):
         return _ONE, pa, pb
     q, r = pb.divmod_by(pa)
     if r.is_zero:
@@ -669,12 +705,15 @@ def _result(coeff: Fraction, fac: Exps) -> RatFunc:
     return _factored(coeff, fac)
 
 
-def _over(num: Poly, coeff: Fraction, dfac: Exps, shared: Exps) -> RatFunc:
-    """coeff * num / prod f^e over dfac for a new numerator num that can
-    have a factor in common with those in shared alone."""
+def _over(num: Poly, coeff: Fraction, dfac: Exps, shared: Exps, g: Exps) -> RatFunc:
+    """coeff * num * prod f^e over g / prod f^e over dfac for a new
+    numerator num that can have a factor in common with those in shared and
+    in g alone, where the factors of g are coprime to those of dfac.  The
+    numerator is kept expanded when g is empty."""
     if num.is_zero:
         return RatFunc.const(0)
-    if _has_surd(num.gens) or any(f.surd for f in dfac):
+    if _has_surd(num.gens) or any(f.surd for f in dfac) or any(f.surd for f in g):
+        num, g = _times(num, _product(g)), {}
         out = _folded(num, _product(dfac), coeff)
         if out is not None:
             return out
@@ -682,23 +721,25 @@ def _over(num: Poly, coeff: Fraction, dfac: Exps, shared: Exps) -> RatFunc:
     coeff = coeff * cn
     dfac = _leaves(dfac)
     if num.is_const:
-        return _factored(coeff, {f: -e for f, e in dfac.items()}, _ONE)
+        return _factored(coeff, {**{f: -e for f, e in dfac.items()}, **g}, None if g else _ONE)
     nf = _factor(num)
     for f in dfac:
         if f not in shared and f is not nf:
             _coprime(nf, f)
-    nfac, _ = _refine({nf: 1}, shared)
+    nfac, _ = _refine({nf: 1}, {**shared, **g})
     dfac = _leaves(dfac)
     fac = {f: -e for f, e in dfac.items()}
+    fac.update(_leaves(g))
     for f, e in nfac.items():
         fac[f] = fac.get(f, 0) + e
     # A common factor leaves num by a division and the denominator by
     # lowering its exponent.
     cancel = {f: min(e, dfac[f]) for f, e in nfac.items() if f in dfac}
     if cancel:
-        num = num.exact_div(_product(cancel))
         fac = {f: e for f, e in fac.items() if e}
-    return _factored(coeff, fac, num)
+        if not g:
+            num = num.exact_div(_product(cancel))
+    return _factored(coeff, fac, None if g else num)
 
 
 # ----- differentiation ----------------------------------------------------------
@@ -780,7 +821,7 @@ def _partial(rf: RatFunc, g: str) -> RatFunc:
             _refine({qf: 1}, {f: 1})
             out[qf] = out.get(qf, 0) + 1
     shared = _leaves({f: 1 for f, _, c, _, _ in parts if not c.is_const})
-    return _over(num, _F1, out, shared)
+    return _over(num, _F1, out, shared, {})
 
 
 # ----- evaluation -----------------------------------------------------------

@@ -3,7 +3,8 @@
 The package keeps Exprs to parsing and printing.  The tests also
 differentiate, substitute into and evaluate expression trees, write a
 transformed equation in the new variables, rebuild a right-hand side from its
-coefficients and check the pseudotensor weight law; those paths live here.
+coefficients and check the pseudotensor weight law; those paths live here,
+with a check of a RatFunc's factors.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from p34eq.expr import (
     sample,
     to_ratfunc,
 )
-from p34eq.expr.ratfunc import _real_root
+from p34eq.expr.poly import Poly, poly_gcd
+from p34eq.expr.ratfunc import _exps, _real_root
 from p34eq.ode import DERIV, OdeCubic, PointTransform, pullback_coefficients
 from p34eq.oracle import MIN_SAMPLES, ORACLE_REDRAWS
 
@@ -41,6 +43,22 @@ X, Y = RatFunc.from_gen("x"), RatFunc.from_gen("y")
 def rf(text: str) -> RatFunc:
     """The RatFunc of an expression text."""
     return to_ratfunc(parse(text))
+
+
+def assert_factored(rf: RatFunc) -> None:
+    """rf's factors are primitive, positive-lead, non-constant, pairwise
+    coprime, and expand to its num and den."""
+    fs = [(f.poly, e) for f, e in _exps(rf).items()]
+    num = den = Poly.const(1)
+    for i, (p, e) in enumerate(fs):
+        assert e and not p.is_const and p.primitive() == (1, p)
+        if e > 0:
+            num = num * p**e
+        else:
+            den = den * p ** (-e)
+        for q, _ in fs[:i]:
+            assert poly_gcd(p, q).is_const
+    assert (num, den) == (rf.num, rf.den)
 
 
 def _as_rf(e: str | Expr | RatFunc) -> RatFunc:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from p34eq import classify as pc
+from p34eq import cli
 from p34eq import equations as eqs
 from p34eq import invariants, oracle
 from p34eq.classify import ORACLE_SAMPLES, CaseTag, Outcome
@@ -29,6 +30,7 @@ from p34eq.invariants import InvariantTower
 from p34eq.ode import PointTransform, from_rhs
 from p34eq.oracle import ORACLE_REDRAWS, verify_transform
 import helpers
+from golden_cases import CASES
 from helpers import apply_transform, rf, transform
 
 
@@ -477,3 +479,38 @@ def test_p34_differentiates_the_recovered_transform_once(monkeypatch):
     assert pc.test_p34(e, tower=tower).outcome is Outcome.EQUIVALENT_P34
     for rf in (tower.recovered_x, tower.recovered_y):
         assert [var for f, var in calls if f == rf] == ["x", "y"]
+
+
+def _cached_ratfuncs(value):
+    """Every RatFunc in a tower's caches, tuples and dicts included."""
+    if isinstance(value, RatFunc):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _cached_ratfuncs(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _cached_ratfuncs(v)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: eqs.electrodiffusion_3b(2, 3, 5, 7),
+        eqs.electrodiffusion_3a,
+        lambda: cli._build_equation(CASES["p34_rational_1_mixed"]),
+    ],
+    ids=["electrodiffusion_3b(2,3,5,7)", "electrodiffusion_3a()", "p34_rational_1_mixed"],
+)
+def test_every_cached_ratfunc_of_the_tower_has_coprime_factors_of_its_parts(build):
+    # Sums keep shared numerator factors and refinement proves pairs coprime
+    # in one generator: whatever the tower computed, its factors are
+    # pairwise coprime by poly_gcd and multiply out to num and den.
+    e = build()
+    tower = InvariantTower(e)
+    pc.test_pii(e, tower=tower)
+    pc.test_p34(e, tower=tower)
+    cached = [rf for rf in _cached_ratfuncs(vars(tower)) if not rf.is_zero]
+    assert len(cached) > 20
+    for rf in cached:
+        helpers.assert_factored(rf)

@@ -31,7 +31,7 @@ from p34eq.expr.atoms import KIND_SURD, KIND_SYMBOL, lookup_opaque, parse_gen
 from p34eq.expr.poly import Poly, poly_gcd
 from p34eq.expr.ratfunc import RatFunc, common_root_targets, rebase_poly, reduce_surds
 from conftest import random_expr, random_rational_expr, sample_xyb
-from helpers import diff, eval_expr, rf, subst
+from helpers import assert_factored, diff, eval_expr, rf, subst
 
 
 # ----- diff -----------------------------------------------------------------
@@ -279,22 +279,6 @@ _CHAIN_OPS = {
 }
 
 
-def _assert_factored(rf):
-    """rf's factors are primitive, positive-lead, non-constant, pairwise
-    coprime, and expand to its num and den."""
-    fs = [(f.poly, e) for f, e in ratfunc._exps(rf).items()]
-    num = den = _ONE_POLY
-    for i, (p, e) in enumerate(fs):
-        assert e and not p.is_const and p.primitive() == (1, p)
-        if e > 0:
-            num = num * p**e
-        else:
-            den = den * p ** (-e)
-        for q, _ in fs[:i]:
-            assert poly_gcd(p, q).is_const
-    assert (num, den) == (rf.num, rf.den)
-
-
 def _assert_matches(got, ref, rng):
     """got is ref, or for a surd normal form, which depends on the path, a
     reduced RatFunc of the same values with its surd powers folded; either
@@ -306,7 +290,7 @@ def _assert_matches(got, ref, rng):
     else:
         assert got == ref
     if not got.is_zero:
-        _assert_factored(got)
+        assert_factored(got)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -399,6 +383,108 @@ def test_product_of_factors_in_distinct_generators_takes_no_gcd(monkeypatch):
     rf = to_ratfunc(parse("(x + 1)*(y + 2)*(k + 3)"))
     assert calls == []
     assert len(ratfunc._exps(rf)) == 3
+
+
+# ----- sums that share numerator factors --------------------------------------
+
+
+@st.composite
+def _shared_sums(draw):
+    """(a, b, reference of a + b): a and b are products of RatFuncs that
+    share numerator factors drawn from one pool, and the reference is
+    (num_a den_b + num_b den_a) / (den_a den_b) from the drawn polynomials,
+    reduced by the constructor's full GCD."""
+    gens = ("x", "y", "k")
+
+    def poly():
+        monos = st.tuples(*[st.integers(0, 2)] * 3)
+        coeffs = st.integers(-4, 4).filter(bool)
+        return Poly.from_terms(gens, draw(st.dictionaries(monos, coeffs, min_size=1, max_size=3)))
+
+    pool = [poly() for _ in range(draw(st.integers(1, 3)))]
+    sides = []
+    for _ in range(2):
+        coeff = draw(st.fractions(-9, 9, max_denominator=9).filter(bool))
+        num, den = poly(), poly()
+        got = RatFunc(num) / RatFunc(den)
+        for f in pool:
+            e = draw(st.integers(0, 3))
+            got = got * RatFunc(f) ** e
+            num = num * f**e
+        sides.append((got.scale(coeff), (coeff, num, den)))
+    (a, fa), (b, fb) = sides
+    c, num, den = _frac_add(fa, fb)
+    return a, b, RatFunc(num, den, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shared_sums())
+def test_sums_of_products_with_shared_factors_match_the_reference(case):
+    a, b, ref = case
+    got = a + b
+    assert (got.coeff, got.num, got.den) == (ref.coeff, ref.num, ref.den)
+    if not got.is_zero:
+        assert_factored(got)
+
+
+def test_a_sum_keeps_the_shared_factor_and_merges_the_new_numerator_into_it():
+    # 2(x + y) + (x + y)(x + y - 2) = (x + y)^2: the new numerator x + y is
+    # the shared factor itself.
+    got = rf("2*(x + y)") + rf("(x + y)*(x + y - 2)")
+    s = Poly.gen("x") + Poly.gen("y")
+    assert [(f.poly, e) for f, e in ratfunc._exps(got).items()] == [(s, 2)]
+    assert (got.coeff, got.num, got.den) == (1, s * s, _ONE_POLY)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # the shared factor carries 2^(1/2), the sum folds nothing
+        ("(2^(1/2)*x + 1)*(x + y)/(y + 1)", "(2^(1/2)*x + 1)*(x - y)/(y + 1)^2"),
+        # 2^(1/2)^2 folds once the shared factor is multiplied back in
+        ("(2^(1/2)*x + 1)*2^(1/2)/(x - y)", "(2^(1/2)*x + 1)*x/(x - y)"),
+        # the new numerator and the denominator carry the surd, g does not
+        ("(x + y)*2^(1/2)/(2^(1/2)*y + 1)", "(x + y)*(x - 3)/(2^(1/2)*y + 1)"),
+    ],
+)
+def test_a_sum_with_a_surd_multiplies_the_shared_factor_back_in(a, b):
+    ra, rb = rf(a), rf(b)
+    ref = _ref_sum(RatFunc(ra.num, ra.den, ra.coeff), RatFunc(rb.num, rb.den, rb.coeff))
+    _assert_matches(ra + rb, ref, random.Random(3))
+
+
+def test_a_sum_of_shared_powers_multiplies_no_power_of_the_shared_factor(monkeypatch):
+    # f has 21 terms: no Poly product or power may take an operand that
+    # large, as every power of f is.
+    x, y = Poly.gen("x"), Poly.gen("y")
+    f = Poly.const(0)
+    for i in range(6):
+        for j in range(6 - i):
+            f = f + (x**i * y**j).scale(i + 2 * j + 1)
+    assert len(f.terms) >= 20
+    u, w = x + Poly.const(1), y - Poly.const(2)
+    a = RatFunc(f) ** 3 * RatFunc(u)
+    b = RatFunc(f) ** 3 * RatFunc(w)
+    large = []
+    real_mul, real_pow = Poly.__mul__, Poly.__pow__
+
+    def mul(p, q):
+        if max(len(p.terms), len(q.terms)) >= 20:
+            large.append(("*", p, q))
+        return real_mul(p, q)
+
+    def pow_(p, n):
+        if len(p.terms) >= 20:
+            large.append(("**", p, n))
+        return real_pow(p, n)
+
+    monkeypatch.setattr(Poly, "__mul__", mul)
+    monkeypatch.setattr(Poly, "__pow__", pow_)
+    got = a + b
+    assert large == []
+    monkeypatch.undo()
+    assert {f_.poly: e for f_, e in ratfunc._exps(got).items()} == {f: 3, u + w: 1}
+    assert got.num == f**3 * (u + w) and got.den == _ONE_POLY
 
 
 # ----- rf_reduce_roots ------------------------------------------------------

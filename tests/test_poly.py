@@ -17,9 +17,11 @@ from p34eq.expr.poly import (
     _prime,
     coprime_images,
     poly_gcd,
+    unit_gens,
     univariate_image,
 )
-from p34eq.expr.ratfunc import RatFunc
+from p34eq.expr import ratfunc
+from p34eq.expr.ratfunc import RatFunc, _cofactors, _Factor
 
 
 def rand_poly(rng, gens, deg, nterms, bound=6):
@@ -209,6 +211,70 @@ def test_screen_says_coprime_only_of_coprime_pairs():
             said += 1
             assert poly_gcd(a, b).is_const
     assert said > 100
+
+
+def test_unit_gens_of_small_polynomials():
+    x, y, k, one = Poly.gen("x"), Poly.gen("y"), Poly.gen("k"), Poly.const(1)
+    assert unit_gens(x + y + one) == ("x", "y")
+    assert unit_gens(x * y + one) == ("x", "y")  # the constant term is x^0 and y^0
+    assert unit_gens(x.scale(2) + y.scale(3)) == ("x", "y")
+    assert unit_gens(x * x * y + x + y) == ("x",)  # x alone has x-degree 1
+    assert unit_gens(x * y + x + y) == ()
+    assert unit_gens(x * k + y * k) == ()
+    assert unit_gens(x * k + y * k + k * k) == ("k",)
+
+
+def test_a_factor_finds_its_unit_gens_when_first_screened():
+    x, y, one = Poly.gen("x"), Poly.gen("y"), Poly.const(1)
+    a, b = _Factor(x * y + x + one), _Factor(x - y)
+    assert a.units is None and b.units is None
+    _cofactors(a, b)
+    assert a.units == unit_gens(a.poly) == ("x",)  # its x-free part is 1
+    assert b.units == ("x", "y")
+
+
+def test_cofactors_never_prove_a_planted_factor_coprime():
+    rng = random.Random(2584)
+    gens = ("x", "y", "a", "b")
+    for n in range(1, 5):
+        done = 0
+        while done < 40:
+            g, u, w = (rand_poly(rng, gens[:n], 2, 3) for _ in range(3))
+            if g.is_const or u.is_zero or w.is_zero:
+                continue
+            pa, pb = (g * u).primitive()[1], (g * w).primitive()[1]
+            h, ca, cb = _cofactors(_Factor(pa), _Factor(pb))
+            assert not h.is_const
+            assert h * ca == pa and h * cb == pb
+            done += 1
+
+
+def test_cofactors_fall_back_to_every_shared_generator(monkeypatch):
+    # Neither polynomial has an integer coefficient in x or in y, so no one
+    # generator holds every divisor; the images in both are needed.
+    x, y = Poly.gen("x"), Poly.gen("y")
+    a, b = x * y + x + y, x * y + x.scale(2) + y.scale(3)
+    c = x * y + x.scale(5) + y.scale(7)
+    assert unit_gens(a) == unit_gens(b) == unit_gens(a * c) == unit_gens(b * c) == ()
+    images = []
+    real = ratfunc.univariate_image
+    monkeypatch.setattr(ratfunc, "univariate_image", lambda p, v: images.append(v) or real(p, v))
+    assert _cofactors(_Factor(a), _Factor(b)) == (Poly.const(1), a, b)
+    assert sorted(images) == ["x", "x", "y", "y"]
+    assert _cofactors(_Factor(a * c), _Factor(b * c)) == (c, a, b)
+
+
+def test_a_unit_gen_the_other_factor_lacks_proves_coprime_without_images(monkeypatch):
+    x, y, one = Poly.gen("x"), Poly.gen("y"), Poly.const(1)
+    images = []
+    real = ratfunc.univariate_image
+    monkeypatch.setattr(ratfunc, "univariate_image", lambda p, v: images.append(v) or real(p, v))
+    assert _cofactors(_Factor(y + x), _Factor(x + one)) == (one, y + x, x + one)
+    assert images == []
+    # x + y against x - y + 1: each has a unit gen, and the other holds
+    # it, so one image of each, in the first
+    assert _cofactors(_Factor(x + y), _Factor(x - y + one))[0] == one
+    assert images == ["x", "x"]
 
 
 def test_images_depend_on_generator_names_alone():

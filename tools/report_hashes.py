@@ -5,7 +5,7 @@
 The inputs are every catalog and electrodiffusion equation of the benchmark
 (perfbench/workloads.py), every transformed input it can generate
 (perfbench/gen_transformed.py --all, which needs sympy) and every golden
-input (tests/test_golden.py).  Each line is
+input (tests/golden_cases.py).  Each line is
 
     <sha256 of the JSON report> <sha256 of the text report> <exit code> <input>
 
@@ -51,7 +51,7 @@ def inputs() -> list[tuple[str, RunConfig]]:
     """(label, configuration) of every input, in a fixed order."""
     import gen_transformed
     import workloads
-    from test_golden import CASES
+    from golden_cases import CASES
 
     out = [(f"catalog {eq.name}", _config(eq.cli)) for eq in workloads.catalog()]
     out += [(f"electrodiffusion {eq.name}", _config(eq.cli)) for eq in workloads.electrodiffusion()]
