@@ -5,6 +5,11 @@ equation through the map pointwise.  The effective cubic coefficients at the
 image point are those of the cubic through the four image (slope, y'') pairs,
 found by divided differences.  This path is disjoint from the symbolic
 chain-rule transformer, so the two validate each other.
+
+A point where the jets degenerate counts as a pole: where the Jacobian
+J = ux vy - uy vx is negligible against |ux vy| + |uy vx| (two image slopes
+meet), or some du = ux + uy s against |ux| + |uy s|.  Both tests are
+unchanged when u or v is rescaled.
 """
 
 from __future__ import annotations
@@ -55,17 +60,21 @@ class ResidualReport:
 def _jet_slopes(t_parts: dict[str, float]) -> tuple[list[float], ...]:
     """du, dv and q = dv/du of the image jet at each seed slope y' = s.
 
-    Reads only first derivatives of the transform, so a point where the jets
-    degenerate (du vanishes or two q collide) raises EvalPole before the rest
-    is evaluated there.
+    The slopes q = (vx + vy s)/(ux + uy s) are a Möbius image of the seeds,
+    so two of them meet only where J = ux vy - uy vx vanishes.  The jets
+    degenerate, and EvalPole is raised before anything else is evaluated at
+    the point, when |J| <= 1e-6 (|ux vy| + |uy vx|) or some
+    |du| <= 1e-9 (|ux| + |uy s|).  Both tests are invariant under u -> lambda u,
+    v -> mu v, and a constant u or v (J and its scale both 0) fails the first.
     """
-    du = [t_parts["ux"] + t_parts["uy"] * s for s in _SEEDS]
-    if any(abs(d) < 1e-9 for d in du):
+    ux, uy, vx, vy = (t_parts[k] for k in ("ux", "uy", "vx", "vy"))
+    if abs(ux * vy - uy * vx) <= 1e-6 * (abs(ux * vy) + abs(uy * vx)):
         raise EvalPole("degenerate jets at the sample point")
-    dv = [t_parts["vx"] + t_parts["vy"] * s for s in _SEEDS]
+    du = [ux + uy * s for s in _SEEDS]
+    if any(abs(d) <= 1e-9 * (abs(ux) + abs(uy * s)) for d, s in zip(du, _SEEDS)):
+        raise EvalPole("degenerate jets at the sample point")
+    dv = [vx + vy * s for s in _SEEDS]
     q = [b / a for a, b in zip(du, dv)]
-    if any(abs(q[i] - q[j]) < 1e-6 for i in range(4) for j in range(i + 1, 4)):
-        raise EvalPole("degenerate jets at the sample point")
     return du, dv, q
 
 

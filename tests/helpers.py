@@ -156,19 +156,21 @@ def rhs(e: OdeCubic) -> Expr:
 
 
 def apply_transform(
-    e: OdeCubic, t: PointTransform, inverse: tuple[Expr | RatFunc, Expr | RatFunc]
+    e: OdeCubic,
+    t: PointTransform,
+    inverse: tuple[str | Expr | RatFunc, str | Expr | RatFunc],
 ) -> OdeCubic:
     """The equation satisfied by y_new(x_new) when y(x) solves e.
 
     The coefficients of the result are written in the new variables by
     composing the pullback with ``inverse``, the old variables as functions
-    of the new ones, written in the same two symbols: x = inverse[0](x, y),
-    y = inverse[1](x, y), and root-reduced as the split of a right-hand side
-    is.  The inverse is not checked against t.
+    of the new ones (texts, trees or RatFuncs), written in the same two
+    symbols: x = inverse[0](x, y), y = inverse[1](x, y), and root-reduced as
+    the split of a right-hand side is.  The inverse is not checked against t.
     """
     if is_zero(t.jacobian(), e.env).is_zero:
         raise DegenerateTransformError(f"{t!r} has zero Jacobian")
-    binding = {v: rf_to_expr(w) if isinstance(w, RatFunc) else w for v, w in zip("xy", inverse)}
+    binding = {v: rf_to_expr(_as_rf(w)) for v, w in zip("xy", inverse)}
     coeffs = [
         rf_reduce_roots(to_ratfunc(subst(rf_to_expr(c), binding)))
         for c in pullback_coefficients(e, t)

@@ -145,6 +145,22 @@ def test_pii_searches_only_the_plus_a_candidates(monkeypatch):
     assert res.a_values == (12345.0, -12345.0)
 
 
+def test_pii_rejects_wrong_candidates_without_skipping_their_draws(monkeypatch):
+    # the wrong-tau candidates of painleve_ii(12345) have |u_y| up to 1e5 in
+    # the y > 0 quadrants, so their four image slopes agree to within 1e-6;
+    # the jet test reads the Jacobian relative to its terms, so each of their
+    # quadrants stops at its first residual instead of skipping 424 draws
+    calls = []
+    slopes = oracle._jet_slopes
+    monkeypatch.setattr(oracle, "_jet_slopes", lambda parts: calls.append(parts) or slopes(parts))
+    res = pc.test_pii(eqs.painleve_ii(12345))
+    assert len(calls) < 100
+    assert res.outcome is Outcome.INCONCLUSIVE
+    assert res.detail == (
+        "all theorem conditions hold but no candidate transform passed the numeric oracle"
+    )
+
+
 def test_pii_search_stops_a_quadrant_at_its_first_failing_residual(monkeypatch):
     # the candidate search reads only whether a transform passed, so each
     # quadrant stops at its first residual of PASS_RESIDUAL or more: 4

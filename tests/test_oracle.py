@@ -56,7 +56,6 @@ def test_unreal_transform_reports_insufficient():
 
 
 def test_zero_jacobian_transform_skips_every_point(monkeypatch):
-    # u = v = x + y: every image slope dv/du is 1, so the jets degenerate
     runs = []
 
     def recording_sample(*args, **kwargs):
@@ -65,12 +64,35 @@ def test_zero_jacobian_transform_skips_every_point(monkeypatch):
         return values, skipped
 
     monkeypatch.setattr(oracle, "sample", recording_sample)
-    t = transform("x + y", "x + y")
     e = eqs.painleve_ii(3)
-    report = verify_transform(e, e, t, n=12)
-    assert report.insufficient
-    assert report.poles_skipped == 12 + ORACLE_REDRAWS
-    assert runs == [(0, 12 + ORACLE_REDRAWS)] * len(QUADRANTS)
+    maps = [
+        # zero Jacobian: every image slope dv/du is 1, or 1/10000
+        ("x + y", "x + y"),
+        ("10000*x + 10000*y", "x + y"),
+        # constant v: every slope is 0, so J and its scale are both 0
+        ("x", "5"),
+        ("x*y", "1"),
+    ]
+    for u, v in maps:
+        runs.clear()
+        report = verify_transform(e, e, transform(u, v), n=12)
+        assert report.insufficient
+        assert report.poles_skipped == 12 + ORACLE_REDRAWS
+        assert runs == [(0, 12 + ORACLE_REDRAWS)] * len(QUADRANTS)
+
+
+@pytest.mark.parametrize("lam", [F(1), F(1000)])
+@pytest.mark.parametrize("mu", [F(1), F(1, 1000), F(1, 10**7), F(10**7)])
+def test_rescaled_pii_passes_without_skipping(lam, mu):
+    # x -> lam x, y -> mu y scales u_x by lam and v_y by mu, so an absolute
+    # test of the slopes dv/du skips every draw once mu/lam is small; the jet
+    # test reads J relative to its terms and skips none
+    src = eqs.painleve_ii(3)
+    t = transform(f"({lam})*x", f"({mu})*y")
+    dst = apply_transform(src, t, (f"x/({lam})", f"y/({mu})"))
+    report = verify_transform(src, dst, t)
+    assert report.passed, report
+    assert report.poles_skipped == 0
 
 
 def _report_key(report):
