@@ -4,7 +4,9 @@ The JSON report has the keys ``input`` (the equation as given and its
 coefficients P, Q, R, S), ``params``, ``invariants``, ``classification``,
 ``pii``, ``p34`` and ``seed``, and ``verification`` under ``--verify``.
 ``invariants`` maps A, B, F5, Omega, N, M, I1, I2, I3, I4, I6, I7, I9 and K
-to their normal forms; an invariant is null when no verdict computed it.
+to their factored forms, coeff * monomial * prod P_e^e with P_e the product
+of the factors of exponent e, not to their expanded normal forms; an
+invariant is null when no verdict computed it.
 The text report prints the same verdicts and the invariants that are not null.
 
 Exit codes: 0 equivalent to PII or P34, 1 not equivalent or out of scope,

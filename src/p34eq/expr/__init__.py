@@ -23,6 +23,7 @@ from .engine import (
     rf_pow,
     rf_reduce_roots,
     rf_to_expr,
+    rf_to_factored_expr,
     to_ratfunc,
     QUADRANTS,
     sample,
@@ -56,6 +57,7 @@ __all__ = [
     "rf_pow",
     "rf_reduce_roots",
     "rf_to_expr",
+    "rf_to_factored_expr",
     "sample",
     "sample_any_quadrant",
     "to_ratfunc",

@@ -25,6 +25,7 @@ from .atoms import (
     KIND_SURD,
     KIND_SYMBOL,
     factor_int,
+    gen_sort_key,
     lookup_opaque,
     make_name,
     opaque_base_key,
@@ -39,6 +40,7 @@ __all__ = [
     "is_zero",
     "to_ratfunc",
     "rf_to_expr",
+    "rf_to_factored_expr",
     "rf_pow",
     "rf_reduce_roots",
     "Constraint",
@@ -180,6 +182,42 @@ def _poly_to_expr(p: Poly, coeff: Fraction = Fraction(1)) -> Expr:
             factors.insert(0, Const(c))
         terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
+
+
+def rf_to_factored_expr(rf: RatFunc) -> Expr:
+    """rf as coeff * monomial * prod P_e^e, read from its factors and never
+    from its expanded num and den.
+
+    P_e is the product of the factors of exponent e, less their monomial
+    content: the numerator's exponents come first in ascending order, then
+    the denominator's.  Every monomial content folds into the one monomial,
+    so (nu1^2)^6 reads nu1^12.  Grouping by exponent keeps the text from
+    depending on how far refinement split coprime factors of one exponent.
+    """
+    mono: dict[str, int] = {}
+    groups: dict[int, list[Poly]] = {}
+    for b, e in rf.factors():
+        shifts = b.monomial_content()
+        for g, k in shifts.items():
+            mono[g] = mono.get(g, 0) + k * e
+        b = b.shift_down(shifts)
+        if not b.is_const:
+            groups.setdefault(e, []).append(b)
+    parts: dict[int, list[Expr]] = {1: [], -1: []}  # of num and of den, in print order
+    for g in sorted(mono, key=gen_sort_key):
+        if mono[g]:
+            parts[1 if mono[g] > 0 else -1].append(_gen_to_expr(g, mono[g]))
+    for e in sorted(groups, key=abs):
+        p, *rest = sorted(groups[e], key=lambda b: len(b.terms))
+        for b in rest:
+            p = p * b
+        parts[1 if e > 0 else -1].append(_poly_to_expr(p) if e == 1 else Pow(_poly_to_expr(p), Fraction(e)))
+    nums, dens = parts[1], parts[-1]
+    if rf.coeff == -1 and nums:
+        nums[0] = Neg(nums[0])
+    elif rf.coeff != 1 or not nums:
+        nums.insert(0, Const(rf.coeff))
+    return Mul(tuple(nums + dens)) if dens else ast.mul(tuple(nums))
 
 
 @lru_cache(maxsize=None)

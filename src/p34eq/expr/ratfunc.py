@@ -19,9 +19,11 @@ kept.  Products, powers, inverses and scalings, the common denominator of
 a sum, the numerator factors both terms of a sum share and the denominator
 of a derivative are kept as factors alone; what reads num or den is the
 numerator of a derivative and of a sum whose terms share no numerator
-factor, printing, evaluation, equality and hashing, the monomial tests and
-the split of an equation by powers of y'.  Zero and constant tests and the
-generators answer from the factors.
+factor, the expanded printing of transforms, parameters and coefficients,
+evaluation, equality and hashing, the monomial tests and the split of an
+equation by powers of y'.  Zero and constant tests, the generators and the
+printing of the report's invariants (engine.rf_to_factored_expr) answer
+from the factors.
 
 A factor is one object per polynomial, shared by every RatFunc that holds
 it, and it remembers what was learnt of it: the factors it was proven
@@ -275,6 +277,12 @@ class RatFunc:
             if e:
                 exps[g] = exps.get(g, 0) - e
         return self.coeff, {g: e for g, e in exps.items() if e}
+
+    def factors(self) -> list[tuple[Poly, int]]:
+        """(b, e) with self = coeff * prod b^e, e > 0 for a factor of num and
+        e < 0 for one of den, pairwise coprime, as far as they split so far;
+        nothing is expanded."""
+        return [(f.poly, e) for f, e in _exps(self).items()]
 
     def gens(self) -> tuple[str, ...]:
         """The generators of num in order, then those only den has."""

@@ -28,7 +28,7 @@ from .expr import (
     ZeroVerdict,
     is_zero,
     rf_pow,
-    rf_to_expr,
+    rf_to_factored_expr,
     to_string,
 )
 from .ode import OdeCubic
@@ -450,13 +450,13 @@ _REPORTED = {
 
 
 def compute_invariants(tower: InvariantTower) -> dict[str, str | None]:
-    """Every reported invariant: rendered where a stage the decision ran
-    cached it, None elsewhere.  Nothing is computed here."""
+    """Every reported invariant: rendered from its factors where a stage the
+    decision ran cached it, None elsewhere.  Nothing is computed here."""
     cached = vars(tower)
     out: dict[str, str | None] = {}
     for name, (stage, index) in _REPORTED.items():
         value = cached.get(stage)
         if value is not None and index is not None:
             value = value[index]
-        out[name] = None if value is None else to_string(rf_to_expr(value))
+        out[name] = None if value is None else to_string(rf_to_factored_expr(value))
     return out

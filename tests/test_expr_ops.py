@@ -24,6 +24,7 @@ from p34eq.expr import (
     rf_pow,
     rf_reduce_roots,
     rf_to_expr,
+    rf_to_factored_expr,
     to_ratfunc,
     to_string,
 )
@@ -551,6 +552,56 @@ def test_reduce_roots_rewrites_only_powers_that_share_a_factor():
     mixed = to_ratfunc(parse("y + y^(1/3)"))
     assert rf_reduce_roots(mixed) is mixed
     assert rf_reduce_roots(sixth) is sixth
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rooted())
+def test_factored_text_reads_back_to_the_value(rf):
+    # by value: reading a compound root and its powers back from separate
+    # factors need not give the normal form the expanded text gives
+    back = to_ratfunc(parse(to_string(rf_to_factored_expr(rf))))
+    rng = random.Random(5)
+    for _ in range(3):
+        point = {"x": rng.uniform(0.5, 2), "y": -rng.uniform(0.5, 2), "k": rng.uniform(0.5, 2)}
+        values = []
+        for f in (rf_reduce_roots(rf), back):
+            try:
+                values.append(f.eval(point))
+            except (EvalPole, EvalDomainError) as exc:
+                values.append(type(exc).__name__)
+        if isinstance(values[0], float):
+            assert values[1] == pytest.approx(values[0], rel=1e-9, abs=1e-12)
+        else:
+            assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("value, text", [
+    ("0", "0"),
+    ("-7/2", "-7/2"),
+    ("-y", "-y"),
+    ("6*x + 6", "6*(x + 1)"),
+    ("x^2 + x", "x*(x + 1)"),
+    ("-(x + 1)^2/(x - y)", "-(x + 1)^2/(x - y)"),
+    ("(nu1^2)^6*(x + 1)^2/(3*y^3*(x - y))", "(1/3)*nu1^12*(x + 1)^2/(y^3*(x - y))"),
+    ("(x + 1)*(x + 2)^3/((y + 1)^2*(y + 3)^2)", "(x + 1)*(x + 2)^3/(y^2 + 4*y + 3)^2"),
+    ("(3*y - 1)^(1/3)*(x + 1)^2", "(3*y - 1)^(1/3)*(x + 1)^2"),
+])
+def test_factored_text(value, text):
+    assert to_string(rf_to_factored_expr(rf(value))) == text
+
+
+def test_factored_text_groups_factors_by_exponent(monkeypatch):
+    # two coprime factors of one exponent print as their product, so the
+    # text is the same whether or not refinement split them
+    whole = rf("(x^2 + 3*x + 2)^2/y")
+    split = rf("(x + 1)^2*(x + 2)^2/y")
+    assert [e for _, e in whole.factors()] != [e for _, e in split.factors()]
+    assert to_string(rf_to_factored_expr(whole)) == to_string(rf_to_factored_expr(split))
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(None) or mul(a, b))
+    assert to_string(rf_to_factored_expr(split)) == "(x^2 + 3*x + 2)^2/y"
+    assert len(calls) == 1 and split._num is None and split._den is None
 
 
 # ----- normalize ------------------------------------------------------------

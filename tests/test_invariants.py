@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +19,15 @@ from p34eq.expr import (
     normalize,
     parse,
     rf_pow,
+    rf_reduce_roots,
     rf_to_expr,
     to_ratfunc,
     to_string,
 )
-from p34eq.invariants import InvariantTower, compute_invariants
+from p34eq.cli import _build_equation, run
+from p34eq.invariants import _REPORTED, InvariantTower, compute_invariants
 from p34eq.ode import from_rhs
+from golden_cases import CASES
 from helpers import apply_transform, p34_cuberoot_4_affine, rf, subst, transform
 
 
@@ -340,11 +348,74 @@ def test_first_case_decides_no_zero_test_of_n():
     assert "M" in t._verdicts and "N" not in t._verdicts
 
 
+def _reported_values(t) -> dict:
+    """Each reported invariant the tower cached, by its report name."""
+    out = {}
+    for name, (stage, index) in _REPORTED.items():
+        value = vars(t).get(stage)
+        if value is not None:
+            out[name] = value if index is None else value[index]
+    return out
+
+
+def _assert_texts_read_back(t, rep):
+    """Each text of the report parses back to its value, with the root
+    rewrite a print and parse does."""
+    values = _reported_values(t)
+    assert set(values) == {name for name, text in rep.items() if text is not None}
+    for name, value in values.items():
+        assert to_ratfunc(parse(rep[name])) == rf_reduce_roots(value), name
+
+
 def test_compute_invariants_report():
     t, _, p34, rep = _decided_report(eqs.p34_rational("b"))
     assert p34.outcome is Outcome.EQUIVALENT_P34
     assert rep["B"] == rep["K"] == "0"
-    assert rep["M"] == to_string(rf_to_expr(t.m_pseudo))
+    _assert_texts_read_back(t, rep)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_golden_invariant_text_reads_back(name):
+    t, _, _, rep = _decided_report(_build_equation(CASES[name]))
+    _assert_texts_read_back(t, rep)
+
+
+def test_invariant_texts_are_the_same_fresh_and_after_other_decisions():
+    # factors split as far as earlier decisions refined them; the text
+    # groups them by exponent, so a new process prints what this one does
+    name = "electrodiffusion_3b_2_3_5_7"
+    code = (
+        "import json\nfrom golden_cases import CASES\nfrom p34eq.cli import run\n"
+        f"print(json.dumps(run(CASES[{name!r}])[1]['invariants']))"
+    )
+    src = str(Path(eqs.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).parent)])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    for other in sorted(CASES, reverse=True):
+        if other != name:
+            run(CASES[other])
+    assert run(CASES[name])[1]["invariants"] == json.loads(proc.stdout)
+
+
+def test_printing_the_invariants_expands_nothing(monkeypatch):
+    # I9 here is four factors of at most 10 terms, and 1,091 terms expanded;
+    # the report multiplies only factors that share an exponent
+    ode = eqs.electrodiffusion_3b(2, 3, 5, 7)
+    t = InvariantTower(ode)
+    classify(ode, tower=t)
+    test_pii(ode, tower=t)
+    test_p34(ode, tower=t)
+    assert t.i9._num is None and t.i9._den is None
+    groups = sum(len({e for _, e in v.factors()}) for v in _reported_values(t).values())
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(None) or mul(a, b))
+    compute_invariants(t)
+    assert len(calls) <= groups
+    assert t.i9._num is None and t.i9._den is None
 
 
 def test_compute_invariants_j_zero_branch():
