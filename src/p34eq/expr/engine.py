@@ -203,16 +203,17 @@ def rf_to_factored_expr(rf: RatFunc) -> Expr:
         b = b.shift_down(shifts)
         if not b.is_const:
             groups.setdefault(e, []).append(b)
-    parts: dict[int, list[Expr]] = {1: [], -1: []}  # of num and of den, in print order
+    nums: list[Expr] = []
+    dens: list[Expr] = []
     for g in sorted(mono, key=gen_sort_key):
         if mono[g]:
-            parts[1 if mono[g] > 0 else -1].append(_gen_to_expr(g, mono[g]))
+            (nums if mono[g] > 0 else dens).append(_gen_to_expr(g, mono[g]))
     for e in sorted(groups, key=abs):
-        p, *rest = sorted(groups[e], key=lambda b: len(b.terms))
+        p, *rest = groups[e]
         for b in rest:
             p = p * b
-        parts[1 if e > 0 else -1].append(_poly_to_expr(p) if e == 1 else Pow(_poly_to_expr(p), Fraction(e)))
-    nums, dens = parts[1], parts[-1]
+        expr = _poly_to_expr(p)
+        (nums if e > 0 else dens).append(expr if e == 1 else Pow(expr, Fraction(e)))
     if rf.coeff == -1 and nums:
         nums[0] = Neg(nums[0])
     elif rf.coeff != 1 or not nums:
