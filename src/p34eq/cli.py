@@ -10,7 +10,8 @@ invariant is null when no verdict computed it.
 The text report prints the same verdicts and the invariants that are not null.
 
 Exit codes: 0 equivalent to PII or P34, 1 not equivalent or out of scope,
-2 inconclusive, 3 input error.
+2 inconclusive, 3 input error (division by an expression that is
+identically zero included).
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def run(cfg: RunConfig) -> tuple[int, dict, str]:
     policy = SamplePolicy(seed=cfg.seed, n_samples=cfg.samples, abs_tol=cfg.abs_tol)
     try:
         ode = _build_equation(cfg)
-    except P34Error as exc:
+    except (P34Error, ZeroDivisionError) as exc:  # such as 1/(x - x)
         report = {"error": str(exc)}
         return 3, report, f"input error: {exc}"
 

@@ -321,13 +321,12 @@ def test_p34_electrodiffusion_fully_symbolic():
 
 def _tables():
     """Sizes of the tables and caches that poly and ratfunc own, but for the
-    factors, keyed by polynomial, and the evaluator code, keyed by its
-    source text.  (The generator-name caches of atoms grow with the names
-    by design.)"""
+    factors, keyed by polynomial.  (The generator-name caches of atoms grow
+    with the names by design.)"""
     out = {}
     for mod in (poly, ratfunc):
         for name, obj in vars(mod).items():
-            if name.startswith("__") or name in ("_FACTORS", "_CODE", "_NAMES"):
+            if name.startswith("__") or name == "_FACTORS":
                 continue
             if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__:
                 out[mod.__name__, name] = obj.cache_info().currsize
@@ -364,7 +363,10 @@ def test_factors_die_with_their_decision():
     new = other - gens
     assert any(g.startswith("@") for g in new)
     assert _tables() == tables
-    assert not any(g in source for g in new for source in ratfunc._NAMES)
+    # An equation of another shape leaves nothing behind either.
+    decide(eqs.painleve_iv(101, 997))
+    gc.collect()
+    assert _tables() == tables
 
 
 def test_gcds_of_refinement_pairs_all_find_a_common_factor(monkeypatch):

@@ -44,6 +44,25 @@ def test_input_error_exit_three(capsys):
     assert main(["--rhs", "p^2 + c*y"]) == 3  # undeclared parameter
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rhs", "1/0"],
+        ["--rhs", "1/(x-x)"],
+        ["--rhs", "0^(-1/2)"],
+        ["--rhs", "(y-y)^(-1/3)"],
+        ["--coeffs", "1/0", "0", "0", "0"],
+        ["--implicit", "x", "1/0"],
+        ["--implicit", "1/0", "y"],
+    ],
+)
+def test_division_by_zero_is_an_input_error(capsys, argv):
+    assert main([*argv, "--json"]) == 3
+    assert "error" in json.loads(capsys.readouterr().out)
+    assert main(argv) == 3
+    assert capsys.readouterr().out.startswith("input error: ")
+
+
 def test_inconclusive_case_predicate_exits_two(capsys):
     # sqrt(-y^2 - 1) has no real sample in any quadrant, so the zero test
     # of A is inconclusive: a valid input whose degeneration case is undecided

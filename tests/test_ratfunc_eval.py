@@ -1,7 +1,8 @@
-"""The compiled RatFunc evaluator against a term-by-term reference loop.
+"""The RatFunc evaluator against a term-by-term reference loop.
 
-The reference below is the interpreted evaluation the compiled code
-replaces: it must agree to the bit, and raise the same exception types.
+The reference below reads the normal form afresh at every evaluation; the
+evaluator, which reads a term table built once per RatFunc, must agree
+with it to the bit, and raise the same exception types.
 """
 
 import random
@@ -146,6 +147,12 @@ def test_exceptions_match_the_reference():
         (RatFunc(x, y + Poly.const(10**400)), {"x": 1.0, "y": 1.0}, OverflowError),
         # a power beyond float range
         (RatFunc(x**200), {"x": 1e3, "y": 1.0}, OverflowError),
+        # a coefficient beyond float range raises only where its part is
+        # summed: after the generator values, and after the pole test when
+        # in the numerator
+        (to_ratfunc(parse("y^(1/2)")).scale(F(10**400, 3)), {"x": 1.0, "y": -2.0}, EvalDomainError),
+        (RatFunc(x, x - y, F(10**400, 3)), {"x": 1.5, "y": 1.5}, EvalPole),
+        (RatFunc(x, y + Poly.const(10**400)), {"x": 1.0, "y": -1.0}, OverflowError),
     ]
     for rf, values, exc in cases:
         for relative in (False, True):
