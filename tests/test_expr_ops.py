@@ -371,10 +371,25 @@ def test_products_and_powers_expand_nothing_until_read(monkeypatch, chain):
     real = Poly.__mul__
     monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or real(p, q))
     got = chain(a, b, c)
-    inspected = (got.is_zero, got.is_const, got.gens())
+    inspected = (got.is_zero, got.is_const, got.is_monomial, got.gens())
     assert products == []
-    assert inspected == (ref.is_zero, ref.is_const, ref.gens())
+    assert inspected == (ref.is_zero, ref.is_const, ref.is_monomial, ref.gens())
     assert (got.coeff, got.num, got.den) == (ref.coeff, ref.num, ref.den)
+
+
+def test_monomial_parts_read_the_factors(monkeypatch):
+    x, y, k = (to_ratfunc(parse(s)) for s in ("x", "y^(1/3)", "k"))
+    got = (x**2 * y).scale(-3) * (k**3 * x) ** -1 * y**-5
+    ref = RatFunc(got.num, got.den, got.coeff)
+    products = []
+    real = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(1) or real(p, q))
+    got = (x**2 * y).scale(-3) * (k**3 * x) ** -1 * y**-5
+    assert got.is_monomial and not (got * (x + k)).is_monomial
+    parts = got.monomial_parts()
+    assert products == [] and got._num is None
+    assert list(parts[1].items()) == list(ref.monomial_parts()[1].items())
+    assert parts == (F(-3), {"x": 1, "k": -3, "y^(1/3)": -4})
 
 
 def test_product_of_factors_in_distinct_generators_takes_no_gcd(monkeypatch):
