@@ -433,15 +433,12 @@ class RatFunc:
             object.__setattr__(self, "_ev", _table(self))
         names, den, num = self._ev
         vals = [_gen_value(g, values, memo) for g in names]
-        absv = [abs(v) for v in vals]
-        d = _sum(den, vals, False)
-        s = _sum(den, absv, True)
+        d, s = _sums(den, vals)
         if abs(d) <= _POLE_EPS * max(s, 1e-300):
             raise EvalPole("denominator vanishes at the sample point")
-        n = _sum(num, vals, False)
         if not relative:
-            return n / d
-        m = _sum(num, absv, True)
+            return _sums(num, vals, False)[0] / d
+        n, m = _sums(num, vals)
         return (n / d) / max(1.0, m / abs(d))
 
 
@@ -895,20 +892,22 @@ def _terms(p: Poly, coeff: Fraction, slot: dict[str, int]) -> tuple | None:
         return None
 
 
-def _sum(terms: tuple | None, vals: list[float], absolute: bool) -> float:
+def _sums(terms: tuple | None, vals: list[float], absolute: bool = True) -> tuple[float, float]:
     """The terms summed from 0.0, each k times the powers of vals in
-    monomial order; with absolute=True each from |k|, for the sum of the
-    |terms| when vals are the |generator values|."""
+    monomial order, and with absolute=True the sum of their absolute
+    values, in one pass.  A float product's magnitude is the product of the
+    magnitudes and pow(-v, e) is +-pow(v, e), so each |term| is the term
+    taken from |k| and the |generator values|."""
     if terms is None:
         raise OverflowError("coefficient beyond float range")
-    total = 0.0
+    total = scale = 0.0
     for k, powers in terms:
-        if absolute:
-            k = abs(k)
         for j, e in powers:
             k *= vals[j] ** e
         total += k
-    return total
+        if absolute:
+            scale += abs(k)
+    return total, scale
 
 
 def _real_root(v: float, q: int) -> float:
