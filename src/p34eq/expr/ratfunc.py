@@ -140,6 +140,8 @@ def reduce_surds(p: Poly) -> Poly:
 
 def rebase_poly(p: Poly, targets: Mapping[str | int, int]) -> Poly:
     """Rebase every generator to the root denominator given per base."""
+    if not targets:
+        return p
     for g in p.gens:
         info = parse_gen(g)
         q_target = targets.get(info.base, info.q)
@@ -669,8 +671,12 @@ def _product(target: Exps, hints: tuple[tuple[Poly, Exps], ...] = ()) -> Poly:
 
 
 def _aligned(a: RatFunc, b: RatFunc) -> tuple[dict[str | int, int], Exps, Exps]:
-    """(targets, factors of a, factors of b) over common root generators."""
-    targets = _root_targets(a.gens() + b.gens())
+    """(targets, factors of a, factors of b) over common root generators;
+    no targets when neither operand has a root generator."""
+    gens = a.gens() + b.gens()
+    if all(parse_gen(g).q == 1 for g in gens):
+        return {}, _exps(a), _exps(b)
+    targets = _root_targets(gens)
     return targets, _rebased(a, targets), _rebased(b, targets)
 
 

@@ -392,6 +392,23 @@ def test_monomial_parts_read_the_factors(monkeypatch):
     assert parts == (F(-3), {"x": 1, "k": -3, "y^(1/3)": -4})
 
 
+def test_operands_without_roots_are_not_rebased(monkeypatch):
+    a = to_ratfunc(parse("(x + 1)/(y + 2)"))
+    b = to_ratfunc(parse("(x - y)^3/(k*(x + 1))"))
+    c = to_ratfunc(parse("x + y^(1/3)"))
+    calls = []
+    for name in ("_rebased", "_root_targets"):
+        real = getattr(ratfunc, name)
+        monkeypatch.setattr(ratfunc, name, lambda *args, real=real: calls.append(1) or real(*args))
+    got = (a + b) * a - b
+    assert calls == []
+    assert got == to_ratfunc(parse("((x + 1)/(y + 2) + (x - y)^3/(k*(x + 1)))*(x + 1)/(y + 2)"
+                                   " - (x - y)^3/(k*(x + 1))"))
+    calls.clear()
+    a + c
+    assert calls
+
+
 def test_product_of_factors_in_distinct_generators_takes_no_gcd(monkeypatch):
     calls = []
     real = ratfunc.poly_gcd
