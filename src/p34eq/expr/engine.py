@@ -4,7 +4,10 @@ The workhorse representation is RatFunc (a reduced ratio of polynomials in
 atoms); Expr trees are the parse/print surface.  Fractional powers become
 atoms: roots of symbols directly, roots of rationals via prime surds, odd
 roots of monomials by distribution, everything else as a content-addressed
-compound radicand that still evaluates and differentiates exactly.
+compound radicand that still evaluates and differentiates exactly.  An odd
+root first takes every whole power of a factor out of its radicand (the
+cube root of c L^3 M is L times those of c and M); an even root takes
+nothing out, since the square root of L^2 is |L|, not L.
 """
 
 from __future__ import annotations
@@ -80,7 +83,20 @@ def to_ratfunc(e: Expr) -> RatFunc:
 
 
 def rf_pow(rf: RatFunc, exponent: Fraction) -> RatFunc:
-    """Raise a rational function to a rational power."""
+    """Raise a rational function to a rational power p/q.
+
+    A root of a constant is a product of prime surds (_rational_power).
+    An odd root commutes with signs, so it distributes over a monomial, and
+    from any other rf = c * prod b^e it takes every whole power of a factor
+    out, read from the factors: b^e leaves the root as b^(k p), k = e/q
+    rounded toward zero.  What stays under it, c * prod b^(e - k q), is
+    rooted by these rules again, c through the surds, and is a compound
+    radicand only where it is no monomial (perfect powers out of
+    radicands, as in Caviness and Fateman, "Simplification of radical
+    expressions", 1976).  An even root keeps every factor under it,
+    because (L^2)^(1/2) is |L| and not L: it is a compound radicand, which
+    evaluates base-first, whenever rf is not a constant.
+    """
     exponent = Fraction(exponent)
     if exponent.denominator == 1:
         return rf ** int(exponent)
@@ -91,16 +107,19 @@ def rf_pow(rf: RatFunc, exponent: Fraction) -> RatFunc:
         return RatFunc.const(0)
     if rf.is_const:
         return _rational_power(rf.const_value(), p, q)
+    if q % 2 == 0:
+        return _opaque_power(rf, p, q)
     if rf.is_monomial:
         coeff, exps = rf.monomial_parts()
-        if q % 2 == 1:
-            out = _rational_power(coeff, p, q)
-            for g, e in exps.items():
-                out = out * _gen_frac_power(g, Fraction(e * p, q))
-            return out
-        # Even roots do not commute with signs of symbol-valued factors;
-        # fall through to an opaque radicand, which evaluates base-first.
-    return _opaque_power(rf, p, q)
+        out = _rational_power(coeff, p, q)
+        for g, e in exps.items():
+            out = out * _gen_frac_power(g, Fraction(e * p, q))
+        return out
+    whole, rest = rf.split_powers(q)
+    if whole.is_const:
+        return _opaque_power(rf, p, q)
+    c = rest.coeff
+    return whole**p * _rational_power(c, p, q) * rf_pow(rest.scale(1 / c), exponent)
 
 
 def _gen_frac_power(gen: str, exponent: Fraction) -> RatFunc:

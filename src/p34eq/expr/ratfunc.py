@@ -287,6 +287,20 @@ class RatFunc:
         order = sorted(exps, key=lambda g: (exps[g] < 0, gen_sort_key(g)))
         return self.coeff, {g: exps[g] for g in order}
 
+    def split_powers(self, q: int) -> tuple["RatFunc", "RatFunc"]:
+        """(w, r) with self = w^q * r, read from the factors: of each factor
+        b^e, w takes b^k for k = e/q rounded toward zero, and r keeps
+        b^(e - k q), on b's side, and the coefficient.  Nothing is expanded."""
+        whole: Exps = {}
+        rest: Exps = {}
+        for f, e in _exps(self).items():
+            k = e // q if e > 0 else -(-e // q)
+            if k:
+                whole[f] = k
+            if e != k * q:
+                rest[f] = e - k * q
+        return _result(_F1, whole), _result(self.coeff, rest)
+
     def factors(self) -> list[tuple[Poly, int]]:
         """(b, e) with self = coeff * prod b^e, e > 0 for a factor of num and
         e < 0 for one of den, pairwise coprime, as far as they split so far;
@@ -470,13 +484,13 @@ class _Factor:
     found when it is first screened, as most factors never are."""
 
     __slots__ = (
-        "poly", "key", "surd", "split", "coprime", "dgcd", "images", "units", "__weakref__"
+        "poly", "key", "surds", "split", "coprime", "dgcd", "images", "units", "__weakref__"
     )
 
     def __init__(self, poly: Poly):
         self.poly = poly
         self.key = next(_KEYS)
-        self.surd = _has_surd(poly.gens)
+        self.surds = _surd_degrees(poly)
         self.split: tuple[tuple[_Factor, int], ...] | None = None
         self.coprime: set[int] = set()
         self.dgcd: dict[str, tuple[Poly, Poly, Poly]] = {}
@@ -512,6 +526,27 @@ def _factor(p: Poly) -> _Factor:
 
 def _has_surd(gens: tuple[str, ...]) -> bool:
     return any(parse_gen(g).kind == KIND_SURD for g in gens)
+
+
+def _surd_degrees(p: Poly) -> tuple[tuple[str, int, int], ...]:
+    """(g, q, degree of p in g) for each prime surd root g = n^(1/q) of p."""
+    infos = zip(p.gens, map(parse_gen, p.gens))
+    return tuple((g, info.q, p.degree(g)) for g, info in infos if info.kind == KIND_SURD)
+
+
+def _may_fold(fac: Exps) -> bool:
+    """Whether the expanded num or den of prod f^e over fac can hold a surd
+    power n^(k/q) with k >= q.  A product's degree in a generator is the
+    sum of its factors' degrees, so a bare surd 2^(1/3) as a factor of
+    exponent 2 cannot fold."""
+    degrees: dict[tuple[str, bool], int] = {}
+    for f, e in fac.items():
+        for g, q, d in f.surds:
+            key = g, e > 0
+            degrees[key] = degrees.get(key, 0) + d * abs(e)
+            if degrees[key] >= q:
+                return True
+    return False
 
 
 def _factored(
@@ -726,7 +761,7 @@ def _folded(num: Poly, den: Poly, coeff: Fraction) -> RatFunc | None:
 
 def _result(coeff: Fraction, fac: Exps) -> RatFunc:
     """coeff * prod f^e over fac, expanded now only when a surd power may fold."""
-    if any(f.surd for f in fac):
+    if _may_fold(fac):
         num, den = _product(_part(fac, 1)), _product(_part(fac, -1))
         out = _folded(num, den, coeff)
         return out if out is not None else _factored(coeff, fac, num, den)
@@ -740,7 +775,7 @@ def _over(num: Poly, coeff: Fraction, dfac: Exps, shared: Exps, g: Exps) -> RatF
     numerator is kept expanded when g is empty."""
     if num.is_zero:
         return RatFunc.const(0)
-    if _has_surd(num.gens) or any(f.surd for f in dfac) or any(f.surd for f in g):
+    if _has_surd(num.gens) or any(f.surds for f in dfac) or any(f.surds for f in g):
         num, g = _times(num, _product(g)), {}
         out = _folded(num, _product(dfac), coeff)
         if out is not None:

@@ -341,14 +341,20 @@ def test_factors_die_with_their_decision():
     # grows with the generators of the equations decided.
     def decide(e):
         tower = InvariantTower(e)
-        pc.test_pii(e, tower=tower)
-        pc.test_p34(e, tower=tower)
+        # the results hold the transforms, and so their generators, until
+        # the generators are read below
+        results = pc.test_pii(e, tower=tower), pc.test_p34(e, tower=tower)  # noqa: F841
         (f, _), *_ = (fe for fe in ratfunc._exps(tower.i3).items() if fe[1] < 0)
         images = [(v, f.image(v)) for v in f.poly.gens]
         assert images and all(im is not None for _, im in images)
         return weakref.ref(f), f.images, {g for h in ratfunc._FACTORS.values() for g in h.poly.gens}
 
+    def pii_image(a, b, c, d):
+        t = transform(f"{a}*x + {b}", f"{c}*y + {d}")
+        return apply_transform(eqs.painleve_ii(3), t, (f"(x - {b})/{a}", f"(y - {d})/{c}"))
+
     decide(eqs.electrodiffusion_3b(2, 3, 5, 7))
+    decide(pii_image(2, 1, 3, -1))
     gc.collect()
     live, tables = len(ratfunc._FACTORS), _tables()
     ref, images, gens = decide(eqs.electrodiffusion_3b(2, 3, 5, 7))
@@ -357,8 +363,9 @@ def test_factors_die_with_their_decision():
     # Only this frame holds the images now (getrefcount adds its own).
     assert sys.getrefcount(images) == 2
     assert len(ratfunc._FACTORS) == live
-    # The other equation's compound radicands are new generators.
-    _, _, other = decide(eqs.electrodiffusion_3b(3, 5, 7, 11))
+    # The compound radicand of another equation is a new generator: an
+    # affine image of PII(3), whose w = (2500 I9)^(1/6) is an even root.
+    _, _, other = decide(pii_image(-3, 2, 2, 1))
     gc.collect()
     new = other - gens
     assert any(g.startswith("@") for g in new)

@@ -409,6 +409,19 @@ def test_operands_without_roots_are_not_rebased(monkeypatch):
     assert calls
 
 
+def test_a_product_expands_only_where_a_surd_power_can_fold():
+    s, a, b = (to_ratfunc(parse(t)) for t in ("2^(1/3)", "(x + 1)/(y + 2)", "x + 2^(1/3)"))
+    # degree 2 in 2^(1/3) below the line and 1 above it: nothing can fold
+    got = s**-2 * a * b
+    assert got._num is None and got._den is None
+    assert got == RatFunc(got.num, got.den, got.coeff)
+    # degree 3 above the line: 2^(1/3)^3 folds to 2
+    folded = got * b**2
+    assert folded._num is not None
+    assert folded == to_ratfunc(parse("(x + 1)*(x + 2^(1/3))^3/((y + 2)*2^(2/3))"))
+    assert folded.num.degree("2^(1/3)") == 2
+
+
 def test_product_of_factors_in_distinct_generators_takes_no_gcd(monkeypatch):
     calls = []
     real = ratfunc.poly_gcd
@@ -518,6 +531,65 @@ def test_a_sum_of_shared_powers_multiplies_no_power_of_the_shared_factor(monkeyp
     monkeypatch.undo()
     assert {f_.poly: e for f_, e in ratfunc._exps(got).items()} == {f: 3, u + w: 1}
     assert got.num == f**3 * (u + w) and got.den == _ONE_POLY
+
+
+# ----- rf_pow -------------------------------------------------------------------
+
+
+def _compound_radicands(rf):
+    """The radicands of rf's compound root generators."""
+    gens = map(parse_gen, rf.gens())
+    return [lookup_opaque(info.base) for info in gens if info.kind == "opaque"]
+
+
+_L, _M, _K = (to_ratfunc(parse(t)) for t in ("x + y + 1", "x - 2*y^2 + 3", "x*y + 2"))
+
+
+@pytest.mark.parametrize("exponent", [F(1, 3), F(5, 3), F(-2, 3), F(2, 5), F(-7, 5)])
+def test_odd_roots_take_whole_factor_powers_out(exponent):
+    # c L^3 M / K^3 and c L^5 M K^-5: only M stays under a compound root,
+    # and c goes to the surds
+    q = exponent.denominator
+    c = F(-5, 2)
+    rf = (_L**q * _M * _K**-q).scale(c)
+    got = rf_pow(rf, exponent)
+    assert _compound_radicands(got) == [_M]
+    assert got == (_L * _K**-1) ** exponent.numerator * rf_pow(
+        RatFunc.const(c), exponent
+    ) * rf_pow(_M, exponent)
+    # the real root of rf, at points where rf is negative too
+    rng = random.Random(5)
+    signs = set()
+    for _ in range(80):
+        point = {"x": rng.uniform(-3, 3), "y": rng.uniform(-3, 3)}
+        if min(abs(f.eval(point)) for f in (_L, _M, _K)) < 0.5:
+            continue  # expanded powers lose digits near a factor's zero
+        v = float(c) * (_L.eval(point) / _K.eval(point)) ** q * _M.eval(point)
+        signs.add(v < 0)
+        root = (abs(v) ** (1 / q)) * (-1 if v < 0 else 1)
+        assert got.eval(point) == pytest.approx(root**exponent.numerator, rel=1e-9)
+    assert signs == {True, False}
+
+
+def test_odd_roots_keep_factors_below_their_index_under_the_root():
+    for rf in (_L**2 * _M, (_L * _K**-2).scale(3)):
+        got = rf_pow(rf, F(1, 3))
+        assert _compound_radicands(got) == [rf]
+
+
+@pytest.mark.parametrize("q", [2, 6])
+def test_even_roots_of_even_powers_stay_opaque_and_are_absolute_values(q):
+    got = rf_pow(_L**q, F(1, q))
+    assert _compound_radicands(got) == [_L**q] and len(got.gens()) == 1
+    rng = random.Random(6)
+    signs = set()
+    for _ in range(40):
+        point = {"x": rng.uniform(-3, 3), "y": rng.uniform(-3, 3)}
+        if abs(_L.eval(point)) < 0.5:
+            continue  # the expanded L^q loses digits near L's zero
+        signs.add(_L.eval(point) < 0)
+        assert got.eval(point) == pytest.approx(abs(_L.eval(point)), rel=1e-12)
+    assert signs == {True, False}
 
 
 # ----- rf_reduce_roots ------------------------------------------------------

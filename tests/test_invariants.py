@@ -150,6 +150,14 @@ def test_factored_k_and_x_equal_the_reference_forms(build, on_the_family):
         assert (got.coeff, got.num, got.den) == (ref.coeff, ref.num, ref.den)
 
 
+def test_recovered_x_takes_the_cube_of_the_recovered_y_out_of_its_root():
+    # y recovers as a non-monomial perfect cube c L^3 here, so yt^(5/3) is
+    # c^(5/3) L^5, and x recovers with no compound radicand
+    t = InvariantTower(eqs.electrodiffusion_3b(2, 3, 5, 7))
+    assert t.recovered_x == rf("(20*x + 28)/(2^(1/3)*5^(2/3))")
+    assert InvariantTower(eqs.electrodiffusion_3b(1, 1, 1, 0)).recovered_x == rf("2*x")
+
+
 def test_factored_k_and_x_take_few_poly_products(monkeypatch):
     # the factored forms keep their products as factor powers: the Horner K
     # and the expanded x numerator take 39 and 30 Poly products here
