@@ -20,10 +20,10 @@ a sum, the numerator factors both terms of a sum share and the denominator
 of a derivative are kept as factors alone; what reads num or den is the
 numerator of a derivative and of a sum whose terms share no numerator
 factor, the expanded printing of transforms, parameters and coefficients,
-evaluation, equality and hashing, the monomial tests and the split of an
-equation by powers of y'.  Zero and constant tests, the generators and the
-printing of the report's invariants (engine.rf_to_factored_expr) answer
-from the factors.
+evaluation, equality and hashing and the split of an equation by powers of
+y'.  Zero, constant and monomial tests, the generators, the whole powers
+an odd root takes out (split_powers) and the printing of the report's
+invariants (engine.rf_to_factored_expr) answer from the factors.
 
 A factor is one object per polynomial, shared by every RatFunc that holds
 it, and it remembers what was learnt of it: the factors it was proven
@@ -65,12 +65,15 @@ Refinement happens where:
 
 Every result then has its surd powers n^(e/q) with e >= q folded into the
 coefficients, keeping monomials in distinct prime radicals linearly
-independent.  Only a result with a prime surd among the generators of its
-factors can fold, so only such a result is expanded at once, to fold it;
-a sum multiplies g back into its new numerator first.  A fold can merge
-monomials and leave any common factor, so after one the full GCD is taken
-and the factors restart as [num, den^-1]; so does the constructor, given
-any num and den.  The integer contents go into coeff.
+independent.  A product's degree in a generator is the sum of its
+factors' degrees, so a product or power can fold only where the degrees
+in one surd, summed over the factors of num or of den, reach its index,
+and only such a result is expanded at once, to fold it.  A sum with a
+prime surd among its generators is expanded too, and multiplies g back
+into its new numerator first.  A fold can merge monomials and leave any
+common factor, so after one the full GCD is taken and the factors restart
+as [num, den^-1]; so does the constructor, given any num and den.  The
+integer contents go into coeff.
 
 Evaluation in floats reads a term table that each RatFunc builds on its
 first evaluation and keeps: per term of den and of num, the correctly

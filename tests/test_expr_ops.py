@@ -28,7 +28,7 @@ from p34eq.expr import (
     to_ratfunc,
     to_string,
 )
-from p34eq.expr.atoms import KIND_SURD, KIND_SYMBOL, lookup_opaque, parse_gen
+from p34eq.expr.atoms import KIND_OPAQUE, KIND_SURD, KIND_SYMBOL, lookup_opaque, parse_gen
 from p34eq.expr.poly import Poly, poly_gcd
 from p34eq.expr.ratfunc import RatFunc, common_root_targets, rebase_poly, reduce_surds
 from conftest import random_expr, random_rational_expr, sample_xyb
@@ -539,7 +539,7 @@ def test_a_sum_of_shared_powers_multiplies_no_power_of_the_shared_factor(monkeyp
 def _compound_radicands(rf):
     """The radicands of rf's compound root generators."""
     gens = map(parse_gen, rf.gens())
-    return [lookup_opaque(info.base) for info in gens if info.kind == "opaque"]
+    return [lookup_opaque(info.base) for info in gens if info.kind == KIND_OPAQUE]
 
 
 _L, _M, _K = (to_ratfunc(parse(t)) for t in ("x + y + 1", "x - 2*y^2 + 3", "x*y + 2"))
