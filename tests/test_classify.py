@@ -341,13 +341,13 @@ def test_factors_die_with_their_decision():
     # grows with the generators of the equations decided.
     def decide(e):
         tower = InvariantTower(e)
-        # the results hold the transforms, and so their generators, until
-        # the generators are read below
-        results = pc.test_pii(e, tower=tower), pc.test_p34(e, tower=tower)  # noqa: F841
+        results = pc.test_pii(e, tower=tower), pc.test_p34(e, tower=tower)
         (f, _), *_ = (fe for fe in ratfunc._exps(tower.i3).items() if fe[1] < 0)
         images = [(v, f.image(v)) for v in f.poly.gens]
         assert images and all(im is not None for _, im in images)
-        return weakref.ref(f), f.images, {g for h in ratfunc._FACTORS.values() for g in h.poly.gens}
+        gens = {g for h in ratfunc._FACTORS.values() for g in h.poly.gens}
+        del results  # they held the transforms, and so their generators, until here
+        return weakref.ref(f), f.images, gens
 
     def pii_image(a, b, c, d):
         t = transform(f"{a}*x + {b}", f"{c}*y + {d}")
