@@ -65,15 +65,15 @@ Refinement happens where:
 
 Every result then has its surd powers n^(e/q) with e >= q folded into the
 coefficients, keeping monomials in distinct prime radicals linearly
-independent.  A product's degree in a generator is the sum of its
-factors' degrees, so a product or power can fold only where the degrees
-in one surd, summed over the factors of num or of den, reach its index,
-and only such a result is expanded at once, to fold it.  A sum with a
-prime surd among its generators is expanded too, and multiplies g back
-into its new numerator first.  A fold can merge monomials and leave any
-common factor, so after one the full GCD is taken and the factors restart
-as [num, den^-1]; so does the constructor, given any num and den.  The
-integer contents go into coeff.
+independent (Besicovitch 1940).  The constructor alone folds: given any num
+and den, it rebases them to common root generators, folds them, takes the
+full GCD, as a fold can merge monomials and leave any common factor, puts
+the integer contents into coeff and restarts the factors as [num, den^-1].
+Products, powers, split_powers, sums and derivatives all end in one rule
+(_result).  A product's degree in a generator is the sum of its factors'
+degrees, so a result can fold only where the degrees in one surd, summed
+over the factors of num or of den, reach its index; only such a result is
+expanded and handed to the constructor, and every other keeps its factors.
 
 Evaluation in floats reads a term table that each RatFunc builds on its
 first evaluation and keeps: per term of den and of num, the correctly
@@ -154,10 +154,6 @@ def rebase_poly(p: Poly, targets: Mapping[str | int, int]) -> Poly:
     return p
 
 
-def common_root_targets(*polys: Poly) -> dict[str | int, int]:
-    return _root_targets(g for p in polys for g in p.gens)
-
-
 def _root_targets(gens: Iterable[str]) -> dict[str | int, int]:
     """The lcm of the root denominators of each base among gens."""
     targets: dict[str | int, int] = {}
@@ -187,29 +183,32 @@ class RatFunc:
 
     __slots__ = ("coeff", "_num", "_den", "_fac", "_ev")
 
-    def __init__(
-        self, num: Poly, den: Poly | None = None, coeff=_F1, *, reduced: bool = False
-    ):
-        """coeff * num / den for integer polynomials num, den.
-
-        With reduced=True the caller guarantees the invariant of the module
-        docstring and that coeff is a Fraction; otherwise the ratio is
-        reduced here, and a den whose surd powers fold to zero raises
-        ZeroDivisionError.  Either way the factors start as [num, den^-1].
-        """
+    def __init__(self, num: Poly, den: Poly | None = None, coeff=_F1):
+        """coeff * num / den for integer polynomials num, den, reduced here:
+        num and den are rebased to common root generators, their surd powers
+        are folded and the ratio is reduced by the full GCD, with the integer
+        contents in coeff.  A den whose surd powers fold to zero raises
+        ZeroDivisionError.  The factors start as [num, den^-1]."""
         if den is None:
             den = _ONE
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero or not coeff:
-            num, den, coeff = Poly.zero(), _ONE, _F0
-        elif not reduced:
-            targets = common_root_targets(num, den)
+        if not num.is_zero and coeff:
+            targets = _root_targets(num.gens + den.gens)
             num = reduce_surds(rebase_poly(num, targets))
             den = reduce_surds(rebase_poly(den, targets))
             if den.is_zero:  # such as 2^(1/2)^2 - 2
                 raise ZeroDivisionError("denominator folds to zero over its surds")
-            num, den, coeff = _reduced(num, den, Fraction(coeff))
+        if num.is_zero or not coeff:
+            num, den, coeff = Poly.zero(), _ONE, _F0
+        else:
+            if not den.is_const:
+                g = poly_gcd(num, den)
+                if not g.is_const:
+                    num, den = num.exact_div(g), den.exact_div(g)
+            cn, num = num.primitive()
+            cd, den = den.primitive()
+            coeff = Fraction(coeff) * Fraction(cn, cd)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
@@ -223,7 +222,8 @@ class RatFunc:
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(_ONE, _ONE, Fraction(c), reduced=True)
+        c = Fraction(c)
+        return _factored(c, None, _ONE if c else Poly.zero(), _ONE)
 
     @staticmethod
     def from_gen(name: str, exp: int = 1) -> "RatFunc":
@@ -527,10 +527,6 @@ def _factor(p: Poly) -> _Factor:
     return f
 
 
-def _has_surd(gens: tuple[str, ...]) -> bool:
-    return any(parse_gen(g).kind == KIND_SURD for g in gens)
-
-
 def _surd_degrees(p: Poly) -> tuple[tuple[str, int, int], ...]:
     """(g, q, degree of p in g) for each prime surd root g = n^(1/q) of p."""
     infos = zip(p.gens, map(parse_gen, p.gens))
@@ -738,56 +734,28 @@ def _hint(rf: RatFunc, targets: Mapping[str | int, int], dfac: Exps) -> tuple:
 # ----- results ----------------------------------------------------------------
 
 
-def _reduced(n: Poly, d: Poly, coeff: Fraction) -> tuple[Poly, Poly, Fraction]:
-    """(num, den, coeff) of coeff * n / d in normal form, by the full GCD."""
-    if n.is_zero:
-        return n, _ONE, _F0
-    if not d.is_const:
-        g = poly_gcd(n, d)
-        if not g.is_const:
-            n, d = n.exact_div(g), d.exact_div(g)
-    cn, n = n.primitive()
-    cd, d = d.primitive()
-    if cn != 1 or cd != 1:
-        coeff = coeff * Fraction(cn, cd)
-    return n, d, coeff
-
-
-def _folded(num: Poly, den: Poly, coeff: Fraction) -> RatFunc | None:
-    """With its surds folded, coeff * num / den reduced by the full GCD, or
-    None when no surd power folds."""
-    n, d = reduce_surds(num), reduce_surds(den)
-    if n is num and d is den:
-        return None
-    return RatFunc(*_reduced(n, d, coeff), reduced=True)
-
-
-def _result(coeff: Fraction, fac: Exps) -> RatFunc:
-    """coeff * prod f^e over fac, expanded now only when a surd power may fold."""
+def _result(coeff: Fraction, fac: Exps, num: Poly | None = None) -> RatFunc:
+    """coeff * prod f^e over fac, with num when it is known expanded: built
+    by the constructor, expanded, when a surd power may fold (_may_fold),
+    and else kept as factors."""
     if _may_fold(fac):
-        num, den = _product(_part(fac, 1)), _product(_part(fac, -1))
-        out = _folded(num, den, coeff)
-        return out if out is not None else _factored(coeff, fac, num, den)
-    return _factored(coeff, fac)
+        return RatFunc(num or _product(_part(fac, 1)), _product(_part(fac, -1)), coeff)
+    return _factored(coeff, fac, num)
 
 
 def _over(num: Poly, coeff: Fraction, dfac: Exps, shared: Exps, g: Exps) -> RatFunc:
     """coeff * num * prod f^e over g / prod f^e over dfac for a new
     numerator num that can have a factor in common with those in shared and
     in g alone, where the factors of g are coprime to those of dfac.  The
-    numerator is kept expanded when g is empty."""
+    numerator is kept expanded when g is empty.  The factors are refined
+    and cancelled here, and _result folds what can fold."""
     if num.is_zero:
         return RatFunc.const(0)
-    if _has_surd(num.gens) or any(f.surds for f in dfac) or any(f.surds for f in g):
-        num, g = _times(num, _product(g)), {}
-        out = _folded(num, _product(dfac), coeff)
-        if out is not None:
-            return out
     cn, num = num.primitive()
     coeff = coeff * cn
     dfac = _leaves(dfac)
     if num.is_const:
-        return _factored(coeff, {**{f: -e for f, e in dfac.items()}, **g}, None if g else _ONE)
+        return _result(coeff, {**{f: -e for f, e in dfac.items()}, **g}, None if g else _ONE)
     nf = _factor(num)
     for f in dfac:
         if f not in shared and f is not nf:
@@ -805,7 +773,7 @@ def _over(num: Poly, coeff: Fraction, dfac: Exps, shared: Exps, g: Exps) -> RatF
         fac = {f: e for f, e in fac.items() if e}
         if not g:
             num = num.exact_div(_product(cancel))
-    return _factored(coeff, fac, None if g else num)
+    return _result(coeff, fac, None if g else num)
 
 
 # ----- differentiation ----------------------------------------------------------

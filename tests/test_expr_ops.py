@@ -30,7 +30,7 @@ from p34eq.expr import (
 )
 from p34eq.expr.atoms import KIND_OPAQUE, KIND_SURD, KIND_SYMBOL, lookup_opaque, parse_gen
 from p34eq.expr.poly import Poly, poly_gcd
-from p34eq.expr.ratfunc import RatFunc, common_root_targets, rebase_poly, reduce_surds
+from p34eq.expr.ratfunc import RatFunc, _root_targets, rebase_poly, reduce_surds
 from conftest import random_expr, random_rational_expr, sample_xyb
 from helpers import assert_factored, diff, eval_expr, rf, subst
 
@@ -135,6 +135,8 @@ def test_diff_reduces_a_surd_denominator():
             "(3*x - y*2^(1/2))/((2*2^(1/2) - y*2^(1/2))*(y*2^(1/2)))",
             "(-(3/2)*x + y^2)/(y^2 - 2*y)",
         ),
+        # the common denominator folds to x^2 - 2
+        ("1/(x + 2^(1/2))", "1/(x - 2^(1/2))", "2*x/(x^2 - 2)"),
     ],
 )
 def test_sum_cancels_what_a_surd_fold_leaves_in_common(a, b, want):
@@ -152,7 +154,7 @@ _ONE_POLY = Poly.const(1)
 
 
 def _rebased(*polys):
-    targets = common_root_targets(*polys)
+    targets = _root_targets(g for p in polys for g in p.gens)
     return [rebase_poly(p, targets) for p in polys]
 
 
@@ -483,20 +485,23 @@ def test_a_sum_keeps_the_shared_factor_and_merges_the_new_numerator_into_it():
 
 
 @pytest.mark.parametrize(
-    "a, b",
+    "a, b, kept",
     [
         # the shared factor carries 2^(1/2), the sum folds nothing
-        ("(2^(1/2)*x + 1)*(x + y)/(y + 1)", "(2^(1/2)*x + 1)*(x - y)/(y + 1)^2"),
-        # 2^(1/2)^2 folds once the shared factor is multiplied back in
-        ("(2^(1/2)*x + 1)*2^(1/2)/(x - y)", "(2^(1/2)*x + 1)*x/(x - y)"),
+        ("(2^(1/2)*x + 1)*(x + y)/(y + 1)", "(2^(1/2)*x + 1)*(x - y)/(y + 1)^2", "2^(1/2)*x + 1"),
+        # 2^(1/2)^2 folds in the shared factor times the new numerator
+        ("(2^(1/2)*x + 1)*2^(1/2)/(x - y)", "(2^(1/2)*x + 1)*x/(x - y)", None),
         # the new numerator and the denominator carry the surd, g does not
-        ("(x + y)*2^(1/2)/(2^(1/2)*y + 1)", "(x + y)*(x - 3)/(2^(1/2)*y + 1)"),
+        ("(x + y)*2^(1/2)/(2^(1/2)*y + 1)", "(x + y)*(x - 3)/(2^(1/2)*y + 1)", "x + y"),
     ],
 )
-def test_a_sum_with_a_surd_multiplies_the_shared_factor_back_in(a, b):
+def test_a_sum_keeps_its_shared_factor_unless_a_surd_power_folds(a, b, kept):
     ra, rb = rf(a), rf(b)
+    got = ra + rb
     ref = _ref_sum(RatFunc(ra.num, ra.den, ra.coeff), RatFunc(rb.num, rb.den, rb.coeff))
-    _assert_matches(ra + rb, ref, random.Random(3))
+    _assert_matches(got, ref, random.Random(3))
+    if kept is not None:
+        assert ratfunc._exps(got).get(ratfunc._factor(rf(kept).num)) == 1
 
 
 def test_a_sum_of_shared_powers_multiplies_no_power_of_the_shared_factor(monkeypatch):
