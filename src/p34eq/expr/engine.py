@@ -90,8 +90,10 @@ def rf_pow(rf: RatFunc, exponent: Fraction) -> RatFunc:
     from any other rf = c * prod b^e it takes every whole power of a factor
     out, read from the factors: b^e leaves the root as b^(k p), k = e/q
     rounded toward zero.  What stays under it, c * prod b^(e - k q), is
-    rooted by these rules again, c through the surds, and is a compound
-    radicand only where it is no monomial (perfect powers out of
+    rooted by these rules again, c through the surds even when no whole
+    power comes out, so (2 - 2y)^(1/3) and (1 - y)^(1/3) share one
+    radicand, and is a compound radicand only where it is no monomial and
+    c is 1 (perfect powers out of
     radicands, as in Caviness and Fateman, "Simplification of radical
     expressions", 1976).  An even root keeps every factor under it,
     because (L^2)^(1/2) is |L| and not L: it is a compound radicand, which
@@ -116,9 +118,9 @@ def rf_pow(rf: RatFunc, exponent: Fraction) -> RatFunc:
             out = out * _gen_frac_power(g, Fraction(e * p, q))
         return out
     whole, rest = rf.split_powers(q)
-    if whole.is_const:
-        return _opaque_power(rf, p, q)
     c = rest.coeff
+    if whole.is_const and c == 1:
+        return _opaque_power(rf, p, q)
     return whole**p * _rational_power(c, p, q) * rf_pow(rest.scale(1 / c), exponent)
 
 

@@ -577,9 +577,16 @@ def test_odd_roots_take_whole_factor_powers_out(exponent):
 
 
 def test_odd_roots_keep_factors_below_their_index_under_the_root():
-    for rf in (_L**2 * _M, (_L * _K**-2).scale(3)):
-        got = rf_pow(rf, F(1, 3))
+    # the coefficient leaves the radicand for the surds
+    for rf, c in ((_L**2 * _M, 1), (_L * _K**-2, 3)):
+        got = rf_pow(rf.scale(c), F(1, 3))
         assert _compound_radicands(got) == [rf]
+        assert got == rf_pow(RatFunc.const(c), F(1, 3)) * rf_pow(rf, F(1, 3))
+
+
+def test_odd_roots_of_radicands_that_differ_by_a_coefficient_share_one_generator():
+    got = rf_pow(rf("2 - 2*y"), F(1, 3)) / rf_pow(rf("1 - y"), F(1, 3))
+    assert got == rf_pow(RatFunc.const(2), F(1, 3))
 
 
 @pytest.mark.parametrize("q", [2, 6])
