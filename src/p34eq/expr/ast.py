@@ -173,13 +173,16 @@ def _flat_factors(e: Mul):
 def _render_mul(e: Mul, memo: dict) -> tuple[str, int]:
     nums: list[str] = []
     dens: list[str] = []
-    for f in _flat_factors(e):
+    factors = list(_flat_factors(e))
+    # a leading -1 before other factors prints as a sign: -x*y, not -1*x*y
+    sign = "-" if len(factors) > 1 and factors[0] == Const(Fraction(-1)) else ""
+    for f in factors[1:] if sign else factors:
         if isinstance(f, Pow) and f.exp.numerator < 0:
             inv = Pow(f.base, -f.exp) if f.exp != -1 else f.base
             dens.append(_paren(inv, _PREC_MUL + 1, memo))
         else:
             nums.append(_paren(f, _PREC_MUL + 1, memo))
-    num = "*".join(nums) if nums else "1"
+    num = sign + ("*".join(nums) if nums else "1")
     if not dens:
         return num, _PREC_MUL
     if len(dens) == 1:

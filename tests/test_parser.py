@@ -55,7 +55,7 @@ def test_print_parse_round_trip(text):
         # negative and fractional coefficients, leading and inside products
         ("-3/2*x + y", "-(3/2)*x + y"),
         ("y - 2/3*x", "-(2/3)*x + y"),
-        ("-x", "-1*x"),
+        ("-x", "-x"),
         ("-x + y", "-x + y"),
         ("x*y*2/3", "(2/3)*x*y"),
         ("(2/3)*x*y - 5/7*y^2", "(2/3)*x*y - (5/7)*y^2"),
@@ -70,12 +70,12 @@ def test_print_parse_round_trip(text):
         ("x/(x*y + 1)", "x/(x*y + 1)"),
         # prime surds and symbol roots
         ("x*2^(1/2) + 3^(1/3)", "x*2^(1/2) + 3^(1/3)"),
-        ("-2^(1/2)*x", "-1*x*2^(1/2)"),
+        ("-2^(1/2)*x", "-x*2^(1/2)"),
         ("(x*y - 1)/y^(1/3)", "(x*y - 1)/y^(1/3)"),
         # one compound radicand, twice in one string
         ("(x + 1)^(1/3) + x*(x + 1)^(2/3)", "x*(x + 1)^(2/3) + (x + 1)^(1/3)"),
         ("-(x + 1)^(1/3)*y + (x + 1)^(1/3)/y", "(-y^2*(x + 1)^(1/3) + (x + 1)^(1/3))/y"),
-        ("-(1/y^6)^(1/2)*y^3", "-1*y^3*(1/y^6)^(1/2)"),
+        ("-(1/y^6)^(1/2)*y^3", "-y^3*(1/y^6)^(1/2)"),
     ],
 )
 def test_printed_normal_forms(text, printed):
