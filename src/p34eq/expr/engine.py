@@ -92,12 +92,12 @@ def rf_pow(rf: RatFunc, exponent: Fraction) -> RatFunc:
     rounded toward zero.  What stays under it, c * prod b^(e - k q), is
     rooted by these rules again, c through the surds even when no whole
     power comes out, so (2 - 2y)^(1/3) and (1 - y)^(1/3) share one
-    radicand, and is a compound radicand only where it is no monomial and
-    c is 1 (perfect powers out of
-    radicands, as in Caviness and Fateman, "Simplification of radical
-    expressions", 1976).  An even root keeps every factor under it,
-    because (L^2)^(1/2) is |L| and not L: it is a compound radicand, which
-    evaluates base-first, whenever rf is not a constant.
+    radicand; it is a compound radicand only where it is no monomial and
+    c is 1 (perfect powers out of radicands, as in Caviness and Fateman,
+    "Simplification of radical expressions", 1976).  An even root keeps
+    every factor under it, because (L^2)^(1/2) is |L| and not L: it is a
+    compound radicand, which evaluates base-first, whenever rf is not a
+    constant.
     """
     exponent = Fraction(exponent)
     if exponent.denominator == 1:
