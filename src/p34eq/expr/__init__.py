@@ -20,7 +20,9 @@ from .engine import (
     ZeroVerdict,
     is_zero,
     normalize,
+    rf_compose,
     rf_pow,
+    rf_pow_signfree,
     rf_reduce_roots,
     rf_to_expr,
     rf_to_factored_expr,
@@ -54,7 +56,9 @@ __all__ = [
     "normalize",
     "parse",
     "poly_gcd",
+    "rf_compose",
     "rf_pow",
+    "rf_pow_signfree",
     "rf_reduce_roots",
     "rf_to_expr",
     "rf_to_factored_expr",

@@ -44,7 +44,9 @@ __all__ = [
     "to_ratfunc",
     "rf_to_expr",
     "rf_to_factored_expr",
+    "rf_compose",
     "rf_pow",
+    "rf_pow_signfree",
     "rf_reduce_roots",
     "Constraint",
     "ParamEnv",
@@ -107,10 +109,36 @@ def rf_pow(rf: RatFunc, exponent: Fraction) -> RatFunc:
         if p <= 0:
             raise ZeroDivisionError("zero raised to a non-positive fractional power")
         return RatFunc.const(0)
+    if q % 2 == 0 and not rf.is_const:
+        return _opaque_power(rf, p, q)
+    return _root(rf, p, q)
+
+
+def rf_pow_signfree(rf: RatFunc, exponent: Fraction) -> RatFunc | None:
+    """rf ** (p/q) by the odd-root rule of rf_pow for every q, even q too:
+    each whole factor power b^e leaves the root as b^(k p), so the square
+    root of y^-6 is y^-3 and that of a^2 is a, read as if every factor of
+    rf were positive.  None when q is even and rf's coefficient, which
+    stays under the root, is negative.
+
+    The value is a real root of rf only up to sign.  It builds candidates
+    whose signs are searched over anyway (classify's PII transforms), and
+    a candidate counts only once an exact certificate proves it.
+    """
+    exponent = Fraction(exponent)
+    if exponent.denominator % 2:
+        return rf_pow(rf, exponent)
+    if rf.coeff < 0:
+        return None
+    return _root(rf, exponent.numerator, exponent.denominator)
+
+
+def _root(rf: RatFunc, p: int, q: int) -> RatFunc:
+    """rf ** (p/q) for a nonzero rf, with every whole factor power out of
+    the root; for an even q, rf is a constant or its coefficient is not
+    negative."""
     if rf.is_const:
         return _rational_power(rf.const_value(), p, q)
-    if q % 2 == 0:
-        return _opaque_power(rf, p, q)
     if rf.is_monomial:
         coeff, exps = rf.monomial_parts()
         out = _rational_power(coeff, p, q)
@@ -121,7 +149,7 @@ def rf_pow(rf: RatFunc, exponent: Fraction) -> RatFunc:
     c = rest.coeff
     if whole.is_const and c == 1:
         return _opaque_power(rf, p, q)
-    return whole**p * _rational_power(c, p, q) * rf_pow(rest.scale(1 / c), exponent)
+    return whole**p * _rational_power(c, p, q) * _root(rest.scale(1 / c), p, q)
 
 
 def _gen_frac_power(gen: str, exponent: Fraction) -> RatFunc:
@@ -177,6 +205,51 @@ def _opaque_power(rf: RatFunc, p: int, q: int) -> RatFunc:
     tag = opaque_base_key(canonical)
     register_opaque(tag, rf)
     return RatFunc.from_gen(make_name(tag, q), p)
+
+
+# ----- composition ------------------------------------------------------------
+
+
+def rf_compose(rf: RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
+    """rf with each symbol s of images replaced by images[s], over the
+    factors: coeff * prod b^e becomes coeff * prod b(images)^e, and each
+    factor b is rebuilt term by term from the images of its generators.
+
+    A generator missing from images maps to itself, a root s^(1/q) of a
+    symbol of images to rf_pow(images[s], 1/q), and a compound root to the
+    root of its composed radicand.  Nothing is printed or parsed, so the
+    factors that rf_pow reads survive.
+    """
+    memo: dict[str, RatFunc | None] = {}
+    out = RatFunc.const(rf.coeff)
+    for b, e in rf.factors():
+        if all(_gen_image(g, images, memo) is None for g in b.gens):
+            out = out * RatFunc(b) ** e
+            continue
+        composed = RatFunc.const(0)
+        for mono, c in b.sorted_terms():
+            term = RatFunc.const(c)
+            for g, k in zip(b.gens, mono):
+                if k:
+                    term = term * (_gen_image(g, images, memo) or RatFunc.from_gen(g)) ** k
+            composed = composed + term
+        out = out * composed**e
+    return out
+
+
+def _gen_image(gen: str, images: Mapping[str, RatFunc], memo: dict) -> RatFunc | None:
+    """The image of one generator under rf_compose, None when it maps to itself."""
+    if gen not in memo:
+        info = parse_gen(gen)
+        image = None
+        if info.kind == KIND_SYMBOL and info.base in images:
+            image = rf_pow(images[str(info.base)], Fraction(1, info.q))
+        elif info.kind == KIND_OPAQUE:
+            radicand: RatFunc = lookup_opaque(str(info.base))  # type: ignore[assignment]
+            if images.keys() & radicand.free_symbols():
+                image = rf_pow(rf_compose(radicand, images), Fraction(1, info.q))
+        memo[gen] = image
+    return memo[gen]
 
 
 # ----- RatFunc -> Expr ------------------------------------------------------

@@ -21,7 +21,9 @@ from p34eq.expr import (
     normalize,
     parse,
     ratfunc,
+    rf_compose,
     rf_pow,
+    rf_pow_signfree,
     rf_reduce_roots,
     rf_to_expr,
     rf_to_factored_expr,
@@ -604,6 +606,24 @@ def test_even_roots_of_even_powers_stay_opaque_and_are_absolute_values(q):
     assert signs == {True, False}
 
 
+def test_signfree_roots_take_whole_factor_powers_out_of_even_roots():
+    assert rf_pow_signfree(rf("a^2"), F(1, 2)) == rf("a")
+    assert rf_pow_signfree(rf("1/(2500*y^6)").scale(2500), F(1, 6)) == rf("1/y")
+    assert rf_pow_signfree(rf("4*y^2"), F(3, 2)) == rf("8*y^3")
+    # L^2 M: only M stays under a compound root, and the coefficient goes
+    # to the surds
+    got = rf_pow_signfree((_L**2 * _M).scale(3), F(1, 2))
+    assert _compound_radicands(got) == [_M]
+    assert got == _L * rf_pow(RatFunc.const(3), F(1, 2)) * rf_pow(_M, F(1, 2))
+    # an odd root is rf_pow's
+    assert rf_pow_signfree(rf("-8*y^3"), F(1, 3)) == rf_pow(rf("-8*y^3"), F(1, 3))
+
+
+@pytest.mark.parametrize("text", ["-a^2", "-(x + 1)^2", "-4"])
+def test_signfree_even_roots_of_a_negative_coefficient_are_none(text):
+    assert rf_pow_signfree(rf(text), F(1, 2)) is None
+
+
 # ----- rf_reduce_roots ------------------------------------------------------
 
 
@@ -718,6 +738,68 @@ def test_factored_text_groups_factors_by_exponent(monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(None) or mul(a, b))
     assert to_string(rf_to_factored_expr(split)) == "(x^2 + 3*x + 2)^2/y"
     assert len(calls) == 1 and split._num is None and split._den is None
+
+
+# ----- rf_compose -----------------------------------------------------------
+
+
+_IMAGES = [rf(t) for t in (
+    "x + 1", "2*x - y", "x*y", "-y", "3*y - 1", "y/(x + 2)", "y^2 + 1", "(x + 3)^(1/2)",
+    "x^(1/3)*y", "2^(1/2)*x",
+)]
+
+
+def _seeded_rooted(rng: random.Random) -> RatFunc:
+    """A sum of one to three terms, each a small polynomial in x and y times
+    one or two atoms of _ROOT_ATOMS to a power of -2 to 3."""
+    out = RatFunc.const(0)
+    for _ in range(rng.randint(1, 3)):
+        term = rf(rng.choice(("1", "x", "y - 2", "x*y + 3", "1/(x + 1)")))
+        for _ in range(rng.randint(1, 2)):
+            atom, _ = rng.choice(_ROOT_ATOMS)
+            term = term * atom ** rng.choice((1, 2, 3, -1, -2))
+        out = out + term.scale(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return out
+
+
+def test_compose_matches_the_expr_substitution_by_value():
+    # rf_compose over the factors against printing rf, substituting the
+    # printed images and evaluating the tree, on 40 seeded RatFuncs with
+    # roots, at three points where both have a value.  A printed power g^q
+    # of an even root g = b^(1/q) reads b, which has values where g has
+    # none, so some composites have no value where their tree has one, or
+    # none anywhere: (-y)^(1/2) under y -> y^2 + 1.
+    compared = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        rf_in = _seeded_rooted(rng)
+        u, v = rng.choice(_IMAGES), rng.choice(_IMAGES)
+        got = rf_compose(rf_in, {"x": u, "y": v})
+        tree = subst(rf_to_expr(rf_in), {"x": rf_to_expr(u), "y": rf_to_expr(v)})
+        checked = 0
+        for _ in range(400):
+            point = {"x": rng.choice((-1, 1)) * rng.uniform(0.5, 2),
+                     "y": rng.choice((-1, 1)) * rng.uniform(0.5, 2), "k": rng.uniform(0.5, 2)}
+            try:
+                want, value = eval_expr(tree, point), got.eval(point)
+            except (EvalPole, EvalDomainError, OverflowError):
+                continue
+            if abs(want) < 1e8:
+                assert value == pytest.approx(want, rel=1e-7, abs=1e-9), (seed, point)
+                checked += 1
+                if checked == 3:
+                    compared += 1
+                    break
+    assert compared >= 20
+
+
+def test_compose_maps_missing_generators_to_themselves():
+    f = rf("x^2*k + (y + k)^(1/2) + 2^(1/3)*y^(1/3)")
+    assert rf_compose(f, {}) == f
+    assert rf_compose(f, {"x": rf("x + 1")}) == rf("(x + 1)^2*k + (y + k)^(1/2) + 2^(1/3)*y^(1/3)")
+    # a symbol root maps to the root of its image, a compound one to the
+    # root of its composed radicand
+    assert rf_compose(f, {"y": rf("8*y^3")}) == rf("x^2*k + (8*y^3 + k)^(1/2) + 2*2^(1/3)*y")
 
 
 # ----- normalize ------------------------------------------------------------
