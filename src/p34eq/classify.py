@@ -2,7 +2,10 @@
 
 Conditions are checked in the theorems' order; the first failure
 short-circuits and is named in the result.  Every Equivalent outcome
-carries a transform that passed the numeric jet oracle.  The candidate
+carries a transform and its evidence: an exact certificate (the source
+equation pulled back by the transform minus the target composed with it is
+the zero RatFunc), which PII candidates built with sign-free roots try
+first, or else a pass of the numeric jet oracle.  The candidate
 transforms, the recovered P34 transform, the parameters and both target
 equations are built from tower RatFuncs, and a decision neither prints nor
 parses them.  A parameter is reported root-reduced (rf_reduce_roots), as a
@@ -16,21 +19,28 @@ from functools import cached_property
 from enum import Enum
 from fractions import Fraction
 
-from .errors import CaseError, UnknownVerdictError, VanishingRecoveryError
+from .errors import (
+    CaseError,
+    DegenerateTransformError,
+    UnknownVerdictError,
+    VanishingRecoveryError,
+)
 from .expr import (
     Expr,
     ParamEnv,
     RatFunc,
     SamplePolicy,
     is_zero,
+    rf_compose,
     rf_pow,
+    rf_pow_signfree,
     rf_reduce_roots,
     rf_to_expr,
     sample_any_quadrant,
 )
 from .equations import p34_cuberoot, painleve_ii
 from .invariants import I1_PII, CaseTag, InvariantTower
-from .ode import OdeCubic, PointTransform
+from .ode import OdeCubic, PointTransform, pullback_coefficients
 from .oracle import ResidualReport, verify_transform
 
 # Points the oracle checks a candidate transform at.
@@ -81,6 +91,7 @@ class EquivalenceResult:
     beta_squared_value: float | None = None
     transform: PointTransform | None = None
     residual: ResidualReport | None = None
+    evidence: str | None = None  # of an equivalence: "certificate" or "oracle"
 
     @property
     def equivalent(self) -> bool:
@@ -135,7 +146,14 @@ def test_pii(
     policy: SamplePolicy | None = None,
     tower: InvariantTower | None = None,
 ) -> EquivalenceResult:
-    """Equivalence test against y'' = 2y^3 + xy + a (parameter a = +-J)."""
+    """Equivalence test against y'' = 2y^3 + xy + a (parameter a = +-J).
+
+    Once the theorem's conditions hold, the candidate transforms are built
+    first with sign-free roots of J^2 and 2500 sigma I9 (rf_pow_signfree),
+    and the first one with an exact certificate (_certified) decides, with
+    a and -a read as that root and no residual.  Only when none is
+    certified does the oracle search the candidates built with rf_pow.
+    """
     t = tower or InvariantTower(ode, policy)
     gate = _case_gate(t)
     if gate is not None:
@@ -165,14 +183,23 @@ def test_pii(
     except (UnknownVerdictError, CaseError) as exc:
         return EquivalenceResult(Outcome.INCONCLUSIVE, detail=str(exc))
 
-    a_rf = rf_pow(j2, Fraction(1, 2))
     zero_j = t.verdict("J_numerator", t.j_numerator).is_zero or j2.is_zero
-    if zero_j:
-        a_rf = RatFunc.const(0)
-    candidates = (a_rf,) if zero_j else (a_rf, -a_rf)
-    a_rfs = tuple(map(rf_reduce_roots, candidates))
-    a_values = tuple(_sample_value(c, ode.env, t.policy) for c in candidates)
+    a_rf = RatFunc.const(0) if zero_j else rf_pow_signfree(j2, Fraction(1, 2))
+    if a_rf is not None:
+        for _, transform, target in _pii_candidates(t, a_rf, rf_pow_signfree):
+            if _certified(ode, target, transform):
+                a_rfs, a_values = _pii_parameters(ode, t, a_rf)
+                return EquivalenceResult(
+                    Outcome.EQUIVALENT_PII,
+                    a_rfs=a_rfs,
+                    a_values=a_values,
+                    transform=transform,
+                    evidence="certificate",
+                    detail=f"certified against parameter a = {rf_to_expr(a_rfs[0])}",
+                )
 
+    a_rf = RatFunc.const(0) if zero_j else rf_pow(j2, Fraction(1, 2))
+    a_rfs, a_values = _pii_parameters(ode, t, a_rf)
     result = _build_pii_transform(ode, t, a_rf)
     if result is None:
         return EquivalenceResult(
@@ -189,8 +216,31 @@ def test_pii(
         a_values=a_values,
         transform=transform,
         residual=report,
+        evidence="oracle",
         detail=f"verified against parameter a = {rf_to_expr(a_rfs[0])}",
     )
+
+
+def _pii_parameters(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
+    """The reported candidates a and -a (a alone when it is 0), root-reduced,
+    and their sampled values."""
+    candidates = (a_rf,) if a_rf.is_zero else (a_rf, -a_rf)
+    a_rfs = tuple(map(rf_reduce_roots, candidates))
+    return a_rfs, tuple(_sample_value(c, ode.env, t.policy) for c in candidates)
+
+
+def _certified(src: OdeCubic, target: OdeCubic, t: PointTransform) -> bool:
+    """Whether t maps src onto target exactly: every pullback coefficient of
+    src under t minus target's coefficient composed with x -> u, y -> v is
+    the zero RatFunc.  A zero normal form is a proof whatever the
+    generators; a nonzero one proves nothing over compound radicands, so
+    False only means not certified."""
+    try:
+        pulled = pullback_coefficients(src, t)
+    except DegenerateTransformError:
+        return False
+    images = {"x": t.u, "y": t.v}
+    return all((c - rf_compose(d, images)).is_zero for c, d in zip(pulled, target.coeffs()))
 
 
 def _independent_pair(t: InvariantTower) -> tuple[str, str] | None:
@@ -229,13 +279,16 @@ def _pii_sigmas(t: InvariantTower) -> tuple[int, ...]:
     return sigma_first, -sigma_first
 
 
-def _pii_candidates(t: InvariantTower, a_rf: RatFunc):
+def _pii_candidates(t: InvariantTower, a_rf: RatFunc, root=rf_pow):
     """((sigma, tau, eps), transform, PII(a_rf)) in search order: x_new =
-    5 sigma I6 w^-2 - (3/2) tau a w, y_new = eps / w, w = (2500 sigma I9)^(1/6).
+    5 sigma I6 w^-2 - (3/2) tau a w, y_new = eps / w, w = (2500 sigma I9)^(1/6)
+    taken by ``root``; a sigma whose root is None is skipped.
     """
     target = painleve_ii(a_rf)
     for sigma in _pii_sigmas(t):
-        w = rf_pow(t.i9.scale(2500 * sigma), Fraction(1, 6))
+        w = root(t.i9.scale(2500 * sigma), Fraction(1, 6))
+        if w is None:
+            continue
         w_inv = w ** (-1)
         base_x = t.i6.scale(5 * sigma) * w_inv * w_inv
         for tau in (1,) if a_rf.is_zero else (1, -1):
@@ -319,6 +372,7 @@ def test_p34(
         beta_squared_value=_sample_value(b2, ode.env, t.policy),
         transform=transform,
         residual=report,
+        evidence="oracle",
     )
 
 

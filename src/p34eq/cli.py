@@ -8,6 +8,10 @@ to their factored forms, coeff * monomial * prod P_e^e with P_e the product
 of the factors of exponent e, not to their expanded normal forms; an
 invariant is null when no verdict computed it.
 The text report prints the same verdicts and the invariants that are not null.
+A transform is either certified exactly (the text says ``certified``, and
+the JSON ``residual`` is null) or passed the numeric jet oracle (the text
+gives its ``oracle residual``); ``--verify`` runs the oracle at 40 samples
+on every transform either way, as an independent cross-check.
 
 Exit codes: 0 equivalent to PII or P34, 1 not equivalent or out of scope,
 2 inconclusive, 3 input error (division by an expression that is
@@ -189,7 +193,9 @@ def _describe_result(tag: str, result) -> str:
                 f"transform x_new = {to_string(result.transform.x_new)}, "
                 f"y_new = {to_string(result.transform.y_new)}"
             )
-        if result.residual is not None:
+        if result.evidence == "certificate":
+            bits.append("certified")
+        elif result.residual is not None:
             bits.append(f"oracle residual {result.residual.max_residual:.2e}")
         return "; ".join(bits)
     if result.outcome is Outcome.NOT_EQUIVALENT:

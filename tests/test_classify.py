@@ -2,6 +2,7 @@ import gc
 import sys
 import weakref
 from collections import Counter
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -32,6 +33,9 @@ from p34eq.oracle import ORACLE_REDRAWS, verify_transform
 import helpers
 from golden_cases import CASES
 from helpers import apply_transform, rf, transform
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def neg_square(ode):
@@ -124,10 +128,15 @@ def test_pii_parameter_sampled_where_real():
     assert to_string(res.a_candidates[0]) == "3"  # in normal form
 
 
+# y'' = 2y^3 - x y' meets every condition the tower checks, with J = 0, and
+# no candidate is certified or passes the oracle: a failed search
+NO_PII_TRANSFORM = "2*y^3 - x*p"
+
+
 def test_pii_searches_only_the_plus_a_candidates(monkeypatch):
-    # the -a candidates mirror the +a ones (tests/test_oracle.py), and I9 =
-    # 1/(2500 y^6) > 0 leaves one sigma, so a failed search makes 4 oracle
-    # calls, not 16
+    # the -a candidates mirror the +a ones (tests/test_oracle.py), and a = 0
+    # has no -a and one tau; I9 is no monomial, so both sigmas are searched
+    # and a failed search makes 4 oracle calls
     calls = []
 
     def counting_verify(*args, **kwargs):
@@ -135,25 +144,24 @@ def test_pii_searches_only_the_plus_a_candidates(monkeypatch):
         return verify_transform(*args, **kwargs)
 
     monkeypatch.setattr(pc, "verify_transform", counting_verify)
-    res = pc.test_pii(eqs.painleve_ii(12345))
+    res = pc.test_pii(from_rhs(rf(NO_PII_TRANSFORM)))
     assert len(calls) == 4
     assert res.outcome is Outcome.INCONCLUSIVE
     assert res.detail == (
         "all theorem conditions hold but no candidate transform passed the numeric oracle"
     )
-    assert [to_string(a) for a in res.a_candidates] == ["12345", "-12345"]
-    assert res.a_values == (12345.0, -12345.0)
+    assert [to_string(a) for a in res.a_candidates] == ["0"]
+    assert res.a_values == (0.0,)
 
 
 def test_pii_rejects_wrong_candidates_without_skipping_their_draws(monkeypatch):
-    # the wrong-tau candidates of painleve_ii(12345) have |u_y| up to 1e5 in
-    # the y > 0 quadrants, so their four image slopes agree to within 1e-6;
-    # the jet test reads the Jacobian relative to its terms, so each of their
-    # quadrants stops at its first residual instead of skipping 424 draws
+    # the jet test reads the Jacobian relative to its terms, so each quadrant
+    # of a failing candidate stops at its first residual instead of skipping
+    # up to 424 draws
     calls = []
     slopes = oracle._jet_slopes
     monkeypatch.setattr(oracle, "_jet_slopes", lambda parts: calls.append(parts) or slopes(parts))
-    res = pc.test_pii(eqs.painleve_ii(12345))
+    res = pc.test_pii(from_rhs(rf(NO_PII_TRANSFORM)))
     assert len(calls) < 100
     assert res.outcome is Outcome.INCONCLUSIVE
     assert res.detail == (
@@ -169,7 +177,7 @@ def test_pii_search_stops_a_quadrant_at_its_first_failing_residual(monkeypatch):
     residuals = []
     cubic = oracle._cubic_through
     monkeypatch.setattr(oracle, "_cubic_through", lambda q, w: residuals.append(q) or cubic(q, w))
-    res = pc.test_pii(eqs.painleve_ii("a"))
+    res = pc.test_pii(from_rhs(rf(NO_PII_TRANSFORM)))
     assert res.outcome is Outcome.INCONCLUSIVE
     assert len(residuals) < 100
     res = pc.test_p34(eqs.electrodiffusion_3a(101, 997, 7919, 1009, 4001), SamplePolicy(seed=1))
@@ -207,6 +215,68 @@ def test_pii_keeps_both_sigmas_when_i9_changes_sign():
         tower = InvariantTower(ode)
         assert tower.i9.is_monomial
         assert pc._pii_sigmas(tower) == (tower.i9_sign, -tower.i9_sign)
+
+
+@pytest.mark.parametrize("a, text", [("a", "a"), (12345, "12345")])
+def test_pii_certifies_painleve_ii_without_the_oracle(monkeypatch, a, text):
+    # the sign-free roots of J^2 = a^2 and 2500 I9 = y^-6 are a and 1/y, so
+    # the first candidate is the identity, and its certificate is exact
+    calls = []
+    monkeypatch.setattr(pc, "verify_transform", lambda *args, **kw: calls.append(args))
+    res = pc.test_pii(eqs.painleve_ii(a))
+    assert calls == []
+    assert res.outcome is Outcome.EQUIVALENT_PII and res.evidence == "certificate"
+    assert res.residual is None
+    assert (to_string(res.transform.x_new), to_string(res.transform.y_new)) == ("x", "y")
+    assert [to_string(c) for c in res.a_candidates] == [text, f"-{text}"]
+
+
+def test_certificate_rejects_a_wrong_parameter_or_a_shifted_x():
+    ode = eqs.painleve_ii("a")
+    identity = transform("x", "y")
+    assert pc._certified(ode, eqs.painleve_ii("a"), identity)
+    assert not pc._certified(ode, eqs.painleve_ii(rf("a + 1")), identity)
+    assert not pc._certified(ode, eqs.painleve_ii("a"), transform("x + 1", "y"))
+    # an affine image and its certified transform, then that transform with
+    # x_new shifted
+    image = apply_transform(eqs.painleve_ii(3), transform("2*x + 1", "3*y - 1"),
+                            ("(x - 1)/2", "(y + 1)/3"))
+    res = pc.test_pii(image)
+    assert res.evidence == "certificate"
+    t = res.transform
+    assert pc._certified(image, eqs.painleve_ii(3), t)
+    assert not pc._certified(image, eqs.painleve_ii(4), t)
+    shifted = PointTransform(t.u + RatFunc.const(1), t.v)
+    pulled = pc.pullback_coefficients(image, shifted)
+    composed = [engine.rf_compose(c, {"x": shifted.u, "y": shifted.v})
+                for c in eqs.painleve_ii(3).coeffs()]
+    assert not (pulled[0] - composed[0]).is_zero
+
+
+def test_every_certified_pii_transform_passes_the_oracle():
+    # the catalog, the transformed inputs and the golden cases: every
+    # transform the certificate accepts also passes the oracle at 40 samples
+    import gen_transformed
+
+    inputs = [(eq.name, cli._build_equation(cli.RunConfig(
+        rhs=eq.cli.get("rhs"), params=list(eq.cli.get("params", []))
+    ))) for eq in workloads.catalog()]
+    inputs += [(item["name"], helpers.ode(*item["coeffs"]))
+               for item in gen_transformed.every_input()]
+    inputs += [(name, cli._build_equation(cfg)) for name, cfg in sorted(CASES.items())]
+    certified = []
+    for name, ode in inputs:
+        res = pc.test_pii(ode)
+        if res.evidence == "certificate":
+            certified.append(name)
+            target = eqs.painleve_ii(res.a_rfs[0])
+            assert verify_transform(ode, target, res.transform, n=40).passed, name
+    assert certified == [
+        "painleve_ii(a)", "painleve_ii(3)", "painleve_ii(12345)",
+        "pii.affine[2, 1, 3, -1]", "pii.power[1, 1, 2]",
+        "painleve_ii_12345", "painleve_ii_3", "painleve_ii_3_neg_square",
+        "painleve_ii_3_power", "painleve_ii_3_swap", "painleve_ii_a",
+    ]
 
 
 def _count_calls(monkeypatch, functions) -> Counter:
@@ -349,12 +419,12 @@ def test_factors_die_with_their_decision():
         del results  # they held the transforms, and so their generators, until here
         return weakref.ref(f), f.images, gens
 
-    def pii_image(a, b, c, d):
+    def image(a, b, c, d):
         t = transform(f"{a}*x + {b}", f"{c}*y + {d}")
-        return apply_transform(eqs.painleve_ii(3), t, (f"(x - {b})/{a}", f"(y - {d})/{c}"))
+        return apply_transform(eqs.p34_rational(0), t, (f"(x - {b})/{a}", f"(y - {d})/{c}"))
 
     decide(eqs.electrodiffusion_3b(2, 3, 5, 7))
-    decide(pii_image(2, 1, 3, -1))
+    decide(image(2, 1, 3, -1))
     gc.collect()
     live, tables = len(ratfunc._FACTORS), _tables()
     ref, images, gens = decide(eqs.electrodiffusion_3b(2, 3, 5, 7))
@@ -364,8 +434,9 @@ def test_factors_die_with_their_decision():
     assert sys.getrefcount(images) == 2
     assert len(ratfunc._FACTORS) == live
     # The compound radicand of another equation is a new generator: an
-    # affine image of PII(3), whose w = (2500 I9)^(1/6) is an even root.
-    _, _, other = decide(pii_image(-3, 2, 2, 1))
+    # affine image of p34_rational(0), equivalent to PII(0) through the
+    # oracle search, whose w = (2500 sigma I9)^(1/6) is an even root.
+    _, _, other = decide(image(-3, 2, 2, 1))
     gc.collect()
     new = other - gens
     assert any(g.startswith("@") for g in new)
