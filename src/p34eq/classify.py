@@ -185,22 +185,14 @@ def test_pii(
 
     zero_j = t.verdict("J_numerator", t.j_numerator).is_zero or j2.is_zero
     a_rf = RatFunc.const(0) if zero_j else rf_pow_signfree(j2, Fraction(1, 2))
-    if a_rf is not None:
-        for _, transform, target in _pii_candidates(t, a_rf, rf_pow_signfree):
-            if _certified(ode, target, transform):
-                a_rfs, a_values = _pii_parameters(ode, t, a_rf)
-                return EquivalenceResult(
-                    Outcome.EQUIVALENT_PII,
-                    a_rfs=a_rfs,
-                    a_values=a_values,
-                    transform=transform,
-                    evidence="certificate",
-                    detail=f"certified against parameter a = {rf_to_expr(a_rfs[0])}",
-                )
+    result = None if a_rf is None else _certified_pii_transform(ode, t, a_rf)
+    if result is None:
+        a_rf = RatFunc.const(0) if zero_j else rf_pow(j2, Fraction(1, 2))
+        result = _build_pii_transform(ode, t, a_rf)
+    candidates = (a_rf,) if zero_j else (a_rf, -a_rf)
+    a_rfs = tuple(map(rf_reduce_roots, candidates))
+    a_values = tuple(_sample_value(c, ode.env, t.policy) for c in candidates)
 
-    a_rf = RatFunc.const(0) if zero_j else rf_pow(j2, Fraction(1, 2))
-    a_rfs, a_values = _pii_parameters(ode, t, a_rf)
-    result = _build_pii_transform(ode, t, a_rf)
     if result is None:
         return EquivalenceResult(
             Outcome.INCONCLUSIVE,
@@ -210,23 +202,17 @@ def test_pii(
             a_values=a_values,
         )
     transform, report = result
+    certified = report is None
     return EquivalenceResult(
         Outcome.EQUIVALENT_PII,
         a_rfs=a_rfs,
         a_values=a_values,
         transform=transform,
         residual=report,
-        evidence="oracle",
-        detail=f"verified against parameter a = {rf_to_expr(a_rfs[0])}",
+        evidence="certificate" if certified else "oracle",
+        detail=f"{'certified' if certified else 'verified'} against parameter "
+        f"a = {rf_to_expr(a_rfs[0])}",
     )
-
-
-def _pii_parameters(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
-    """The reported candidates a and -a (a alone when it is 0), root-reduced,
-    and their sampled values."""
-    candidates = (a_rf,) if a_rf.is_zero else (a_rf, -a_rf)
-    a_rfs = tuple(map(rf_reduce_roots, candidates))
-    return a_rfs, tuple(_sample_value(c, ode.env, t.policy) for c in candidates)
 
 
 def _certified(src: OdeCubic, target: OdeCubic, t: PointTransform) -> bool:
@@ -295,6 +281,15 @@ def _pii_candidates(t: InvariantTower, a_rf: RatFunc, root=rf_pow):
             x_new = base_x - (a_rf * w).scale(Fraction(3, 2) * tau)
             for eps in (1, -1):
                 yield (sigma, tau, eps), PointTransform(x_new, w_inv.scale(eps)), target
+
+
+def _certified_pii_transform(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
+    """(transform, None) for the first candidate built with sign-free roots
+    that maps ode onto PII(a_rf) with a certificate, or None."""
+    for _, transform, target in _pii_candidates(t, a_rf, rf_pow_signfree):
+        if _certified(ode, target, transform):
+            return transform, None
+    return None
 
 
 def _build_pii_transform(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
