@@ -7,7 +7,10 @@ roots of monomials by distribution, everything else as a content-addressed
 compound radicand that still evaluates and differentiates exactly.  An odd
 root first takes every whole power of a factor out of its radicand (the
 cube root of c L^3 M is L times those of c and M); an even root takes
-nothing out, since the square root of L^2 is |L|, not L.
+nothing out, since the square root of L^2 is |L|, not L.  The sign-free
+root (rf_pow_signfree) takes them out of even roots too, for candidates
+that an exact certificate then proves or rejects.  rf_compose substitutes
+RatFuncs for symbols over the factors.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@ import gc
 import sys
 import weakref
 from collections import Counter
-from pathlib import Path
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
