@@ -3,9 +3,9 @@
 Conditions are checked in the theorems' order; the first failure
 short-circuits and is named in the result.  Every Equivalent outcome
 carries a transform and its evidence: an exact certificate (the source
-equation pulled back by the transform minus the target composed with it is
-the zero RatFunc), which PII candidates built with sign-free roots try
-first, or else a pass of the numeric jet oracle.  The candidate
+equation pulled back by the transform minus the target composed with it
+is zero once compound root powers fold), or else a pass of the numeric
+jet oracle, which PII tries on the same candidates.  The candidate
 transforms, the recovered P34 transform, the parameters and both target
 equations are built from tower RatFuncs, and a decision neither prints nor
 parses them.  A parameter is reported root-reduced (rf_reduce_roots), as a
@@ -32,7 +32,7 @@ from .expr import (
     SamplePolicy,
     is_zero,
     rf_compose,
-    rf_pow,
+    rf_fold_roots,
     rf_pow_signfree,
     rf_reduce_roots,
     rf_to_expr,
@@ -148,11 +148,11 @@ def test_pii(
 ) -> EquivalenceResult:
     """Equivalence test against y'' = 2y^3 + xy + a (parameter a = +-J).
 
-    Once the theorem's conditions hold, the candidate transforms are built
-    first with sign-free roots of J^2 and 2500 sigma I9 (rf_pow_signfree),
-    and the first one with an exact certificate (_certified) decides, with
-    a and -a read as that root and no residual.  Only when none is
-    certified does the oracle search the candidates built with rf_pow.
+    Once the theorem's conditions hold, one list of candidate transforms is
+    built with sign-free roots of J^2 and 2500 sigma I9 (rf_pow_signfree),
+    a and -a read as the root of J^2.  The first candidate with an exact
+    certificate (_certified) decides, with no residual; only when none is
+    certified does the oracle search the same list.
     """
     t = tower or InvariantTower(ode, policy)
     gate = _case_gate(t)
@@ -185,11 +185,8 @@ def test_pii(
 
     zero_j = t.verdict("J_numerator", t.j_numerator).is_zero or j2.is_zero
     a_rf = RatFunc.const(0) if zero_j else rf_pow_signfree(j2, Fraction(1, 2))
-    result = None if a_rf is None else _certified_pii_transform(ode, t, a_rf)
-    if result is None:
-        a_rf = RatFunc.const(0) if zero_j else rf_pow(j2, Fraction(1, 2))
-        result = _build_pii_transform(ode, t, a_rf)
-    candidates = (a_rf,) if zero_j else (a_rf, -a_rf)
+    result = None if a_rf is None else _pii_transform(ode, t, a_rf)
+    candidates = () if a_rf is None else (a_rf,) if zero_j else (a_rf, -a_rf)
     a_rfs = tuple(map(rf_reduce_roots, candidates))
     a_values = tuple(_sample_value(c, ode.env, t.policy) for c in candidates)
 
@@ -198,15 +195,13 @@ def test_pii(
             Outcome.INCONCLUSIVE,
             detail="all theorem conditions hold but no candidate transform "
             "passed the numeric oracle",
-            a_rfs=a_rfs,
-            a_values=a_values,
+            a_rfs=a_rfs, a_values=a_values,
         )
     transform, report = result
     certified = report is None
     return EquivalenceResult(
         Outcome.EQUIVALENT_PII,
-        a_rfs=a_rfs,
-        a_values=a_values,
+        a_rfs=a_rfs, a_values=a_values,
         transform=transform,
         residual=report,
         evidence="certificate" if certified else "oracle",
@@ -226,7 +221,8 @@ def _certified(src: OdeCubic, target: OdeCubic, t: PointTransform) -> bool:
     except DegenerateTransformError:
         return False
     images = {"x": t.u, "y": t.v}
-    return all((c - rf_compose(d, images)).is_zero for c, d in zip(pulled, target.coeffs()))
+    return all(rf_fold_roots(c - rf_compose(d, images)).is_zero
+               for c, d in zip(pulled, target.coeffs()))
 
 
 def _independent_pair(t: InvariantTower) -> tuple[str, str] | None:
@@ -249,30 +245,15 @@ def _sample_value(rf: RatFunc, env: ParamEnv, policy: SamplePolicy) -> float:
     return values[0] if values else float("nan")
 
 
-def _pii_sigmas(t: InvariantTower) -> tuple[int, ...]:
-    """The signs sigma to search, the sampled sign of I9 first.
-
-    When I9 is a monomial ratio with every exponent even, its sign is that
-    of its coefficient wherever it is real, so for the other sigma w is an
-    even root of a negative value at every point and no candidate can pass.
-    """
-    i9 = t.i9
-    if i9.is_monomial:
-        coeff, exps = i9.monomial_parts()
-        if all(e % 2 == 0 for e in exps.values()):
-            return (1 if coeff > 0 else -1,)
-    sigma_first = t.i9_sign or 1
-    return sigma_first, -sigma_first
-
-
-def _pii_candidates(t: InvariantTower, a_rf: RatFunc, root=rf_pow):
+def _pii_candidates(t: InvariantTower, a_rf: RatFunc):
     """((sigma, tau, eps), transform, PII(a_rf)) in search order: x_new =
     5 sigma I6 w^-2 - (3/2) tau a w, y_new = eps / w, w = (2500 sigma I9)^(1/6)
-    taken by ``root``; a sigma whose root is None is skipped.
+    by the sign-free root, sigma = 1 then -1; a sigma whose root is None
+    is skipped, as 2500 sigma I9 < 0 wherever it is real.
     """
     target = painleve_ii(a_rf)
-    for sigma in _pii_sigmas(t):
-        w = root(t.i9.scale(2500 * sigma), Fraction(1, 6))
+    for sigma in (1, -1):
+        w = rf_pow_signfree(t.i9.scale(2500 * sigma), Fraction(1, 6))
         if w is None:
             continue
         w_inv = w ** (-1)
@@ -283,24 +264,21 @@ def _pii_candidates(t: InvariantTower, a_rf: RatFunc, root=rf_pow):
                 yield (sigma, tau, eps), PointTransform(x_new, w_inv.scale(eps)), target
 
 
-def _certified_pii_transform(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
-    """(transform, None) for the first candidate built with sign-free roots
-    that maps ode onto PII(a_rf) with a certificate, or None."""
-    for _, transform, target in _pii_candidates(t, a_rf, rf_pow_signfree):
-        if _certified(ode, target, transform):
-            return transform, None
-    return None
-
-
-def _build_pii_transform(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
-    """The first candidate transform to PII(a_rf) that the oracle passes.
+def _pii_transform(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
+    """(transform, None) for the first candidate to PII(a_rf) with an exact
+    certificate, else (transform, report) for the first of the same
+    candidates that the oracle passes, else None.
 
     a is known only up to sign, but -a needs no search: y -> -y maps PII(a)
     onto PII(-a), so candidate (sigma, -a, tau, eps) is (sigma, a, -tau, -eps)
     with y_new negated and checks the same points to the same residuals, and
     the walk over both signs reached the +a one first.
     """
-    for _, transform, target in _pii_candidates(t, a_rf):
+    candidates = list(_pii_candidates(t, a_rf))
+    for _, transform, target in candidates:
+        if _certified(ode, target, transform):
+            return transform, None
+    for _, transform, target in candidates:
         report = verify_transform(ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy,
                                   fail_fast=True)
         if report.passed:

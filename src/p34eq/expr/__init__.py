@@ -21,6 +21,7 @@ from .engine import (
     is_zero,
     normalize,
     rf_compose,
+    rf_fold_roots,
     rf_pow,
     rf_pow_signfree,
     rf_reduce_roots,
@@ -57,6 +58,7 @@ __all__ = [
     "parse",
     "poly_gcd",
     "rf_compose",
+    "rf_fold_roots",
     "rf_pow",
     "rf_pow_signfree",
     "rf_reduce_roots",

@@ -8,9 +8,10 @@ compound radicand that still evaluates and differentiates exactly.  An odd
 root first takes every whole power of a factor out of its radicand (the
 cube root of c L^3 M is L times those of c and M); an even root takes
 nothing out, since the square root of L^2 is |L|, not L.  The sign-free
-root (rf_pow_signfree) takes them out of even roots too, for candidates
-that an exact certificate then proves or rejects.  rf_compose substitutes
-RatFuncs for symbols over the factors.
+root (rf_pow_signfree) takes them out of even roots too, and a negative
+sign into a factor of odd exponent, for candidates that a certificate
+proves or rejects.  rf_compose, rf_fold_roots and rf_reduce_roots rebuild
+polynomials term by term through one loop, _rebuild.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "rf_to_expr",
     "rf_to_factored_expr",
     "rf_compose",
+    "rf_fold_roots",
     "rf_pow",
     "rf_pow_signfree",
     "rf_reduce_roots",
@@ -121,8 +123,10 @@ def rf_pow_signfree(rf: RatFunc, exponent: Fraction) -> RatFunc | None:
     """rf ** (p/q) by the odd-root rule of rf_pow for every q, even q too:
     each whole factor power b^e leaves the root as b^(k p), so the square
     root of y^-6 is y^-3 and that of a^2 is a, read as if every factor of
-    rf were positive.  None when q is even and rf's coefficient, which
-    stays under the root, is negative.
+    rf were positive.  For an even q, a negative coefficient c moves into
+    the first factor b of odd exponent e, c b^e = (-c) (-b)^e, and -b stays
+    under the root: the sixth root of -2/y^3 is 2^(1/6) (-y)^(-1/2), real
+    where y < 0.  None when no factor has an odd exponent.
 
     The value is a real root of rf only up to sign.  It builds candidates
     whose signs are searched over anyway (classify's PII transforms), and
@@ -131,9 +135,13 @@ def rf_pow_signfree(rf: RatFunc, exponent: Fraction) -> RatFunc | None:
     exponent = Fraction(exponent)
     if exponent.denominator % 2:
         return rf_pow(rf, exponent)
-    if rf.coeff < 0:
-        return None
-    return _root(rf, exponent.numerator, exponent.denominator)
+    p, q = exponent.numerator, exponent.denominator
+    if rf.coeff > 0:
+        return _root(rf, p, q)
+    for b, e in rf.factors():
+        if e % 2:
+            return _root(-rf / RatFunc(b) ** e, p, q) * rf_pow(-RatFunc(b), Fraction(e * p, q))
+    return None
 
 
 def _root(rf: RatFunc, p: int, q: int) -> RatFunc:
@@ -224,19 +232,50 @@ def rf_compose(rf: RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
     factors that rf_pow reads survive.
     """
     memo: dict[str, RatFunc | None] = {}
+    return _rebuild_factors(rf, lambda b: any(_gen_image(g, images, memo) for g in b.gens),
+                            lambda g, k: (_gen_image(g, images, memo) or RatFunc.from_gen(g)) ** k)
+
+
+def rf_fold_roots(rf: RatFunc) -> RatFunc:
+    """rf with each power g^k of a compound root g = R^(1/q) with k >= q read
+    as R^(k // q) g^(k % q), over the factors: (3y - 1)^(4/3) becomes
+    (3y - 1) (3y - 1)^(1/3).  rf itself when no power reaches its index."""
+    return _rebuild_factors(rf, lambda b: any(
+        parse_gen(g).kind == KIND_OPAQUE and b.degree(g) >= parse_gen(g).q for g in b.gens
+    ), _fold_power)
+
+
+def _fold_power(gen: str, k: int) -> RatFunc:
+    info = parse_gen(gen)
+    if info.kind != KIND_OPAQUE or k < info.q:
+        return RatFunc.from_gen(gen, k)
+    radicand: RatFunc = lookup_opaque(str(info.base))  # type: ignore[assignment]
+    return radicand ** (k // info.q) * RatFunc.from_gen(gen, k % info.q)
+
+
+def _rebuild_factors(rf: RatFunc, rebuilt: Callable[[Poly], bool], power) -> RatFunc:
+    """coeff * prod b^e, each b that rebuilt(b) names read through _rebuild
+    with power, and a monomial b^e as one b; rf itself when it names none."""
+    parts = [(b ** abs(e), 1 if e > 0 else -1) if b.is_monomial else (b, e)
+             for b, e in rf.factors()]
+    if not any(rebuilt(b) for b, _ in parts):
+        return rf
     out = RatFunc.const(rf.coeff)
-    for b, e in rf.factors():
-        if all(_gen_image(g, images, memo) is None for g in b.gens):
-            out = out * RatFunc(b) ** e
-            continue
-        composed = RatFunc.const(0)
-        for mono, c in b.sorted_terms():
-            term = RatFunc.const(c)
-            for g, k in zip(b.gens, mono):
-                if k:
-                    term = term * (_gen_image(g, images, memo) or RatFunc.from_gen(g)) ** k
-            composed = composed + term
-        out = out * composed**e
+    for b, e in parts:
+        out = out * (_rebuild(b, Fraction(1), power) if rebuilt(b) else RatFunc(b)) ** e
+    return out
+
+
+def _rebuild(p: Poly, coeff: Fraction, power: Callable[[str, int], RatFunc]) -> RatFunc:
+    """coeff * p summed term by term, with each generator power g^k read as
+    power(g, k): the one loop of rf_compose, rf_fold_roots, rf_reduce_roots."""
+    out = RatFunc.const(0)
+    for mono, c in p.sorted_terms():
+        term = RatFunc.const(coeff * c)
+        for g, k in zip(p.gens, mono):
+            if k:
+                term = term * power(g, k)
+        out = out + term
     return out
 
 
@@ -363,10 +402,7 @@ def rf_reduce_roots(rf: RatFunc) -> RatFunc:
     """
     if not _reducible(rf):
         return rf
-    out = _read_back(rf.num, rf.coeff)
-    if rf.den.is_const:
-        return out
-    return out * _read_back(rf.den, Fraction(1)) ** -1
+    return _rebuild(rf.num, rf.coeff, _read_power) / _rebuild(rf.den, Fraction(1), _read_power)
 
 
 def _reducible(rf: RatFunc) -> bool:
@@ -393,18 +429,6 @@ def _reducible(rf: RatFunc) -> bool:
                 else:
                     shared[g] = gcd(shared.get(g, info.q), e)
     return any(d > 1 for d in shared.values())
-
-
-def _read_back(p: Poly, coeff: Fraction) -> RatFunc:
-    """coeff * p summed term by term, as to_ratfunc reads its printed form."""
-    out = RatFunc.const(0)
-    for mono, c in p.sorted_terms():
-        term = RatFunc.const(coeff * c)
-        for g, e in zip(p.gens, mono):
-            if e:
-                term = term * _read_power(g, e)
-        out = out + term
-    return out
 
 
 @lru_cache(maxsize=None)

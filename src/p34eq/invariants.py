@@ -381,13 +381,6 @@ class InvariantTower:
             raise CaseError("I9 vanishes: J is undefined")
         return self.j_numerator**2 / self.i9.scale(2500)
 
-    @property
-    def i9_sign(self) -> int | None:
-        """Sign of I9 at the samples of its zero test; None when mixed or
-        undecided."""
-        signs = {(r > 0) - (r < 0) for r in self.verdict("I9", self.i9).residuals} - {0}
-        return signs.pop() if len(signs) == 1 else None
-
     @cached_property
     def k_invariant(self) -> RatFunc:
         """The syzygy in I1, I4 that vanishes for the target family, factored as

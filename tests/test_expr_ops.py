@@ -22,6 +22,7 @@ from p34eq.expr import (
     parse,
     ratfunc,
     rf_compose,
+    rf_fold_roots,
     rf_pow,
     rf_pow_signfree,
     rf_reduce_roots,
@@ -619,6 +620,18 @@ def test_signfree_roots_take_whole_factor_powers_out_of_even_roots():
     assert rf_pow_signfree(rf("-8*y^3"), F(1, 3)) == rf_pow(rf("-8*y^3"), F(1, 3))
 
 
+def test_signfree_even_roots_move_a_negative_sign_into_an_odd_factor():
+    # -2/y^3 = 2/(-y)^3, so its sixth root is 2^(1/6) (-y)^(-1/2), real for
+    # y < 0; in -(x + 1)^3 y^2 the sign goes into x + 1, and y comes out
+    assert rf_pow_signfree(rf("-2/y^3"), F(1, 6)) == (
+        rf_pow(RatFunc.const(2), F(1, 6)) * rf_pow(rf("-y"), F(-1, 2)))
+    f = rf("-(x + 1)^3*y^2")
+    got = rf_pow_signfree(f, F(1, 2))
+    assert got == rf("y") * rf_pow(rf("-x - 1"), F(3, 2))
+    for point in ({"x": -2.5, "y": 1.5}, {"x": -3.0, "y": -0.5}):
+        assert got.eval(point) ** 2 == pytest.approx(f.eval(point), rel=1e-12)
+
+
 @pytest.mark.parametrize("text", ["-a^2", "-(x + 1)^2", "-4"])
 def test_signfree_even_roots_of_a_negative_coefficient_are_none(text):
     assert rf_pow_signfree(rf(text), F(1, 2)) is None
@@ -800,6 +813,16 @@ def test_compose_maps_missing_generators_to_themselves():
     # a symbol root maps to the root of its image, a compound one to the
     # root of its composed radicand
     assert rf_compose(f, {"y": rf("8*y^3")}) == rf("x^2*k + (8*y^3 + k)^(1/2) + 2*2^(1/3)*y")
+
+
+def test_fold_roots_takes_the_radicand_out_of_powers_at_the_index():
+    # (3y - 1)^(4/3) as the 4th power of the cube root is the product of
+    # the radicand and the root once folded; a power below the index stays
+    g = rf_pow(rf("3*y - 1"), F(1, 3))
+    assert g**4 != rf("3*y - 1") * g
+    assert rf_fold_roots(g**4) == rf("3*y - 1") * g
+    assert rf_fold_roots(g**4 - rf("3*y - 1") * g).is_zero
+    assert rf_fold_roots(x := g**2 + rf("x")) is x
 
 
 # ----- normalize ------------------------------------------------------------
