@@ -4,7 +4,7 @@ Conditions are checked in the theorems' order; the first failure
 short-circuits and is named in the result.  Every Equivalent outcome
 carries a transform and its evidence: an exact certificate (the source
 equation pulled back by the transform minus the target composed with it
-is zero once compound root powers fold), or else a pass of the numeric
+is zero after rf_reduce_roots), or else a pass of the numeric
 jet oracle, which PII tries on the same candidates.  The candidate
 transforms, the recovered P34 transform, the parameters and both target
 equations are built from tower RatFuncs, and a decision neither prints nor
@@ -32,7 +32,6 @@ from .expr import (
     SamplePolicy,
     is_zero,
     rf_compose,
-    rf_fold_roots,
     rf_pow_signfree,
     rf_reduce_roots,
     rf_to_expr,
@@ -221,7 +220,7 @@ def _certified(src: OdeCubic, target: OdeCubic, t: PointTransform) -> bool:
     except DegenerateTransformError:
         return False
     images = {"x": t.u, "y": t.v}
-    return all(rf_fold_roots(c - rf_compose(d, images)).is_zero
+    return all(rf_reduce_roots(c - rf_compose(d, images)).is_zero
                for c, d in zip(pulled, target.coeffs()))
 
 
@@ -245,6 +244,16 @@ def _sample_value(rf: RatFunc, env: ParamEnv, policy: SamplePolicy) -> float:
     return values[0] if values else float("nan")
 
 
+def _real_somewhere(ode: OdeCubic, t: PointTransform, policy: SamplePolicy) -> bool:
+    """Whether u, v and the coefficients of ode all evaluate at one sample point."""
+    rfs = (t.u, t.v, *ode.coeffs())
+    if all(rf.is_exact() for rf in rfs):  # real wherever every symbol is positive
+        return True
+    values, _ = sample_any_quadrant(lambda a: [rf.eval(a) for rf in rfs], ode.free_symbols(),
+                                    ode.env, policy, 1, need=1)
+    return bool(values)
+
+
 def _pii_candidates(t: InvariantTower, a_rf: RatFunc):
     """((sigma, tau, eps), transform, PII(a_rf)) in search order: x_new =
     5 sigma I6 w^-2 - (3/2) tau a w, y_new = eps / w, w = (2500 sigma I9)^(1/6)
@@ -266,8 +275,9 @@ def _pii_candidates(t: InvariantTower, a_rf: RatFunc):
 
 def _pii_transform(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
     """(transform, None) for the first candidate to PII(a_rf) with an exact
-    certificate, else (transform, report) for the first of the same
-    candidates that the oracle passes, else None.
+    certificate and a sample point where the source coefficients, u and v
+    all have real values, else (transform, report) for the first of the
+    same candidates that the oracle passes, else None.
 
     a is known only up to sign, but -a needs no search: y -> -y maps PII(a)
     onto PII(-a), so candidate (sigma, -a, tau, eps) is (sigma, a, -tau, -eps)
@@ -276,7 +286,7 @@ def _pii_transform(ode: OdeCubic, t: InvariantTower, a_rf: RatFunc):
     """
     candidates = list(_pii_candidates(t, a_rf))
     for _, transform, target in candidates:
-        if _certified(ode, target, transform):
+        if _certified(ode, target, transform) and _real_somewhere(ode, transform, t.policy):
             return transform, None
     for _, transform, target in candidates:
         report = verify_transform(ode, target, transform, n=ORACLE_SAMPLES, policy=t.policy,

@@ -26,7 +26,7 @@ _CUBEROOT = RatFunc.from_gen("y^(1/3)") * (
 def _param(value, name_constraints: dict[str, str], constraint: str) -> RatFunc:
     """Turn a number, a name or a RatFunc into a RatFunc, recording
     declarations; a RatFunc declares its symbols free and is root-reduced
-    as a parsed one would be."""
+    (rf_reduce_roots) once, as a parsed one would be."""
     if isinstance(value, str):
         name_constraints[value] = constraint
         return RatFunc.from_gen(value)
@@ -41,7 +41,7 @@ def painleve_ii(a="a") -> OdeCubic:
     """y'' = 2 y^3 + x y + a."""
     decls: dict[str, str] = {}
     a_rf = _param(a, decls, "free")
-    p = rf_reduce_roots((_Y**3).scale(2) + _X * _Y + a_rf)
+    p = (_Y**3).scale(2) + _X * _Y + a_rf
     return OdeCubic(p, _ZERO, _ZERO, _ZERO, ParamEnv(decls), label="Painleve II")
 
 
@@ -64,7 +64,7 @@ def p34_cuberoot(beta_squared="b") -> OdeCubic:
     b2 = _param(beta_squared, decls, "nonzero")
     if isinstance(beta_squared, str):
         b2 = b2**2
-    p = rf_reduce_roots(-(b2 * _CUBEROOT))
+    p = -(b2 * _CUBEROOT)
     r = _Y.inverse().scale(Fraction(5, 18))
     return OdeCubic(p, _ZERO, r, _ZERO, ParamEnv(decls), label="P34 cube-root normal form")
 

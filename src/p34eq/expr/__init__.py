@@ -21,7 +21,6 @@ from .engine import (
     is_zero,
     normalize,
     rf_compose,
-    rf_fold_roots,
     rf_pow,
     rf_pow_signfree,
     rf_reduce_roots,
@@ -58,7 +57,6 @@ __all__ = [
     "parse",
     "poly_gcd",
     "rf_compose",
-    "rf_fold_roots",
     "rf_pow",
     "rf_pow_signfree",
     "rf_reduce_roots",

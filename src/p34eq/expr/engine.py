@@ -10,8 +10,9 @@ cube root of c L^3 M is L times those of c and M); an even root takes
 nothing out, since the square root of L^2 is |L|, not L.  The sign-free
 root (rf_pow_signfree) takes them out of even roots too, and a negative
 sign into a factor of odd exponent, for candidates that a certificate
-proves or rejects.  rf_compose, rf_fold_roots and rf_reduce_roots rebuild
-polynomials term by term through one loop, _rebuild.
+proves or rejects.  rf_reduce_roots is the one rewrite of root powers
+after the fact; it and rf_compose rebuild polynomials term by term through
+one loop, _rebuild.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .atoms import (
     KIND_OPAQUE,
     KIND_SURD,
     KIND_SYMBOL,
+    GenInfo,
     factor_int,
     gen_sort_key,
     lookup_opaque,
@@ -49,7 +51,6 @@ __all__ = [
     "rf_to_expr",
     "rf_to_factored_expr",
     "rf_compose",
-    "rf_fold_roots",
     "rf_pow",
     "rf_pow_signfree",
     "rf_reduce_roots",
@@ -104,7 +105,8 @@ def rf_pow(rf: RatFunc, exponent: Fraction) -> RatFunc:
     "Simplification of radical expressions", 1976).  An even root keeps
     every factor under it, because (L^2)^(1/2) is |L| and not L: it is a
     compound radicand, which evaluates base-first, whenever rf is not a
-    constant.
+    constant.  A compound root g = R^(1/q) keeps only powers below q, so
+    R^(p/q) is R^k g^(p - k q), k = p/q rounded toward zero.
     """
     exponent = Fraction(exponent)
     if exponent.denominator == 1:
@@ -215,7 +217,8 @@ def _opaque_power(rf: RatFunc, p: int, q: int) -> RatFunc:
     canonical = ast.to_string(rf_to_expr(rf))
     tag = opaque_base_key(canonical)
     register_opaque(tag, rf)
-    return RatFunc.from_gen(make_name(tag, q), p)
+    k = int(Fraction(p, q))  # whole powers out: (3y - 1)^(4/3) is (3y - 1) (3y - 1)^(1/3)
+    return rf**k * RatFunc.from_gen(make_name(tag, q), p - k * q)
 
 
 # ----- composition ------------------------------------------------------------
@@ -229,46 +232,27 @@ def rf_compose(rf: RatFunc, images: Mapping[str, RatFunc]) -> RatFunc:
     A generator missing from images maps to itself, a root s^(1/q) of a
     symbol of images to rf_pow(images[s], 1/q), and a compound root to the
     root of its composed radicand.  Nothing is printed or parsed, so the
-    factors that rf_pow reads survive.
+    factors that rf_pow reads survive; rf itself when nothing moves.
     """
     memo: dict[str, RatFunc | None] = {}
-    return _rebuild_factors(rf, lambda b: any(_gen_image(g, images, memo) for g in b.gens),
-                            lambda g, k: (_gen_image(g, images, memo) or RatFunc.from_gen(g)) ** k)
-
-
-def rf_fold_roots(rf: RatFunc) -> RatFunc:
-    """rf with each power g^k of a compound root g = R^(1/q) with k >= q read
-    as R^(k // q) g^(k % q), over the factors: (3y - 1)^(4/3) becomes
-    (3y - 1) (3y - 1)^(1/3).  rf itself when no power reaches its index."""
-    return _rebuild_factors(rf, lambda b: any(
-        parse_gen(g).kind == KIND_OPAQUE and b.degree(g) >= parse_gen(g).q for g in b.gens
-    ), _fold_power)
-
-
-def _fold_power(gen: str, k: int) -> RatFunc:
-    info = parse_gen(gen)
-    if info.kind != KIND_OPAQUE or k < info.q:
-        return RatFunc.from_gen(gen, k)
-    radicand: RatFunc = lookup_opaque(str(info.base))  # type: ignore[assignment]
-    return radicand ** (k // info.q) * RatFunc.from_gen(gen, k % info.q)
-
-
-def _rebuild_factors(rf: RatFunc, rebuilt: Callable[[Poly], bool], power) -> RatFunc:
-    """coeff * prod b^e, each b that rebuilt(b) names read through _rebuild
-    with power, and a monomial b^e as one b; rf itself when it names none."""
     parts = [(b ** abs(e), 1 if e > 0 else -1) if b.is_monomial else (b, e)
              for b, e in rf.factors()]
-    if not any(rebuilt(b) for b, _ in parts):
+    moved = [any(_gen_image(g, images, memo) for g in b.gens) for b, _ in parts]
+    if not any(moved):
         return rf
+
+    def power(g: str, k: int) -> RatFunc:
+        return (_gen_image(g, images, memo) or RatFunc.from_gen(g)) ** k
+
     out = RatFunc.const(rf.coeff)
-    for b, e in parts:
-        out = out * (_rebuild(b, Fraction(1), power) if rebuilt(b) else RatFunc(b)) ** e
+    for (b, e), m in zip(parts, moved):
+        out = out * (_rebuild(b, Fraction(1), power) if m else RatFunc(b)) ** e
     return out
 
 
 def _rebuild(p: Poly, coeff: Fraction, power: Callable[[str, int], RatFunc]) -> RatFunc:
     """coeff * p summed term by term, with each generator power g^k read as
-    power(g, k): the one loop of rf_compose, rf_fold_roots, rf_reduce_roots."""
+    power(g, k): the one loop of rf_compose and rf_reduce_roots."""
     out = RatFunc.const(0)
     for mono, c in p.sorted_terms():
         term = RatFunc.const(coeff * c)
@@ -388,17 +372,19 @@ def _gen_to_expr(gen: str, e: int) -> Expr:
 
 def rf_reduce_roots(rf: RatFunc) -> RatFunc:
     """rf with each power g^e of a root generator g = b^(1/q) whose e shares
-    a factor with q rewritten as rf_pow(b, e/q): to_ratfunc(rf_to_expr(rf))
-    without printing and parsing.
+    a factor with q, or of a compound root with e >= q, rewritten as
+    rf_pow(b, e/q): to_ratfunc(rf_to_expr(rf)) without printing and parsing,
+    the one root rewrite of the build edges and of the PII certificate.
 
     A printed term reads back as the product of its generator powers, and
     the sum of the terms rebases the roots of one base to their lcm index.
     So a root of a symbol or of a surd changes only when every power of it
     shares a factor with q (y^(1/3)^3 alone becomes y), but a compound
     radicand changes wherever one power does: (@(3y - 1)^(1/3))^6 becomes
-    the polynomial (3y - 1)^2, and so does every power of a compound root
-    that reads back as another (its radicand changes, or it is an odd root
-    of a monomial).  When nothing changes, rf is returned.
+    (3y - 1)^2, the 4th power (3y - 1) (3y - 1)^(1/3), and so does every
+    power of a compound root that reads back as another (its radicand
+    changes, or it is an odd root of a monomial).  When nothing changes, rf
+    is returned.
     """
     if not _reducible(rf):
         return rf
@@ -423,12 +409,16 @@ def _reducible(rf: RatFunc) -> bool:
                 e = mono[i]
                 if not e:
                     continue
-                if info.kind == KIND_OPAQUE:
-                    if gcd(e, info.q) > 1:
-                        return True
-                else:
+                if info.kind != KIND_OPAQUE:
                     shared[g] = gcd(shared.get(g, info.q), e)
+                elif _rewritten(info, e):
+                    return True
     return any(d > 1 for d in shared.values())
+
+
+def _rewritten(info: GenInfo, e: int) -> bool:
+    """Whether g^e reads back as another power, g a root of info."""
+    return gcd(e, info.q) > 1 or info.kind == KIND_OPAQUE and e >= info.q
 
 
 @lru_cache(maxsize=None)
@@ -445,7 +435,7 @@ def _reads_changed(gen: str) -> bool:
 
 def _read_power(gen: str, e: int) -> RatFunc:
     info = parse_gen(gen)
-    if gcd(e, info.q) == 1 and not _reads_changed(gen):
+    if not _rewritten(info, e) and not _reads_changed(gen):
         return RatFunc.from_gen(gen, e)
     if info.kind == KIND_SYMBOL:
         base = RatFunc.from_gen(str(info.base))

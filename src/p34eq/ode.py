@@ -12,10 +12,11 @@ Jacobian check, the pullback and the numeric oracle all read it.
 
 The coefficients split from a right-hand side and the variables of a
 transform pass through rf_reduce_roots once, when they are built: a power of
-a root generator whose exponent shares a factor with the root index becomes
-a power of its radicand, as it would if the RatFunc were printed and read
-back.  So the cube of (3y - 1)^(1/3) is the polynomial 3y - 1, and a
-recovered x_new that equals 2x + 1 is held, and printed, as 2*x + 1.
+a root generator whose exponent shares a factor with the root index, or of
+a compound root at or above it, reads as it would if the RatFunc were
+printed and read back.  So the cube of (3y - 1)^(1/3) is the polynomial
+3y - 1, its fourth power (3y - 1) (3y - 1)^(1/3), and a recovered x_new
+that equals 2x + 1 is held, and printed, as 2*x + 1.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from p34eq.expr import (
     Sym,
     is_zero,
     parse,
+    rf_compose,
     rf_reduce_roots,
     rf_to_expr,
     sample,
@@ -163,18 +164,16 @@ def apply_transform(
     """The equation satisfied by y_new(x_new) when y(x) solves e.
 
     The coefficients of the result are written in the new variables by
-    composing the pullback with ``inverse``, the old variables as functions
-    of the new ones (texts, trees or RatFuncs), written in the same two
-    symbols: x = inverse[0](x, y), y = inverse[1](x, y), and root-reduced as
-    the split of a right-hand side is.  The inverse is not checked against t.
+    composing the pullback with ``inverse`` (rf_compose), the old variables
+    as functions of the new ones (texts, trees or RatFuncs), written in the
+    same two symbols: x = inverse[0](x, y), y = inverse[1](x, y), and
+    root-reduced as the split of a right-hand side is.  The inverse is not
+    checked against t.
     """
     if is_zero(t.jacobian(), e.env).is_zero:
         raise DegenerateTransformError(f"{t!r} has zero Jacobian")
-    binding = {v: rf_to_expr(_as_rf(w)) for v, w in zip("xy", inverse)}
-    coeffs = [
-        rf_reduce_roots(to_ratfunc(subst(rf_to_expr(c), binding)))
-        for c in pullback_coefficients(e, t)
-    ]
+    images = {v: _as_rf(w) for v, w in zip("xy", inverse)}
+    coeffs = [rf_reduce_roots(rf_compose(c, images)) for c in pullback_coefficients(e, t)]
     label = f"{e.label}|transformed" if e.label else "transformed"
     return OdeCubic(*coeffs, env=e.env, label=label)
 

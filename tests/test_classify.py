@@ -361,9 +361,14 @@ CENSUS_MAPS = {
     "y/(y + 1)": (("x", "y/(y + 1)"), ("x", "y/(1 - y)")),
 }
 # Known faults (CHANGES.md FOUND): the I3, I9 Jacobian of the first, an
-# exact nonzero normal form, samples in the gray zone; the second is real
-# only where y > 0, where p34_rational(0)'s transform, a root of -y, is not.
-CENSUS_FAULTS = {"painleve_ii(0)": {"(y - 1)^3"}, "p34_rational(0)": {"y^2"}}
+# exact nonzero normal form, samples in the gray zone; p34_rational(0)
+# under y -> y^2 is real only where y > 0, where its transform, a root of
+# -y, is not, and under y -> -y^2 its certified candidate is real nowhere.
+CENSUS_FAULTS = {"painleve_ii(0)": {"(y - 1)^3"}, "p34_rational(0)": {"y^2", "-y^2"}}
+# The images the oracle decides: under y -> y^2, J^2 stays 9 g^2/y, g the
+# opaque square root of y, so a mixes g with the symbol root y^(1/2).
+CENSUS_ORACLE = {"painleve_ii(1)": {"y^2"}, "painleve_ii(3)": {"y^2"},
+                 "painleve_ii(a)": {"y^2"}}
 CENSUS_BASES = {
     "painleve_ii(0)": lambda: eqs.painleve_ii(0),
     "painleve_ii(1)": lambda: eqs.painleve_ii(1),
@@ -377,21 +382,24 @@ CENSUS_BASES = {
 def test_pii_census_of_point_transform_images(name):
     # an equivalence carries the invariants along, so every image of an
     # equation equivalent to PII is EQUIVALENT_PII too, but for the known
-    # faults, which stay INCONCLUSIVE
-    outcomes = {
-        label: pc.test_pii(apply_transform(CENSUS_BASES[name](), transform(*fwd), inverse)).outcome
+    # faults, which stay INCONCLUSIVE; every other image is certified but
+    # for those the oracle decides
+    results = {
+        label: pc.test_pii(apply_transform(CENSUS_BASES[name](), transform(*fwd), inverse))
         for label, (fwd, inverse) in CENSUS_MAPS.items()
     }
     faults = CENSUS_FAULTS.get(name, set())
-    assert {k for k, o in outcomes.items() if o is not Outcome.EQUIVALENT_PII} == faults
-    assert all(outcomes[k] is Outcome.INCONCLUSIVE for k in faults)
+    assert {k for k, r in results.items() if r.outcome is not Outcome.EQUIVALENT_PII} == faults
+    assert all(results[k].outcome is Outcome.INCONCLUSIVE for k in faults)
+    oracle_decided = {k for k, r in results.items() if r.evidence == "oracle"}
+    assert oracle_decided == CENSUS_ORACLE.get(name, set())
 
 
 def test_certificate_folds_compound_root_powers():
     # the affine images of p34_cuberoot(4): the composed target holds
     # (3y - 1)^(4/3) as the 4th power of the cube root, where the pullback
     # holds (3y - 1) (3y - 1)^(1/3), so the certificate holds only once the
-    # power folds (rf_fold_roots)
+    # power folds (rf_reduce_roots)
     import gen_transformed
 
     slot = next(slot for slot in gen_transformed.SLOTS if slot[0] == "p34c.affine")
@@ -400,6 +408,19 @@ def test_certificate_folds_compound_root_powers():
         res = pc.test_p34(ode)
         assert res.outcome is Outcome.EQUIVALENT_P34
         assert pc._certified(ode, eqs.p34_cuberoot(res.beta2_rf), res.transform)
+
+
+def test_composed_e3b_target_keeps_no_compound_radicand():
+    # electrodiffusion (b) at (2, 3, 5, 7): its P34 target composed with the
+    # recovered transform, over the factors that rf_pow reads, holds no
+    # compound radicand, and the transform is certified
+    e = eqs.electrodiffusion_3b(2, 3, 5, 7)
+    res = pc.test_p34(e)
+    assert res.outcome is Outcome.EQUIVALENT_P34
+    target, t = eqs.p34_cuberoot(res.beta2_rf), res.transform
+    composed = [engine.rf_compose(c, {"x": t.u, "y": t.v}) for c in target.coeffs()]
+    assert not any(g.startswith("@") for c in composed for g in c.gens())
+    assert pc._certified(e, target, t)
 
 
 def test_pii_out_of_scope_cases():
