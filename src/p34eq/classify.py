@@ -247,8 +247,6 @@ def _sample_value(rf: RatFunc, env: ParamEnv, policy: SamplePolicy) -> float:
 def _real_somewhere(ode: OdeCubic, t: PointTransform, policy: SamplePolicy) -> bool:
     """Whether u, v and the coefficients of ode all evaluate at one sample point."""
     rfs = (t.u, t.v, *ode.coeffs())
-    if all(rf.is_exact() for rf in rfs):  # real wherever every symbol is positive
-        return True
     values, _ = sample_any_quadrant(lambda a: [rf.eval(a) for rf in rfs], ode.free_symbols(),
                                     ode.env, policy, 1, need=1)
     return bool(values)
